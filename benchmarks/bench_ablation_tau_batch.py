@@ -49,7 +49,7 @@ def test_ablation_batch_trials(benchmark):
             tune_job(
                 "target2", "source2", names,
                 PPATunerConfig(
-                    max_iterations=50, seed=0, batch_size=batch
+                    max_iterations=50, seed=0, q=batch
                 ),
             )
             for batch in BATCHES

@@ -146,7 +146,7 @@ def chaos_check(n_pool: int = 140, seed: int = 11) -> dict:
         X = space.encode_many(configs)
         rng = np.random.default_rng(pool_seed)
         Y = rng.random((n_pool, 3)) + 0.5
-        return BenchmarkDataset(name, space, configs, X, Y, "small")
+        return BenchmarkDataset(name, space, configs, X, Y, "mac_small")
 
     source = synth("chaos-src", 1)
     target = synth("chaos-tgt", 2)

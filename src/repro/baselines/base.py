@@ -8,15 +8,12 @@ Most of them ignore source-task data — that contrast is the paper's point
 tuner uniformly.
 
 Transfer data arrives through the unified ``sources=[(X, y), ...]``
-keyword (the same shape :meth:`repro.gp.TransferGP.fit` takes); the old
-positional ``X_source``/``Y_source`` pair still works but emits a
-:class:`DeprecationWarning`.  Subclasses implement :meth:`PoolTuner._tune`
-and never see the legacy spelling.
+keyword (the same shape :meth:`repro.gp.TransferGP.fit` takes).
+Subclasses implement :meth:`PoolTuner._tune`.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -37,35 +34,29 @@ class PoolTuner(ABC):
         self,
         X_pool: np.ndarray,
         oracle: Oracle,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
-        init_indices: np.ndarray | None = None,
         *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        init_indices: np.ndarray | None = None,
     ) -> TuningResult:
         """Run the tuner over the candidate pool.
 
         Args:
             X_pool: ``(n, d)`` raw candidate features.
             oracle: Evaluation oracle aligned with the pool.
-            X_source: Deprecated — use ``sources``.  Historical features
-                (ignored by non-transfer methods).
-            Y_source: Deprecated — use ``sources``.  Historical
-                objectives.
+            sources: Historical tasks as ``(X_k, Y_k)`` pairs (ignored
+                by non-transfer methods).
             init_indices: Optional fixed initial evaluations.
-            sources: Historical tasks as ``(X_k, Y_k)`` pairs; mutually
-                exclusive with ``X_source``/``Y_source``.
 
         Returns:
             A :class:`TuningResult`.
 
         Raises:
-            ValueError: If both source spellings are given, or
-                ``init_indices`` contains duplicates / out-of-range
-                entries.
+            ValueError: If ``init_indices`` contains duplicates /
+                out-of-range entries.
         """
-        sources = self._resolve_sources(X_source, Y_source, sources)
-        return self._tune(X_pool, oracle, sources, init_indices)
+        return self._tune(
+            X_pool, oracle, list(sources) if sources else [], init_indices
+        )
 
     @abstractmethod
     def _tune(
@@ -76,32 +67,6 @@ class PoolTuner(ABC):
         init_indices: np.ndarray | None,
     ) -> TuningResult:
         """Method-specific loop; ``sources`` is already normalized."""
-
-    @staticmethod
-    def _resolve_sources(
-        X_source: np.ndarray | None,
-        Y_source: np.ndarray | None,
-        sources: list[tuple[np.ndarray, np.ndarray]] | None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Normalize the two source spellings to a list of pairs."""
-        legacy = X_source is not None or Y_source is not None
-        if legacy and sources is not None:
-            raise ValueError(
-                "pass either X_source/Y_source or sources, not both"
-            )
-        if legacy:
-            warnings.warn(
-                "X_source/Y_source are deprecated; "
-                "pass sources=[(X, y), ...] instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if X_source is None or Y_source is None:
-                raise ValueError(
-                    "X_source and Y_source must be given together"
-                )
-            sources = [(X_source, Y_source)]
-        return list(sources) if sources else []
 
     @staticmethod
     def _stack_sources(

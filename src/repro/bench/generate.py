@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..pdtool.family import design_family, resolve_design
+from ..pdtool.family import design_family
 from ..pdtool.flow import PDFlow
 from ..pdtool.params import ToolParameters
 from ..space.sampling import latin_hypercube
@@ -68,12 +68,9 @@ _PARALLEL_MIN_POINTS = 512
 
 #: Fixed tool parameters per design for knobs the benchmark space does
 #: not tune (see :meth:`~repro.pdtool.family.DesignFamily.base_params`,
-#: the authoritative source).  Kept as a plain mapping — under both the
-#: legacy and canonical design names — because pre-registry callers
-#: index it directly.
+#: the authoritative source).  Kept as a plain mapping because
+#: pre-registry callers index it directly.
 DESIGN_BASE_PARAMS: dict[str, dict[str, object]] = {
-    "small": {},
-    "large": {"freq": 450.0},
     "mac_small": {},
     "mac_large": {"freq": 450.0},
     "fabric_small": {},
@@ -113,16 +110,13 @@ def design_spec(design: str) -> object:
 
     Args:
         design: Canonical family-prefixed design name
-            (``"mac_small"``, ``"fabric_large"``, ...).  The legacy
-            MAC shorthand ``"small"``/``"large"`` still resolves, with
-            a :class:`DeprecationWarning`.
+            (``"mac_small"``, ``"fabric_large"``, ...).
 
     Raises:
         ValueError: For an unregistered design family; the message
             reports the family token parsed from ``design`` and lists
             every registered family.
     """
-    design = resolve_design(design)
     return design_family(design).spec(design, full=full_scale())
 
 
@@ -130,9 +124,8 @@ def design_base_params(design: str) -> dict[str, object]:
     """Fixed tool parameters for a design's untuned knobs.
 
     Registry-backed replacement for indexing
-    :data:`DESIGN_BASE_PARAMS` directly; accepts legacy names.
+    :data:`DESIGN_BASE_PARAMS` directly.
     """
-    design = resolve_design(design)
     return design_family(design).base_params(design)
 
 
@@ -141,7 +134,6 @@ _FLOW_CACHE: dict[str, PDFlow] = {}
 
 def get_flow(design: str) -> PDFlow:
     """Process-cached :class:`PDFlow` for a design name (any family)."""
-    design = resolve_design(design)
     key = f"{design}-{'full' if full_scale() else 'reduced'}"
     if key not in _FLOW_CACHE:
         family = design_family(design)

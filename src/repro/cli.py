@@ -340,15 +340,9 @@ def _cmd_importance(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    import warnings
+    from .pdtool import design_family, write_verilog
 
-    from .pdtool import design_family, resolve_design, write_verilog
-
-    with warnings.catch_warnings():
-        # Legacy "small"/"large" stay accepted here without noise.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        design = resolve_design(args.design)
-    netlist = design_family(design).netlist(design)
+    netlist = design_family(args.design).netlist(args.design)
     write_verilog(netlist, args.output)
     print(f"wrote {args.output} ({netlist.n_cells} cells, "
           f"{netlist.n_primary_inputs} inputs)")
@@ -608,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mac_small", "mac_large", "fir_small", "fir_large",
         "alu_small", "alu_large", "fabric_small", "fabric_large",
         "cpu_small", "cpu_large",
-        # Legacy aliases for the original MAC pair.
-        "small", "large",
     ))
     p.add_argument("output")
     p.set_defaults(func=_cmd_export)

@@ -5,7 +5,7 @@ from .config import PPATunerConfig
 from .decision import apply_decision_rules
 from .oracle import CallableOracle, FlowOracle, Oracle, PoolOracle
 from .result import IterationRecord, TuningResult
-from .selection import select_batch, select_next, select_with_fallback
+from .selection import select_batch, select_next
 from .session import EvaluationFailure, TuningSession, drive
 from .tuner import PPATuner, Tuner
 from .uncertainty import UncertaintyRegions, prediction_rectangle
@@ -30,5 +30,4 @@ __all__ = [
     "prediction_rectangle",
     "select_batch",
     "select_next",
-    "select_with_fallback",
 ]

@@ -16,19 +16,14 @@ decides, per iteration, between two numerically equivalent paths:
   positive definite the model falls back to an exact refactorization on
   its own; the engine records the event in :attr:`CalibrationStats`.
 
-On either path, when :class:`PPATunerConfig.shared_factor` is on and
-every model reports the same covariance signature (same kernel family
-and hyperparameters — true until re-optimization diverges them), the
-engine factors the shared covariance **once** on a lead model and the
-remaining metrics adopt it, redoing only their per-metric RHS solves;
-the pool prediction caches are likewise built once and aliased.  This
-is bit-identical to independent per-model fits because it deduplicates
-computations that would produce the same bits.
-
 Predictions over the candidate pool always go through the models'
 ``predict_pool`` so both paths share one code path (equivalence-tested
 in ``tests/test_calibration_equivalence.py`` and
 ``tests/test_fastpath_equivalence.py``).
+
+Every metric keeps its own factorization.  Re-optimization gives each
+metric its own kernel hyperparameters, so a Cholesky factor shared
+across the metrics would only ever apply under ``reopt_every=0``.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gp.incremental import predict_pool_multi
 from ..obs.events import CalibrationDone
 from ..obs.recorder import NULL_RECORDER
 from .config import PPATunerConfig
@@ -49,25 +43,17 @@ class CalibrationStats:
     """Counters of the engine's calibration activity.
 
     Attributes:
-        n_full_fits: Per-model exact ``fit`` calls (shared-factor
-            adoptions count too — the posterior refresh happened).
-        n_incremental: Per-model fast-path ``update`` calls (including
-            shared-factor adoptions).
+        n_full_fits: Per-model exact ``fit`` calls.
+        n_incremental: Per-model fast-path ``update`` calls.
         n_fallbacks: Updates that fell back to an exact refactorization
             (jitter escalation).
         n_reopts: Per-model hyperparameter re-optimizations.
-        n_shared_fits: Full fits served by adopting the lead model's
-            factorization instead of refactorizing.
-        n_shared_updates: Incremental updates served by adopting the
-            lead model's border update.
     """
 
     n_full_fits: int = 0
     n_incremental: int = 0
     n_fallbacks: int = 0
     n_reopts: int = 0
-    n_shared_fits: int = 0
-    n_shared_updates: int = 0
 
 
 class CalibrationEngine:
@@ -96,7 +82,7 @@ class CalibrationEngine:
 
         Args:
             models: One fitted-or-fresh GP model per QoR metric.
-            config: Loop configuration (cadence and engine switches).
+            config: Loop configuration (cadence and engine switch).
             multi: Whether the models are multi-source transfer GPs.
             sources: Normalized ``(X_k, Y_k)`` archives (multi mode).
             X_source: Stacked normalized source features (two-task mode).
@@ -113,27 +99,11 @@ class CalibrationEngine:
         self.stats = CalibrationStats()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._fitted = False
-        self._shared_active = False
-        # Whether every model currently holds the *same* training rows.
-        # Partial QoR reports train each metric on its own observed
-        # subset; sharing a factor then would pair one metric's alpha
-        # with another metric's covariance.  A non-partial full fit
-        # re-establishes equality.
-        self._same_rows = False
 
     def register_pool(self, X_pool: np.ndarray) -> None:
-        """Attach the fixed candidate pool to every model.
-
-        The config's ``pool_block``/``float32_pool`` switches are
-        threaded through so large pools build their prediction caches
-        in cache-sized blocks (optionally stored float32).
-        """
-        cfg = self.config
-        dtype = np.float32 if cfg.float32_pool else None
+        """Attach the fixed candidate pool to every model."""
         for model in self.models:
-            model.register_pool(
-                X_pool, block=cfg.pool_block, dtype=dtype
-            )
+            model.register_pool(X_pool)
 
     def extend_pool(self, X_new: np.ndarray) -> None:
         """Append refined candidates to every model's pool (append path).
@@ -141,56 +111,12 @@ class CalibrationEngine:
         Adaptive pool refinement grows the candidate table mid-run; the
         prediction caches are extended by the new rows only — never
         rebuilt (see :meth:`~repro.gp.incremental.IncrementalGPMixin.extend_pool`).
-        Under an active shared factor the appended cache blocks are
-        computed once on the lead model and adopted by the followers
-        (identical signatures produce identical blocks).
         """
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         if X_new.size == 0:
             return
-        if self._shared_active and self._sharing_possible():
-            lead = self.models[0]
-            lead.extend_pool(X_new)
-            for model in self.models[1:]:
-                model.extend_pool(X_new, cache=False)
-                model._pool_K = lead._pool_K
-                model._pool_V = lead._pool_V
-        else:
-            for model in self.models:
-                model.extend_pool(X_new)
-
-    def _sharing_possible(self) -> bool:
-        """Whether one Cholesky factorization can serve every model.
-
-        True when the config allows sharing and every model reports the
-        same covariance signature — same kernel family and
-        hyperparameters, same noise structure — so fitting them on the
-        same stacked inputs builds the *same* covariance matrix.
-        Hyperparameter re-optimization diverges the signatures (each
-        metric's likelihood pulls differently), after which this
-        returns False until they coincide again.
-        """
-        if not self.config.shared_factor or len(self.models) < 2:
-            return False
-        sigs = [m.covariance_signature() for m in self.models]
-        return sigs[0] is not None and all(
-            s == sigs[0] for s in sigs[1:]
-        )
-
-    def _stacked_y(
-        self, j: int, y_obs: np.ndarray, sampled: np.ndarray
-    ) -> np.ndarray:
-        """The stacked sources-then-target y a metric-``j`` fit sees."""
-        if self.multi:
-            parts = [Ys[:, j] for _, Ys in self.sources if len(Ys)]
-        else:
-            parts = (
-                [self.Y_source[:, j]] if len(self.X_source) else []
-            )
-        parts = parts + [y_obs[sampled, j]]
-        return np.concatenate(
-            [np.asarray(p, dtype=float).ravel() for p in parts]
-        )
+        for model in self.models:
+            model.extend_pool(X_new)
 
     def calibrate(
         self,
@@ -212,7 +138,7 @@ class CalibrationEngine:
                 these).
         """
         cfg = self.config
-        cadence = cfg.effective_reopt_every
+        cadence = cfg.reopt_every
         reopt = cadence > 0 and (t % cadence) == 0
         fast = (
             cfg.incremental
@@ -240,52 +166,19 @@ class CalibrationEngine:
             idx = np.asarray(new_indices, dtype=int)
             X_new = X_pool[idx]
             partial = bool(np.isnan(y_obs[idx]).any())
-            if partial:
-                self._same_rows = False
-            shared = (
-                not partial
-                and self._same_rows
-                and self._sharing_possible()
-            )
-            if shared:
-                # One border update on the lead model; followers adopt
-                # its extended factor and pool caches and redo only the
-                # per-metric alpha solve (bit-identical — identical
-                # signatures mean identical matrices).
-                lead = self.models[0]
-                lead.update(X_new, y_obs[idx, 0])
-                self.stats.n_incremental += 1
-                if lead.last_update_fallback:
-                    # Jitter escalation: the border update is invalid
-                    # for every metric, so each follower runs its own
-                    # exact (per-GP) refactorization.
-                    self.stats.n_fallbacks += 1
-                    for j, model in enumerate(self.models[1:], 1):
-                        model.update(X_new, y_obs[idx, j])
-                        self.stats.n_incremental += 1
-                        if model.last_update_fallback:
-                            self.stats.n_fallbacks += 1
+            for j, model in enumerate(self.models):
+                if partial:
+                    # Partial QoR reports: absorb only the rows this
+                    # metric was actually observed on.
+                    keep = np.isfinite(y_obs[idx, j])
+                    if not keep.any():
+                        continue
+                    model.update(X_new[keep], y_obs[idx[keep], j])
                 else:
-                    for j, model in enumerate(self.models[1:], 1):
-                        model.adopt_update(lead, X_new, y_obs[idx, j])
-                        self.stats.n_incremental += 1
-                        self.stats.n_shared_updates += 1
-                self._shared_active = True
-            else:
-                self._shared_active = False
-                for j, model in enumerate(self.models):
-                    if partial:
-                        # Partial QoR reports: absorb only the rows
-                        # this metric was actually observed on.
-                        keep = np.isfinite(y_obs[idx, j])
-                        if not keep.any():
-                            continue
-                        model.update(X_new[keep], y_obs[idx[keep], j])
-                    else:
-                        model.update(X_new, y_obs[idx, j])
-                    self.stats.n_incremental += 1
-                    if model.last_update_fallback:
-                        self.stats.n_fallbacks += 1
+                    model.update(X_new, y_obs[idx, j])
+                self.stats.n_incremental += 1
+                if model.last_update_fallback:
+                    self.stats.n_fallbacks += 1
             if recorder:
                 recorder.emit(CalibrationDone(
                     iteration=t,
@@ -300,61 +193,31 @@ class CalibrationEngine:
 
         Xt = X_pool[sampled]
         partial = bool(np.isnan(y_obs[sampled]).any())
-        # Re-optimization diverges the hyperparameters per metric, and
-        # partial observations give each metric different training rows
-        # — sharing applies only to plain same-structure refits.
-        self._same_rows = not partial
-        shared = not reopt and not partial and self._sharing_possible()
-        if shared:
-            lead = self.models[0]
-            lead.optimize = False
+        for j, model in enumerate(self.models):
+            model.optimize = reopt
+            # Both model kinds share the ``sources`` fit keyword; the
+            # two-task model stacks the pairs into one source task.
             if self.multi:
-                src_0 = [(Xs, Ys[:, 0]) for Xs, Ys in self.sources]
+                src_j = [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
             else:
-                src_0 = (
-                    [(self.X_source, self.Y_source[:, 0])]
+                src_j = (
+                    [(self.X_source, self.Y_source[:, j])]
                     if len(self.X_source) else []
                 )
-            lead.fit(
-                sources=src_0, X_target=Xt, y_target=y_obs[sampled, 0],
-            )
-            self.stats.n_full_fits += 1
-            for j, model in enumerate(self.models[1:], 1):
-                model.optimize = False
-                model.adopt_fit(
-                    lead, self._stacked_y(j, y_obs, sampled)
+            if partial:
+                mask = sampled & np.isfinite(y_obs[:, j])
+                model.fit(
+                    sources=src_j, X_target=X_pool[mask],
+                    y_target=y_obs[mask, j],
                 )
-                self.stats.n_full_fits += 1
-                self.stats.n_shared_fits += 1
-            self._shared_active = True
-        else:
-            self._shared_active = False
-            for j, model in enumerate(self.models):
-                model.optimize = reopt
-                # Both model kinds share the ``sources`` fit keyword;
-                # the two-task model stacks the pairs into one source
-                # task.
-                if self.multi:
-                    src_j = [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
-                else:
-                    src_j = (
-                        [(self.X_source, self.Y_source[:, j])]
-                        if len(self.X_source) else []
-                    )
-                if partial:
-                    mask = sampled & np.isfinite(y_obs[:, j])
-                    model.fit(
-                        sources=src_j, X_target=X_pool[mask],
-                        y_target=y_obs[mask, j],
-                    )
-                else:
-                    model.fit(
-                        sources=src_j, X_target=Xt,
-                        y_target=y_obs[sampled, j],
-                    )
-                self.stats.n_full_fits += 1
-                if reopt:
-                    self.stats.n_reopts += 1
+            else:
+                model.fit(
+                    sources=src_j, X_target=Xt,
+                    y_target=y_obs[sampled, j],
+                )
+            self.stats.n_full_fits += 1
+            if reopt:
+                self.stats.n_reopts += 1
         self._fitted = True
         if recorder:
             recorder.emit(CalibrationDone(
@@ -382,21 +245,10 @@ class CalibrationEngine:
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.nonzero(idx)[0]
-        m = len(self.models)
-        if self._shared_active and m > 1:
-            # Sharing is live: the pool caches are identical across the
-            # models, so materialize the lead's once and alias it.
-            results = predict_pool_multi(
-                self.models, idx, include_noise=include_noise
-            )
-        else:
-            results = [
-                model.predict_pool(idx, include_noise=include_noise)
-                for model in self.models
-            ]
-        mean = np.empty((len(idx), m))
+        mean = np.empty((len(idx), len(self.models)))
         std = np.empty_like(mean)
-        for j, (mu, var) in enumerate(results):
+        for j, model in enumerate(self.models):
+            mu, var = model.predict_pool(idx, include_noise=include_noise)
             mean[:, j] = mu
             std[:, j] = np.sqrt(var)
         return mean, std

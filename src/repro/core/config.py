@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,8 +20,6 @@ class PPATunerConfig:
             each objective's observed range*; the absolute δ is derived
             from the initialization data.  Scalar applies to all
             objectives.
-        batch_size: Configurations sent to the tool per iteration (the
-            paper's parallel-license batch trials).
         q: Candidates proposed per synchronous round by the *batched*
             selection rule.  ``q=1`` (default) is the paper's serial
             Eq. (13) rule and is bit-identical to the pre-batching
@@ -48,12 +46,11 @@ class PPATunerConfig:
             parameter-space span, centred on a live anchor candidate.
         max_iterations: ``T_max``.
         kernel: Base kernel family (``"rbf"`` or ``"matern52"``).
-        refit_every: Re-optimize GP hyperparameters every this many
-            iterations (posteriors are refreshed every iteration).
-        reopt_every: Hyperparameter re-optimization cadence for the
-            calibration engine; refits are warm-started from the
-            previous optimum and trigger an exact refactorization.
-            ``None`` (default) inherits ``refit_every``; ``0`` disables
+        reopt_every: Hyperparameter re-optimization cadence of the
+            calibration engine: every this many iterations each GP's
+            hyperparameters are re-optimized (warm-started from the
+            previous optimum) with an exact refactorization; posteriors
+            are refreshed every iteration.  ``0`` disables
             re-optimization after the initial fit entirely.
         incremental: Use the incremental calibration engine — between
             re-optimizations new evaluations extend the cached Cholesky
@@ -61,35 +58,6 @@ class PPATunerConfig:
             cross-covariance instead of refitting from scratch.  The
             posterior is numerically equivalent; set ``False`` to force
             the exact from-scratch path every iteration.
-        shared_factor: Share one Cholesky factorization (and the pool
-            cross-covariance caches) across the per-metric GPs whenever
-            their covariance hyperparameters are identical — the same X
-            and kernel structure mean the factor is computed once and
-            only the per-metric RHS solves differ.  Bit-identical to the
-            per-model path (it deduplicates identical computations);
-            automatically inapplicable once hyperparameter
-            re-optimization makes the per-metric covariances diverge.
-            Set ``False`` to force fully independent per-GP fits (the
-            reference path for the equivalence harness).
-        float32_pool: Opt-in float32 storage for the pool prediction
-            caches (cross-covariance and whitened blocks).  Halves the
-            cache memory so pools of 10^5-10^6 candidates stay
-            cache/memory friendly; posterior means/variances move by at
-            most ~1e-5 relative (the Cholesky factor and all training
-            state stay float64).  Off by default — the float64 path is
-            the bit-exact reference.
-        pool_block: Row-chunk size for building (and extending) the pool
-            prediction caches.  Pools larger than this are evaluated in
-            blocks so the kernel's ``(pool, train, dim)`` broadcast
-            intermediate never materializes at full pool size.  ``0``
-            disables blocking.  Pools at or below the block size use the
-            exact pre-blocking code path.
-        decision_backend: Implementation of the δ-dominance decision
-            pass: ``"vectorized"`` (blocked, cache-friendly whole-pool
-            reductions; the default) or ``"reference"`` (the retained
-            pre-optimization implementation).  Both return identical
-            index sets; the reference backend exists for the
-            equivalence harness and as the benchmark baseline.
         n_restarts: Hyperparameter-optimizer restarts.
         transfer: If False, source data is ignored (ablation switch).
         noise_in_regions: Include the learned observation-noise variance
@@ -122,7 +90,6 @@ class PPATunerConfig:
 
     tau: float = 16.0
     delta_rel: float | np.ndarray = 0.01
-    batch_size: int = 1
     q: int = 1
     q_penalty: float = 1.0
     pool_refine_every: int = 0
@@ -130,13 +97,8 @@ class PPATunerConfig:
     pool_zoom: float = 0.1
     max_iterations: int = 500
     kernel: str = "rbf"
-    refit_every: int = 10
-    reopt_every: int | None = None
+    reopt_every: int = 10
     incremental: bool = True
-    shared_factor: bool = True
-    float32_pool: bool = False
-    pool_block: int = 32768
-    decision_backend: str = "vectorized"
     n_restarts: int = 1
     transfer: bool = True
     noise_in_regions: bool = False
@@ -154,8 +116,6 @@ class PPATunerConfig:
             raise ValueError("tau must be positive")
         if np.any(np.asarray(self.delta_rel) < 0):
             raise ValueError("delta_rel must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.q < 1:
             raise ValueError("q must be >= 1")
         if self.q_penalty <= 0:
@@ -172,16 +132,8 @@ class PPATunerConfig:
             raise ValueError("init_fraction must be in (0, 1]")
         if self.min_init < 1:
             raise ValueError("min_init must be >= 1")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        if self.reopt_every is not None and self.reopt_every < 0:
+        if self.reopt_every < 0:
             raise ValueError("reopt_every must be >= 0 (0 = never)")
-        if self.pool_block < 0:
-            raise ValueError("pool_block must be >= 0 (0 = unblocked)")
-        if self.decision_backend not in ("vectorized", "reference"):
-            raise ValueError(
-                "decision_backend must be 'vectorized' or 'reference'"
-            )
         if self.warm_start not in ("random", "copula"):
             raise ValueError(
                 "warm_start must be 'random' or 'copula'"
@@ -189,70 +141,54 @@ class PPATunerConfig:
         if isinstance(self.fault_policy, dict):
             self.fault_policy = FaultPolicy.from_json(self.fault_policy)
 
-    @property
-    def effective_reopt_every(self) -> int:
-        """Re-optimization cadence: ``reopt_every`` or ``refit_every``."""
-        return (
-            self.refit_every if self.reopt_every is None
-            else self.reopt_every
-        )
-
     def to_json(self) -> dict:
         """Fully JSON-serializable dict (session snapshots, service).
 
-        ``extra`` must itself be JSON-serializable; a vector
-        ``delta_rel`` becomes a list and is restored as an array.
+        Every dataclass field is emitted, so a new knob cannot be
+        silently dropped from snapshots.  Scalars are coerced to the
+        Python type of the field's default (numpy scalars included);
+        a vector ``delta_rel`` becomes a list and is restored as an
+        array.  ``extra`` must itself be JSON-serializable.
         """
-        delta = self.delta_rel
-        if isinstance(delta, np.ndarray):
-            delta = [float(v) for v in delta.ravel()]
-        else:
-            delta = float(delta)
-        return {
-            "tau": float(self.tau),
-            "delta_rel": delta,
-            "batch_size": int(self.batch_size),
-            "q": int(self.q),
-            "q_penalty": float(self.q_penalty),
-            "pool_refine_every": int(self.pool_refine_every),
-            "pool_refine_points": int(self.pool_refine_points),
-            "pool_zoom": float(self.pool_zoom),
-            "max_iterations": int(self.max_iterations),
-            "kernel": self.kernel,
-            "refit_every": int(self.refit_every),
-            "reopt_every": (
-                None if self.reopt_every is None else int(self.reopt_every)
-            ),
-            "incremental": bool(self.incremental),
-            "shared_factor": bool(self.shared_factor),
-            "float32_pool": bool(self.float32_pool),
-            "pool_block": int(self.pool_block),
-            "decision_backend": self.decision_backend,
-            "n_restarts": int(self.n_restarts),
-            "transfer": bool(self.transfer),
-            "noise_in_regions": bool(self.noise_in_regions),
-            "pareto_delta_scale": float(self.pareto_delta_scale),
-            "seed": int(self.seed),
-            "init_fraction": float(self.init_fraction),
-            "min_init": int(self.min_init),
-            "fault_policy": (
-                None if self.fault_policy is None
-                else self.fault_policy.to_json()
-            ),
-            "warm_start": self.warm_start,
-            "extra": dict(self.extra),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = [float(v) for v in value.ravel()]
+            elif isinstance(value, FaultPolicy):
+                value = value.to_json()
+            elif isinstance(value, dict):
+                value = dict(value)
+            elif isinstance(f.default, (bool, int, float, str)):
+                value = type(f.default)(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_json(cls, payload: dict) -> "PPATunerConfig":
         """Rebuild from :meth:`to_json` output.
 
-        Unknown keys are rejected (a snapshot from a newer layout should
-        fail loudly, not half-apply); ``__post_init__`` revalidates and
-        revives the fault-policy dict.
+        ``__post_init__`` revalidates and revives the fault-policy dict.
+
+        Raises:
+            ValueError: On unknown keys (a snapshot from another layout
+                should fail loudly, not half-apply) or a value of the
+                wrong type.
         """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"config must be a JSON object, got {type(payload).__name__}"
+            )
         data = dict(payload)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown config field(s): {', '.join(unknown)}"
+            )
         delta = data.get("delta_rel")
         if isinstance(delta, list):
             data["delta_rel"] = np.asarray(delta, dtype=float)
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ValueError(f"invalid config: {exc}") from exc

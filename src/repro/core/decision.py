@@ -123,7 +123,6 @@ def apply_decision_rules(
     pareto_delta: np.ndarray | None = None,
     recorder=None,
     iteration: int = 0,
-    backend: str = "vectorized",
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decision-making pass over the live candidates.
 
@@ -142,31 +141,15 @@ def apply_decision_rules(
         recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`
             fed one ``DecisionSummary`` per pass.
         iteration: Loop iteration tag for the emitted event.
-        backend: ``"vectorized"`` (blocked whole-pool reductions) or
-            ``"reference"`` (the retained pre-optimization pass in
-            :mod:`repro.core.reference`); both return identical index
-            sets.
 
     Returns:
         ``(newly_dropped, newly_pareto)`` index arrays (disjoint).
     """
     undecided = np.asarray(undecided, dtype=bool)
     pareto = np.asarray(pareto, dtype=bool)
-    if backend == "reference":
-        from .reference import decide_reference
-
-        newly_dropped, newly_pareto = decide_reference(
-            regions, undecided, pareto, delta, pareto_delta
-        )
-    elif backend == "vectorized":
-        newly_dropped, newly_pareto = _decide(
-            regions, undecided, pareto, delta, pareto_delta
-        )
-    else:
-        raise ValueError(
-            f"unknown decision backend {backend!r}; "
-            "expected 'vectorized' or 'reference'"
-        )
+    newly_dropped, newly_pareto = _decide(
+        regions, undecided, pareto, delta, pareto_delta
+    )
     if recorder:
         n = len(undecided)
         n_dropped = (

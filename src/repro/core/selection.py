@@ -17,8 +17,6 @@ front instead of re-sampling the same region q times.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..obs.events import BatchSelected, SelectionMade
@@ -169,70 +167,3 @@ def select_batch(
             scores=scores_out,
         ))
     return chosen
-
-
-def select_with_fallback(
-    regions: UncertaintyRegions,
-    eligible: np.ndarray,
-    batch_size: int,
-    try_evaluate: Callable[[int], bool],
-    recorder=None,
-    iteration: int = 0,
-    quarantined: np.ndarray | None = None,
-) -> tuple[list[int], list[int]]:
-    """Eq. (13) selection with fallback past failed evaluations.
-
-    Selects by maximum diameter and evaluates immediately; when the
-    chosen candidate fails permanently (``try_evaluate`` returns
-    ``False``), it has been marked ineligible by the caller and the rule
-    falls through to the next-largest-diameter live candidate, until the
-    batch is filled or the eligible pool is exhausted.  On the no-fault
-    path exactly one ``SelectionMade`` is emitted per call — the event
-    stream is byte-identical to plain :func:`select_next`.
-
-    Args:
-        regions: Current uncertainty boxes.
-        eligible: Mask of selectable candidates; entries are cleared
-            in place as candidates are consumed (evaluated or failed).
-        batch_size: Target number of successful evaluations.
-        try_evaluate: ``(index) -> bool`` — evaluates and records the
-            candidate, returning False on permanent failure (after
-            quarantining/unmarking it as the policy dictates).
-        recorder: Optional trace recorder (passed to
-            :func:`select_next`).
-        iteration: Loop iteration tag for emitted events.
-        quarantined: Optional mask of permanently failed candidates.
-            Consulted before every pick — a point quarantined mid-batch
-            (e.g. by a concurrent tell of the same session) is cleared
-            from ``eligible`` in place and can never be re-proposed,
-            even if the caller's mask went stale between rounds.
-
-    Returns:
-        ``(evaluated, failed)`` candidate index lists, in evaluation
-        order.
-    """
-    evaluated: list[int] = []
-    failed: list[int] = []
-    while len(evaluated) < batch_size:
-        if quarantined is not None:
-            np.logical_and(
-                eligible, ~np.asarray(quarantined, dtype=bool),
-                out=eligible,
-            )
-        want = batch_size - len(evaluated)
-        chosen = select_next(
-            regions, eligible, want, recorder=recorder,
-            iteration=iteration,
-        )
-        if len(chosen) == 0:
-            break
-        for idx in chosen:
-            idx = int(idx)
-            eligible[idx] = False
-            if try_evaluate(idx):
-                evaluated.append(idx)
-            else:
-                failed.append(idx)
-        if len(chosen) < want:
-            break
-    return evaluated, failed

@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 #: Snapshot-format version; bump when the serialized layout changes.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _PHASES = ("init", "loop", "verify", "done")
 
@@ -685,7 +685,6 @@ class TuningSession:
             self.regions, undecided, self.pareto, self.delta,
             pareto_delta=cfg.pareto_delta_scale * self.delta,
             recorder=rec, iteration=t,
-            backend=cfg.decision_backend,
         )
         self.dropped[newly_dropped] = True
         self.pareto[newly_pareto] = True
@@ -697,12 +696,7 @@ class TuningSession:
         self._evaluated_now = []
         self._failed_now = []
         self._in_iteration = True
-        self._select(self._round_size())
-
-    def _round_size(self) -> int:
-        """Per-round evaluation target: ``q`` supersedes ``batch_size``."""
-        cfg = self.config
-        return cfg.q if cfg.q > 1 else cfg.batch_size
+        self._select(cfg.q)
 
     def _select(self, want: int) -> None:
         """One selection pass; queues the chosen batch.
@@ -733,12 +727,11 @@ class TuningSession:
     def _continue_iteration(self) -> None:
         """Post-batch: fall through past failures or end the iteration.
 
-        Mirrors ``select_with_fallback``: while the batch target is
-        unmet and the previous pass was not short, select again (the
-        fallback past quarantined candidates); otherwise close out the
-        iteration.
+        While the batch target is unmet and the previous pass was not
+        short, select again (the fallback past quarantined candidates);
+        otherwise close out the iteration.
         """
-        want = self._round_size()
+        want = self.config.q
         if (
             len(self._evaluated_now) < want
             and self._last_chosen >= self._last_want

@@ -30,7 +30,6 @@ which the run replays exactly.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -46,23 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..gp.multisource import MultiSourceTransferGP
     from ..gp.transfer_gp import TransferGP
     from .oracle import Oracle
-
-
-def __getattr__(name: str):
-    # ``repro.core.tuner.Oracle`` used to be a concrete union alias
-    # (PoolOracle | FlowOracle); the contract now lives in
-    # ``repro.core.oracle.Oracle`` as a structural protocol.
-    if name == "Oracle":
-        warnings.warn(
-            "importing Oracle from repro.core.tuner is deprecated; "
-            "use repro.core.oracle.Oracle (a typing.Protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .oracle import Oracle
-
-        return Oracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @runtime_checkable

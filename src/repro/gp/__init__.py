@@ -5,19 +5,17 @@ and the two-task transfer GP (Eq. (8)).
 """
 
 from .gp_regression import GPRegressor
-from .incremental import IncrementalGPMixin, predict_pool_multi
+from .incremental import IncrementalGPMixin
 from .kernels import Kernel, Matern52Kernel, RBFKernel, make_kernel
 from .likelihood import gaussian_log_marginal, maximize_objective
 from .multisource import MultiSourceTransferGP
 from .linalg import (
     NotPositiveDefiniteError,
-    blocked_triangular_solve,
     cholesky_append_row,
     cholesky_append_rows,
     cholesky_rank1_downdate,
     cholesky_rank1_update,
     cholesky_solve,
-    factor_once_solve_many,
     log_det_from_cholesky,
     robust_cholesky,
     solve_psd,
@@ -37,18 +35,15 @@ __all__ = [
     "RBFKernel",
     "TransferGP",
     "TransferKernel",
-    "blocked_triangular_solve",
     "cholesky_append_row",
     "cholesky_append_rows",
     "cholesky_rank1_downdate",
     "cholesky_rank1_update",
     "cholesky_solve",
-    "factor_once_solve_many",
     "gaussian_log_marginal",
     "log_det_from_cholesky",
     "make_kernel",
     "maximize_objective",
-    "predict_pool_multi",
     "robust_cholesky",
     "solve_psd",
     "transfer_factor",

@@ -139,25 +139,6 @@ class GPRegressor(IncrementalGPMixin):
         self._X = np.vstack([self._X, X_new])
         self._y_raw = np.concatenate([self._y_raw, y_new])
 
-    def _cov_params(self) -> tuple:
-        kernel_sig = (
-            None if self.kernel is None
-            else (
-                type(self.kernel).__name__,
-                tuple(
-                    float(v)
-                    for v in np.asarray(self.kernel.theta).ravel()
-                ),
-            )
-        )
-        return (kernel_sig, float(self._log_noise))
-
-    def _adopt_structure(self, lead: "GPRegressor") -> None:
-        assert lead._X is not None
-        if self.kernel is None:
-            self.kernel = RBFKernel(np.full(lead._X.shape[1], 0.3))
-        self._X = lead._X
-
     def _optimize_hyperparameters(self, X: np.ndarray, z: np.ndarray) -> None:
         kernel = self.kernel
         assert kernel is not None

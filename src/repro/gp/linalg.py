@@ -77,72 +77,6 @@ def solve_psd(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cholesky_solve(L, b)
 
 
-def factor_once_solve_many(
-    matrix: np.ndarray,
-    rhs_columns: list[np.ndarray] | np.ndarray,
-    jitter: float = DEFAULT_JITTER,
-) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """Factor one covariance and solve several right-hand sides.
-
-    The per-metric GPs of the tuning loop share the training inputs and
-    (until re-optimization diverges them) the covariance hyperparameters,
-    so their ``K`` matrices are identical — factor once, solve one RHS
-    per metric.  Each column is solved independently so every solution
-    is bit-identical to what a per-model ``robust_cholesky`` +
-    ``cholesky_solve`` would produce.
-
-    Args:
-        matrix: Shared ``(n, n)`` covariance (noise included).
-        rhs_columns: The per-model right-hand sides (each length ``n``).
-        jitter: Starting jitter for :func:`robust_cholesky`.
-
-    Returns:
-        ``(L, used_jitter, solutions)`` with one solution per RHS.
-    """
-    L, used = robust_cholesky(matrix, jitter)
-    solutions = [cholesky_solve(L, np.asarray(b)) for b in rhs_columns]
-    return L, used, solutions
-
-
-def blocked_triangular_solve(
-    L: np.ndarray,
-    B: np.ndarray,
-    block: int = 0,
-    out_dtype: np.dtype | type | None = None,
-) -> np.ndarray:
-    """Solve ``L V = B`` processing the RHS in column blocks.
-
-    Column blocks keep the working set cache-sized for very wide RHS
-    matrices (pool whitening with 10^5-10^6 candidates) and allow the
-    result to be stored in a narrower dtype while every solve still runs
-    in float64.  With ``block=0`` (or a RHS no wider than ``block``) the
-    single-shot :func:`scipy.linalg.solve_triangular` path is used
-    unchanged.
-
-    Args:
-        L: ``(n, n)`` lower-triangular factor.
-        B: ``(n, p)`` right-hand side.
-        block: Column-chunk width; ``0`` disables blocking.
-        out_dtype: Optional output dtype (e.g. ``np.float32``); solves
-            stay float64 and only the stored result is cast.
-
-    Returns:
-        The ``(n, p)`` solution, in ``out_dtype`` when given.
-    """
-    B = np.asarray(B)
-    p = B.shape[1] if B.ndim == 2 else 0
-    if not block or p <= block:
-        V = solve_triangular(L, B, lower=True)
-        return V.astype(out_dtype, copy=False) if out_dtype else V
-    out = np.empty(B.shape, dtype=out_dtype or B.dtype)
-    for start in range(0, p, block):
-        stop = min(start + block, p)
-        out[:, start:stop] = solve_triangular(
-            L, B[:, start:stop], lower=True
-        )
-    return out
-
-
 def cholesky_append_rows(
     L: np.ndarray, K_cross: np.ndarray, K_new: np.ndarray
 ) -> np.ndarray:
@@ -290,14 +224,12 @@ def cholesky_rank1_downdate(L: np.ndarray, v: np.ndarray) -> np.ndarray:
 __all__ = [
     "DEFAULT_JITTER",
     "NotPositiveDefiniteError",
-    "blocked_triangular_solve",
     "cho_factor",
     "cholesky_append_row",
     "cholesky_append_rows",
     "cholesky_rank1_downdate",
     "cholesky_rank1_update",
     "cholesky_solve",
-    "factor_once_solve_many",
     "log_det_from_cholesky",
     "robust_cholesky",
     "solve_psd",

@@ -114,8 +114,6 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         X_target: np.ndarray | None = None,
         y_target: np.ndarray | None = None,
-        *,
-        Xs: list[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> "MultiSourceTransferGP":
         """Fit on K source datasets plus the target data.
 
@@ -124,27 +122,13 @@ class MultiSourceTransferGP(IncrementalGPMixin):
                 keyword shared with :class:`~repro.gp.transfer_gp.TransferGP`.
             X_target: ``(M, d)`` target inputs.
             y_target: Length-``M`` target values.
-            Xs: Deprecated alias for ``sources``.
 
         Returns:
             ``self``.
 
         Raises:
-            ValueError: On shape problems, empty target data, or
-                conflicting source arguments.
+            ValueError: On shape problems or empty target data.
         """
-        if Xs is not None:
-            import warnings
-
-            warnings.warn(
-                "the Xs keyword of MultiSourceTransferGP.fit is "
-                "deprecated; pass sources=[(X, y), ...]",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if sources is not None:
-                raise ValueError("pass either sources or Xs, not both")
-            sources = Xs
         if sources is None:
             sources = []
         if X_target is None or y_target is None:
@@ -248,44 +232,6 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             np.full(len(y_new), self._n_sources, dtype=int),
         ])
         self._y_raw = np.concatenate([self._y_raw, y_new])
-
-    def _cov_params(self) -> tuple:
-        kernel_sig = (
-            None if self._kernel is None
-            else (
-                type(self._kernel).__name__,
-                tuple(
-                    float(v)
-                    for v in np.asarray(self._kernel.theta).ravel()
-                ),
-            )
-        )
-        if self._log_a is None:
-            transfer_sig = ("init",) + self._init
-        else:
-            assert self._log_b is not None and self._log_noise is not None
-            transfer_sig = (
-                tuple(float(v) for v in self._log_a),
-                tuple(float(v) for v in self._log_b),
-                tuple(float(v) for v in self._log_noise),
-            )
-        return (kernel_sig, transfer_sig)
-
-    def _adopt_structure(self, lead: "MultiSourceTransferGP") -> None:
-        assert lead._X is not None
-        if self._kernel is None:
-            self._kernel = RBFKernel(np.full(lead._X.shape[1], 0.3))
-        self._n_sources = lead._n_sources
-        if (
-            self._log_a is None
-            or len(self._log_a) != self._n_sources
-        ):
-            log_a0, log_b0, log_n0 = self._init
-            self._log_a = np.full(self._n_sources, log_a0)
-            self._log_b = np.full(self._n_sources, log_b0)
-            self._log_noise = np.full(self._n_sources + 1, log_n0)
-        self._X = lead._X
-        self._tasks = lead._tasks
 
     def _full_kernel(self, X: np.ndarray, tasks: np.ndarray) -> np.ndarray:
         assert self._kernel is not None

@@ -35,31 +35,18 @@ TARGET_TASK = 1
 
 
 def _resolve_source_kwargs(
-    X_source, y_source, sources, Xs, ys
+    X_source, y_source, sources
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the three ways of passing source data to one pair.
+    """Normalize the two ways of passing source data to one pair.
 
-    Canonical forms are ``X_source``/``y_source`` arrays or the
-    ``sources`` list of ``(X_k, y_k)`` pairs (shared with the
-    multi-source model; pairs are stacked into a single source task).
-    ``Xs``/``ys`` are deprecated aliases for ``X_source``/``y_source``.
+    The forms are ``X_source``/``y_source`` arrays or the ``sources``
+    list of ``(X_k, y_k)`` pairs (shared with the multi-source model;
+    pairs are stacked into a single source task).
 
     Raises:
-        ValueError: When more than one form is used at once, or a pair
-            is half-specified.
+        ValueError: When both forms are used at once, or a pair is
+            half-specified.
     """
-    if Xs is not None or ys is not None:
-        import warnings
-
-        warnings.warn(
-            "the Xs/ys keywords of TransferGP.fit are deprecated; "
-            "pass X_source/y_source or sources=[(X, y), ...]",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if X_source is not None or y_source is not None:
-            raise ValueError("pass either X_source/y_source or Xs/ys")
-        X_source, y_source = Xs, ys
     if sources is not None:
         if X_source is not None or y_source is not None:
             raise ValueError(
@@ -165,8 +152,6 @@ class TransferGP(IncrementalGPMixin):
         y_target: np.ndarray | None = None,
         *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
-        Xs: np.ndarray | None = None,
-        ys: np.ndarray | None = None,
     ) -> "TransferGP":
         """Fit the joint model on stacked source + target data.
 
@@ -183,8 +168,6 @@ class TransferGP(IncrementalGPMixin):
             y_target: Length-``M`` target targets.
             sources: ``(X_k, y_k)`` source archives; mutually exclusive
                 with ``X_source``/``y_source``.
-            Xs: Deprecated alias for ``X_source``.
-            ys: Deprecated alias for ``y_source``.
 
         Returns:
             ``self``.
@@ -194,7 +177,7 @@ class TransferGP(IncrementalGPMixin):
                 conflicting source arguments.
         """
         X_source, y_source = _resolve_source_kwargs(
-            X_source, y_source, sources, Xs, ys
+            X_source, y_source, sources
         )
         if X_target is None or y_target is None:
             raise ValueError("X_target and y_target are required")
@@ -284,49 +267,6 @@ class TransferGP(IncrementalGPMixin):
             self._tasks, np.full(len(y_new), TARGET_TASK, dtype=int)
         ])
         self._y_raw = np.concatenate([self._y_raw, y_new])
-
-    def _cov_params(self) -> tuple:
-        if self.transfer_kernel is not None:
-            kernel_sig = (
-                "built",
-                tuple(
-                    float(v)
-                    for v in np.asarray(self.transfer_kernel.theta).ravel()
-                ),
-            )
-        else:
-            base_sig = (
-                None if self._base_kernel is None
-                else (
-                    type(self._base_kernel).__name__,
-                    tuple(
-                        float(v)
-                        for v in np.asarray(self._base_kernel.theta).ravel()
-                    ),
-                )
-            )
-            kernel_sig = (
-                "unbuilt", base_sig,
-                float(self._init_a), float(self._init_b),
-            )
-        return (
-            kernel_sig,
-            float(self._log_noise_s),
-            float(self._log_noise_t),
-        )
-
-    def _adopt_structure(self, lead: "TransferGP") -> None:
-        assert lead._X is not None
-        if self._base_kernel is None:
-            self._base_kernel = RBFKernel(
-                np.full(lead._X.shape[1], 0.3)
-            )
-        if self.transfer_kernel is None:
-            self.transfer_kernel = TransferKernel(
-                self._base_kernel, self._init_a, self._init_b
-            )
-        self._X = lead._X
-        self._tasks = lead._tasks
 
     def _noise_diag(self, tasks: np.ndarray) -> np.ndarray:
         noise = np.where(

@@ -4,7 +4,6 @@ from .dominance import (
     dominates,
     epsilon_dominates,
     non_dominated_mask,
-    non_dominated_mask_reference,
     pareto_front,
     pareto_indices,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "hypervolume",
     "hypervolume_error",
     "non_dominated_mask",
-    "non_dominated_mask_reference",
     "pareto_front",
     "pareto_indices",
     "spacing",

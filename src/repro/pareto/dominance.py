@@ -50,8 +50,8 @@ def non_dominated_mask(
     rows only, and (b) the *survivors* of earlier blocks — by dominance
     transitivity any dominator eliminated earlier is itself dominated
     by a surviving point, so checking survivors alone yields the exact
-    same mask as checking everything (property-tested against the
-    retained :func:`non_dominated_mask_reference`).
+    same mask as checking everything (property-tested against a
+    per-point reference sweep and a definition-direct double loop).
 
     Args:
         points: ``(n, m)`` objective matrix.
@@ -92,32 +92,6 @@ def non_dominated_mask(
         keep[s:e] = ~dom
     mask = np.empty(n, dtype=bool)
     mask[order] = keep
-    return mask
-
-
-def non_dominated_mask_reference(points: np.ndarray) -> np.ndarray:
-    """Per-point reference implementation of :func:`non_dominated_mask`.
-
-    The retained pre-vectorization sweep (one Python iteration per
-    point); kept as the equivalence baseline for the fast-path property
-    tests and the benchmarks.  Returns identical masks.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(pts)
-    mask = np.ones(n, dtype=bool)
-    # Sort by first objective so a point can only be dominated by earlier
-    # (or equal-first-coordinate) points; cuts the quadratic constant.
-    order = np.lexsort(pts.T[::-1])
-    sorted_pts = pts[order]
-    for i in range(n):
-        if not mask[order[i]]:
-            continue
-        p = sorted_pts[i]
-        # Points after i in sort order can't dominate p unless equal in
-        # the first objective, but p may dominate them.
-        later = sorted_pts[i + 1:]
-        dominated = np.all(p <= later, axis=1) & np.any(p < later, axis=1)
-        mask[order[i + 1:][dominated]] = False
     return mask
 
 

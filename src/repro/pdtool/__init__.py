@@ -67,7 +67,6 @@ from .family import (
     family_token,
     register_design_family,
     registered_design_families,
-    resolve_design,
 )
 from .paths import TimingPath, extract_critical_paths, format_path_report
 from .reports import format_comparison, format_qor_report
@@ -96,7 +95,6 @@ __all__ = [
     "generate_fabric_netlist",
     "register_design_family",
     "registered_design_families",
-    "resolve_design",
     "TimingPath",
     "extract_critical_paths",
     "format_comparison",

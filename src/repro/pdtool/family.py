@@ -18,15 +18,10 @@ of :mod:`repro.experiments.scenarios`::
     class RingFamily:
         family = "ring"
         ...
-
-Legacy design names (``"small"``/``"large"``, pre-registry MAC
-shorthand) resolve through :func:`resolve_design` with a
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from .cpu import (
@@ -67,11 +62,7 @@ __all__ = [
     "family_token",
     "register_design_family",
     "registered_design_families",
-    "resolve_design",
 ]
-
-#: Pre-registry design shorthand -> canonical family-prefixed name.
-_LEGACY_DESIGNS = {"small": "mac_small", "large": "mac_large"}
 
 
 @runtime_checkable
@@ -214,36 +205,19 @@ def family_token(design: str) -> str:
     return design.split("_")[0]
 
 
-def resolve_design(design: str) -> str:
-    """Canonicalize a design name, warning on legacy shorthand.
-
-    ``"small"``/``"large"`` predate the family registry and mean the
-    two MAC designs; new code should say ``"mac_small"``/``"mac_large"``.
-    """
-    canonical = _LEGACY_DESIGNS.get(design)
-    if canonical is None:
-        return design
-    warnings.warn(
-        f"design name {design!r} is deprecated; use {canonical!r}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return canonical
-
-
 def design_family(design: str) -> DesignFamily:
     """Look up the registered family for a design (or family) name.
 
     Args:
-        design: Canonical design name (``"fabric_small"``), a bare
-            family token (``"fabric"``), or legacy MAC shorthand.
+        design: Canonical design name (``"fabric_small"``) or a bare
+            family token (``"fabric"``).
 
     Raises:
         ValueError: For an unregistered family, reporting the token
             parsed from the design name and listing every registered
             family.
     """
-    token = family_token(resolve_design(design))
+    token = family_token(design)
     try:
         return _FAMILY_REGISTRY[token]
     except KeyError:

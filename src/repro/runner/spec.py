@@ -93,11 +93,6 @@ def config_fingerprint(config: PPATunerConfig | None) -> str:
             return {k: _canon(v) for k, v in sorted(value.items())}
         return value
     payload = {k: _canon(v) for k, v in asdict(config).items()}
-    # ``warm_start`` postdates the memo format; its default spelling is
-    # dropped so explicit configs that never touch it keep their
-    # pre-existing fingerprints (and memo entries).
-    if payload.get("warm_start") == "random":
-        payload.pop("warm_start")
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

@@ -2,9 +2,8 @@
 
 Covers the :class:`repro.core.oracle.Oracle` protocol (both built-in
 oracles and third-party duck-typed implementations), ``FlowOracle``
-batch/accounting semantics, the unified GP source-data fit keyword with
-its deprecation aliases, and the lazy ``repro`` package surface with
-its deep-import shims.
+batch/accounting semantics, the unified GP source-data fit keyword,
+and the lazy ``repro`` package surface.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import pytest
 
 import repro
 from repro.core import FlowOracle, Oracle, PoolOracle, PPATuner, PPATunerConfig
-from repro.gp import MultiSourceTransferGP, TransferGP
+from repro.gp import TransferGP
 from repro.space import (
     EnumParameter,
     FloatParameter,
@@ -74,13 +73,6 @@ class TestOracleProtocol:
         ).tune(X, oracle, X_source=Xs, Y_source=Ys)
         assert len(result.pareto_indices) > 0
         assert oracle.n_evaluations > 0
-
-    def test_deep_import_shim_warns(self):
-        import repro.core.tuner as tuner_mod
-
-        with pytest.warns(DeprecationWarning, match="repro.core.oracle"):
-            shimmed = tuner_mod.Oracle
-        assert shimmed is Oracle
 
 
 class TestFlowOracleSemantics:
@@ -160,44 +152,12 @@ class TestUnifiedFitKeyword:
             stacked.predict(Xq)[0], paired.predict(Xq)[0]
         )
 
-    def test_deprecated_aliases_warn_and_match(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        a = TransferGP(seed=0, optimize=False).fit(Xs, ys, Xt, yt)
-        with pytest.warns(DeprecationWarning):
-            b = TransferGP(seed=0, optimize=False).fit(
-                Xs=Xs, ys=ys, X_target=Xt, y_target=yt
-            )
-        np.testing.assert_allclose(
-            a.predict(Xq)[0], b.predict(Xq)[0]
-        )
-
     def test_conflicting_kwargs_raise(self):
         Xs, ys, Xt, yt = _transfer_data()
         with pytest.raises(ValueError):
             TransferGP(optimize=False).fit(
                 Xs, ys, Xt, yt, sources=[(Xs, ys)]
             )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                TransferGP(optimize=False).fit(
-                    Xs, ys, Xt, yt, Xs=Xs, ys=ys,
-                )
-
-    def test_multisource_alias_warns_and_matches(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        pairs = [(Xs[:7], ys[:7]), (Xs[7:], ys[7:])]
-        a = MultiSourceTransferGP(seed=0, optimize=False).fit(
-            pairs, Xt, yt
-        )
-        with pytest.warns(DeprecationWarning):
-            b = MultiSourceTransferGP(seed=0, optimize=False).fit(
-                Xs=pairs, X_target=Xt, y_target=yt
-            )
-        np.testing.assert_allclose(
-            a.predict(Xq)[0], b.predict(Xq)[0]
-        )
 
 
 class TestLazyPackageSurface:

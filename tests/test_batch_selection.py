@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import (
     CallableOracle,
+    EvaluationFailure,
     PoolOracle,
     PPATunerConfig,
     TuningSession,
@@ -29,7 +30,6 @@ from repro.core import (
     select_batch,
     select_next,
 )
-from repro.core.selection import select_with_fallback
 from repro.core.uncertainty import UncertaintyRegions
 from repro.obs import MemorySink, TraceRecorder
 from repro.obs.events import BatchSelected, PoolRefined, SelectionMade
@@ -128,16 +128,32 @@ class TestSelectBatch:
         assert bat.scores[0] == pytest.approx(bat.diameters[0])
 
     def test_fallback_respects_quarantine_mask(self):
-        regions = self._regions()
-        eligible = np.ones(4, dtype=bool)
-        quarantined = np.zeros(4, dtype=bool)
-        quarantined[0] = True  # failed permanently in an earlier batch
-        evaluated, failed = select_with_fallback(
-            regions, eligible, 2, lambda i: True,
-            quarantined=quarantined,
+        """A permanently failed loop pick is quarantined; the session's
+        fallback selects past it and never proposes it again."""
+        X, Y = random_pool(3)
+        session = TuningSession(
+            PPATunerConfig(max_iterations=10, seed=0, q=2),
+            X, Y.shape[1],
         )
-        assert 0 not in evaluated and 0 not in failed
-        assert evaluated == [1, 2]
+        failed = None
+        proposed_after = []
+        n_evals = 0
+        while not session.done:
+            pending = session.ask()
+            if not pending:
+                break
+            if failed is not None:
+                proposed_after.extend(pending)
+            for idx in pending:
+                if failed is None and session.phase == "loop":
+                    failed = idx
+                    session.tell(idx, failure=EvaluationFailure("boom"))
+                    continue
+                n_evals += 1
+                session.tell(idx, Y[idx], n_evaluations=n_evals)
+        assert failed is not None
+        assert failed not in proposed_after
+        assert failed in session.result().quarantined_indices
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,7 @@ class TestGoldenTrajectory:
         # Full fits only on the re-optimization cadence.
         m = len(tuner.models_)
         expected_ticks = 1 + (result.n_iterations - 1) // (
-            tuner.config.effective_reopt_every
+            tuner.config.reopt_every
         )
         assert stats.n_full_fits <= m * (expected_ticks + 1)
         assert stats.n_reopts >= m
@@ -465,7 +465,4 @@ class TestGoldenTrajectory:
     def test_reopt_every_validation(self):
         with pytest.raises(ValueError, match="reopt_every"):
             PPATunerConfig(reopt_every=-1)
-        assert PPATunerConfig(reopt_every=None).effective_reopt_every == 10
-        assert PPATunerConfig(
-            refit_every=7, reopt_every=3
-        ).effective_reopt_every == 3
+        assert PPATunerConfig().reopt_every == 10

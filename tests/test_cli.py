@@ -101,7 +101,7 @@ class TestParser:
 class TestCommands:
     def test_export_writes_verilog(self, tmp_path, capsys):
         out = tmp_path / "design.v"
-        rc = main(["export", "small", str(out)])
+        rc = main(["export", "mac_small", str(out)])
         assert rc == 0
         assert out.exists()
         assert "module mac_small" in out.read_text()

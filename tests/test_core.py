@@ -23,9 +23,9 @@ class TestConfig:
         PPATunerConfig()
 
     @pytest.mark.parametrize("kw", [
-        {"tau": 0.0}, {"tau": -1.0}, {"batch_size": 0},
+        {"tau": 0.0}, {"tau": -1.0}, {"q": 0},
         {"max_iterations": 0}, {"init_fraction": 0.0},
-        {"init_fraction": 1.5}, {"min_init": 0}, {"refit_every": 0},
+        {"init_fraction": 1.5}, {"min_init": 0}, {"reopt_every": -1},
         {"delta_rel": -0.1},
     ])
     def test_invalid_rejected(self, kw):

@@ -1,4 +1,4 @@
-"""Tests for the DesignFamily registry and legacy-name shims."""
+"""Tests for the DesignFamily registry."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.pdtool.family import (
     family_token,
     register_design_family,
     registered_design_families,
-    resolve_design,
 )
 
 
@@ -130,35 +129,7 @@ class TestFamilySurface:
         assert fam.base_params("mac_large") == {"freq": 450.0}
 
 
-class TestLegacyShims:
-    def test_resolve_legacy_warns(self):
-        with pytest.warns(DeprecationWarning, match="mac_small"):
-            assert resolve_design("small") == "mac_small"
-        with pytest.warns(DeprecationWarning, match="mac_large"):
-            assert resolve_design("large") == "mac_large"
-
-    def test_resolve_canonical_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_design("mac_small") == "mac_small"
-            assert resolve_design("fabric_large") == "fabric_large"
-
-    def test_design_family_accepts_legacy(self):
-        with pytest.warns(DeprecationWarning):
-            assert design_family("small").family == "mac"
-
-    def test_design_spec_legacy_matches_canonical(self):
-        from repro.bench.generate import design_spec
-
-        with pytest.warns(DeprecationWarning):
-            legacy = design_spec("large")
-        assert legacy is design_spec("mac_large")
-
-    def test_get_flow_legacy_shares_cache(self):
-        from repro.bench.generate import get_flow
-
-        with pytest.warns(DeprecationWarning):
-            legacy = get_flow("small")
-        assert legacy is get_flow("mac_small")
+class TestLegacyShorthand:
+    def test_legacy_shorthand_rejected(self):
+        with pytest.raises(ValueError, match="unknown design family 'small'"):
+            design_family("small")

@@ -55,7 +55,7 @@ class TestTunerContracts:
         oracle = PoolOracle(Y)
         cfg = PPATunerConfig(
             max_iterations=8, seed=0, min_init=3, init_fraction=0.05,
-            refit_every=4,
+            reopt_every=4,
         )
         result = PPATuner(cfg).tune(X, oracle)
         # Indices in range, unique; points match the table.

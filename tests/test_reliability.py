@@ -855,7 +855,7 @@ X = space.encode_many(configs)
 
 def dataset(name, seed):
     Y = np.random.default_rng(seed).random((40, 3)) + 0.5
-    return BenchmarkDataset(name, space, configs, X, Y, "small")
+    return BenchmarkDataset(name, space, configs, X, Y, "mac_small")
 
 jobs = build_scenario_jobs(
     dataset("chaos-src", 1), dataset("chaos-tgt", 2), "chaos", "target2",

@@ -10,10 +10,13 @@ snapshot store, and the error mapping must hold (404 unknown session,
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
-from repro.core import PoolOracle, PPATuner, PPATunerConfig
+from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
+from repro.core.session import _fingerprint
 from repro.obs import replay_trace
 from repro.pareto import non_dominated_mask
 from repro.reliability import FaultInjectingOracle, FaultPlan, FaultPolicy
@@ -158,6 +161,36 @@ class TestRestartSurvival:
         assert ref.stop_reason == got.stop_reason
         assert ref.history == got.history
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_layout_snapshot_dropped_on_recovery(
+        self, tmp_path, caplog, version
+    ):
+        """A snapshot whose config carries the knobs removed in snapshot
+        version 2 is dropped with a warning and the service starts —
+        whether it says version 1 or claims the current version."""
+        X, Y = random_pool(0)
+        session = TuningSession(
+            PPATunerConfig(max_iterations=5, seed=0), X, Y.shape[1]
+        )
+        snap = session.snapshot()
+        meta = snap["meta"]
+        meta["version"] = version
+        meta["config"].update(
+            batch_size=1, refit_every=10, reopt_every=None,
+            shared_factor=True, float32_pool=False, pool_block=32768,
+            decision_backend="vectorized",
+        )
+        del meta["fingerprint"]
+        meta["fingerprint"] = _fingerprint(meta, snap["arrays"])
+        store = SessionStore(tmp_path / "store")
+        store.save("old", snap, {"max_evaluations": None, "traced": False})
+
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            service = TuningService(store=store)
+        assert service.sessions() == []
+        assert not store.snapshot_path("old").exists()
+        assert "session old unrecoverable" in caplog.text
+
     def test_corrupt_snapshot_dropped_on_recovery(self, tmp_path):
         root = tmp_path / "store"
         store = SessionStore(root)
@@ -242,6 +275,17 @@ class TestProtocolErrors:
         with pytest.raises(ServiceError) as exc:
             client.status(sid)
         assert exc.value.status == 404
+
+    @pytest.mark.parametrize("config", [
+        {"batch_sizee": 2}, {"max_iterations": "five"},
+    ])
+    def test_bad_config_is_400(self, http, config):
+        _, client = http
+        X, Y = random_pool(0)
+        with pytest.raises(ServiceError) as exc:
+            client.create_session(config, X, Y.shape[1])
+        assert exc.value.status == 400
+        assert "config" in str(exc.value)
 
     def test_malformed_json_is_400(self, http):
         server, _ = http

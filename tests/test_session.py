@@ -13,6 +13,7 @@ Covers the two behavioral guarantees this layer introduced:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -376,16 +377,16 @@ class TestSnapshotResume:
 
     @pytest.mark.fastpath
     @pytest.mark.parametrize("cut", [3, 11])
-    def test_resume_bit_identical_under_fast_paths(self, cut):
-        """Mid-run resume with every hot-path switch engaged: float32
-        pool caches, blocked cache builds, the shared Cholesky factor
-        (kept active by ``reopt_every=0``) and vectorized decisions.
-        The replayed session must continue bit-identically."""
+    def test_resume_bit_identical_under_fast_paths(self, cut, monkeypatch):
+        """Mid-run resume with the hot paths engaged: pool caches built
+        and updated in 16-row blocks, incremental border updates only
+        (``reopt_every=0``) and vectorized decisions.  The replayed
+        session must continue bit-identically."""
+        import repro.gp.incremental as incremental
+
+        monkeypatch.setattr(incremental, "POOL_BLOCK", 16)
         X, Y = random_pool(7)
-        cfg = PPATunerConfig(
-            max_iterations=15, seed=7, reopt_every=0,
-            float32_pool=True, pool_block=16,
-        )
+        cfg = PPATunerConfig(max_iterations=15, seed=7, reopt_every=0)
         ref = PPATuner(cfg).tune(X, PoolOracle(Y))
 
         session = TuningSession(cfg, X, Y.shape[1])
@@ -410,10 +411,11 @@ class TestSnapshotResume:
         del session
 
         resumed = TuningSession.restore(snap)
-        # The restored engine replays calibration with the fast paths
-        # re-engaged — sharing must be live again, not just configured.
+        # The restored engine replays calibration with the incremental
+        # path re-engaged, not just configured.
         got = drive(resumed, oracle)
-        assert resumed.engine.stats.n_shared_updates > 0
+        assert resumed.engine.stats.n_incremental > 0
+        assert resumed.engine.stats.n_full_fits == Y.shape[1]
         assert np.array_equal(ref.pareto_indices, got.pareto_indices)
         assert np.allclose(ref.pareto_points, got.pareto_points)
         assert np.array_equal(
@@ -462,7 +464,7 @@ class TestJsonRoundTrips:
 
     def test_config_roundtrip(self):
         cfg = PPATunerConfig(
-            max_iterations=7, seed=11, batch_size=2,
+            max_iterations=7, seed=11, q=2,
             delta_rel=np.array([0.05, 0.07]),
         )
         got = PPATunerConfig.from_json(
@@ -473,8 +475,30 @@ class TestJsonRoundTrips:
         assert np.allclose(got.delta_rel, cfg.delta_rel)
 
     def test_config_rejects_unknown_keys(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="not_a_field"):
             PPATunerConfig.from_json({"not_a_field": 1})
+
+    def test_config_rejects_wrong_types(self):
+        with pytest.raises(ValueError, match="invalid config"):
+            PPATunerConfig.from_json({"max_iterations": "five"})
+        with pytest.raises(ValueError, match="JSON object"):
+            PPATunerConfig.from_json([["seed", 1]])
+
+    def test_config_to_json_covers_every_field(self):
+        cfg = PPATunerConfig(
+            seed=np.int64(3), tau=np.float64(4.0), q=np.int32(2),
+            incremental=np.bool_(False),
+        )
+        payload = cfg.to_json()
+        assert list(payload) == [
+            f.name for f in dataclasses.fields(PPATunerConfig)
+        ]
+        assert type(payload["seed"]) is int
+        assert type(payload["tau"]) is float
+        assert type(payload["q"]) is int
+        assert type(payload["incremental"]) is bool
+        json.dumps(payload)  # numpy scalars coerced
+        assert PPATunerConfig.from_json(payload) == cfg
 
     def test_result_roundtrip(self):
         X, Y = random_pool(5)

@@ -265,9 +265,9 @@ class TestParallelEvaluation:
         space = target2_space()
         configs = latin_hypercube(space, 16, seed=3)
         base = {"freq": 450.0}
-        serial = evaluate_configs(get_flow("large"), configs, base)
+        serial = evaluate_configs(get_flow("mac_large"), configs, base)
         parallel = evaluate_configs_parallel(
-            "large", configs, base, n_workers=2
+            "mac_large", configs, base, n_workers=2
         )
         assert np.array_equal(parallel, serial)
 
@@ -275,15 +275,17 @@ class TestParallelEvaluation:
         space = target2_space()
         configs = latin_hypercube(space, 5, seed=4)
         serial = evaluate_configs(
-            get_flow("large"), configs, {"freq": 450.0}
+            get_flow("mac_large"), configs, {"freq": 450.0}
         )
         same = evaluate_configs_parallel(
-            "large", configs, {"freq": 450.0}, n_workers=1
+            "mac_large", configs, {"freq": 450.0}, n_workers=1
         )
         assert np.array_equal(same, serial)
 
     def test_small_pool_defaults_to_serial(self):
         space = target2_space()
         configs = latin_hypercube(space, 4, seed=5)
-        out = evaluate_configs_parallel("large", configs, {"freq": 450.0})
+        out = evaluate_configs_parallel(
+            "mac_large", configs, {"freq": 450.0}
+        )
         assert out.shape == (4, 3)

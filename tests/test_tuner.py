@@ -122,7 +122,7 @@ class TestBatchMode:
         def run(batch):
             oracle = PoolOracle(Y)
             cfg = PPATunerConfig(
-                max_iterations=100, seed=3, batch_size=batch
+                max_iterations=100, seed=3, q=batch
             )
             return PPATuner(cfg).tune(X, oracle, Xs, Ys)
 
@@ -133,7 +133,7 @@ class TestBatchMode:
     def test_batch_selection_counts(self, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
         oracle = PoolOracle(Y)
-        cfg = PPATunerConfig(max_iterations=10, seed=3, batch_size=4)
+        cfg = PPATunerConfig(max_iterations=10, seed=3, q=4)
         result = PPATuner(cfg).tune(X, oracle, Xs, Ys)
         for h in result.history[:-1]:
             assert len(h.selected) <= 4

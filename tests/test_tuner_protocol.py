@@ -1,6 +1,5 @@
-"""Tests for the unified ``Tuner`` protocol, the deprecation shims on
-the old ``X_source``/``Y_source`` spelling, the method registry, and the
-``warm_start`` config surface (bit-identity of the random path,
+"""Tests for the unified ``Tuner`` protocol, the ``sources=`` keyword,
+the method registry, and the ``warm_start`` config surface (bit-identity of the random path,
 fingerprint/memo stability, snapshot round trips).
 """
 
@@ -39,8 +38,6 @@ BASELINES = [
     RandomSearchTuner,
     CopulaTransferTuner,
 ]
-
-TRANSFER_BASELINES = [Dac19Recommender, Aspdac20Fist, CopulaTransferTuner]
 
 
 def _stripped(sink: MemorySink) -> list[dict]:
@@ -95,43 +92,11 @@ class TestTunerProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated X_source/Y_source spelling
+# Source data keyword
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedSourceKwargs:
-    @pytest.mark.parametrize("cls", TRANSFER_BASELINES)
-    def test_old_spelling_warns_and_matches(self, cls, synthetic_pool):
-        X, Y, Xs, Ys = synthetic_pool
-        new = cls(budget=15, seed=0).tune(
-            X, PoolOracle(Y), sources=[(Xs, Ys)]
-        )
-        with pytest.warns(DeprecationWarning, match="X_source/Y_source"):
-            old = cls(budget=15, seed=0).tune(
-                X, PoolOracle(Y), X_source=Xs, Y_source=Ys
-            )
-        assert np.array_equal(new.evaluated_indices, old.evaluated_indices)
-        assert np.array_equal(new.pareto_indices, old.pareto_indices)
-
-    def test_both_spellings_rejected(self, synthetic_pool):
-        X, Y, Xs, Ys = synthetic_pool
-        with pytest.raises(ValueError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Dac19Recommender(budget=10).tune(
-                    X, PoolOracle(Y),
-                    X_source=Xs, Y_source=Ys, sources=[(Xs, Ys)],
-                )
-
-    def test_half_a_pair_rejected(self, synthetic_pool):
-        X, Y, Xs, Ys = synthetic_pool
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Dac19Recommender(budget=10).tune(
-                    X, PoolOracle(Y), X_source=Xs
-                )
-
     def test_new_spelling_is_warning_free(self, synthetic_pool, recwarn):
         X, Y, Xs, Ys = synthetic_pool
         warnings.simplefilter("error", DeprecationWarning)
@@ -237,8 +202,7 @@ class TestWarmStartConfig:
         assert PPATunerConfig.from_json(payload).warm_start == "random"
 
     def test_fingerprint_drops_default_spelling(self):
-        # Explicit-but-default warm_start must hash like a config from
-        # before the field existed, so old memo entries stay valid.
+        # Spelling out the default warm_start is the same config.
         assert config_fingerprint(PPATunerConfig()) == config_fingerprint(
             PPATunerConfig(warm_start="random")
         )
