@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gp.kernels import make_kernel
+from ..gp.linalg import require_finite
 from ..gp.multisource import MultiSourceTransferGP
 from ..gp.transfer_gp import TransferGP
 from ..obs.events import (
@@ -151,8 +152,10 @@ class TuningSession:
             ``PPATuner.tune`` run.
 
     Raises:
-        ValueError: On shape mismatches or conflicting source
-            arguments (same contract as ``PPATuner.tune``).
+        ValueError: On shape mismatches, NaN/inf in ``X_pool`` or a
+            source archive (the message names the array and source
+            index), or conflicting source arguments (same contract as
+            ``PPATuner.tune``).
     """
 
     def __init__(
@@ -173,6 +176,7 @@ class TuningSession:
         self._elapsed_before = 0.0
 
         self.X_pool = np.atleast_2d(np.asarray(X_pool, dtype=float))
+        require_finite("X_pool", self.X_pool)
         n = len(self.X_pool)
         m = int(n_objectives)
         self.n = n
@@ -190,7 +194,7 @@ class TuningSession:
             )
         source_list: list[tuple[np.ndarray, np.ndarray]] = []
         if cfg.transfer:
-            for Xs, Ys in sources:
+            for k, (Xs, Ys) in enumerate(sources):
                 Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
                 Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
                 if len(Xs) == 0:
@@ -199,6 +203,9 @@ class TuningSession:
                     raise ValueError("source X/Y misaligned")
                 if Ys.shape[1] != m:
                     raise ValueError("source objectives mismatch oracle")
+                # Fail before the initial design spends any tool runs.
+                require_finite(f"source {k} X", Xs)
+                require_finite(f"source {k} Y", Ys)
                 source_list.append((Xs, Ys))
         self.source_list = source_list
         self._prepare_normalization()

@@ -13,7 +13,7 @@ import numpy as np
 from .incremental import IncrementalGPMixin
 from .kernels import Kernel, RBFKernel
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
+from .linalg import cholesky_solve, require_finite, robust_cholesky
 
 #: Log-space bounds for the observation-noise variance.
 _NOISE_BOUNDS = (-12.0, 2.0)
@@ -82,12 +82,14 @@ class GPRegressor(IncrementalGPMixin):
             ``self``.
 
         Raises:
-            ValueError: On shape mismatch or empty data.
+            ValueError: On shape mismatch, empty data, or NaN/inf.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if len(X) != len(y) or len(y) == 0:
             raise ValueError("X and y must be non-empty and aligned")
+        require_finite("X", X)
+        require_finite("y", y)
         if self.kernel is None:
             self.kernel = RBFKernel(np.full(X.shape[1], 0.3))
 
@@ -147,11 +149,11 @@ class GPRegressor(IncrementalGPMixin):
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             kernel.theta = theta[:-1]
             noise = float(np.exp(theta[-1]))
-            K, grads = kernel.eval_with_grads(X)
+            K, grad = kernel.eval_and_grad(X)
+            # A new array: ``grad`` reads the noise-free K.
             K = K + noise * np.eye(n)
-            grads = grads + [noise * np.eye(n)]  # d/dlog noise
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
+            lml, W, _ = gaussian_log_marginal(K, z)
+            g = np.append(grad(W), noise * np.trace(W))  # d/dlog noise
             return -lml, -g
 
         # Warm-start refits from the previously found optimum; the live

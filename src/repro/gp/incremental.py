@@ -25,11 +25,15 @@ the model transparently falls back to an exact jittered refactorization
 hyperparameter refits rebuild everything from scratch anyway, error from
 long append chains cannot accumulate past one re-optimization cadence.
 
-Pool caches are built and extended :data:`POOL_BLOCK` rows at a time, so
-the kernel's ``(pool, train, dim)`` broadcast intermediate never
-materializes at full pool size.  Blocking only partitions the solve
+Pool caches are built and extended :data:`POOL_BLOCK` rows at a time.
+That bounds each step's transients — the block's ``(block, train)``
+cross-covariance and its triangular-solve right-hand side — instead of
+allocating them at full pool size.  Blocking only partitions the solve
 columns: built and pool-extended caches equal a single-shot build bit
-for bit, and border updates agree with it to roundoff.
+for bit, and border updates agree with it to roundoff.  The block size
+also fixes the whitened cache's memory layout (column-major for one
+block, row-major for several), and that layout decides how border
+updates round, so changing it can move trajectories.
 
 Subclasses must maintain ``_X``, ``_L``, ``_alpha``, ``_y_mean``,
 ``_y_std`` (the existing fit state) plus ``_y_raw`` and ``_jitter``, and
@@ -45,6 +49,7 @@ from .linalg import (
     NotPositiveDefiniteError,
     cholesky_append_rows,
     cholesky_solve,
+    require_finite,
     robust_cholesky,
 )
 
@@ -113,7 +118,7 @@ class IncrementalGPMixin:
 
         Raises:
             RuntimeError: If called before ``fit``.
-            ValueError: On shape mismatch.
+            ValueError: On shape mismatch or NaN/inf values.
         """
         if not self.is_fitted:  # type: ignore[attr-defined]
             raise RuntimeError("update() before fit()")
@@ -123,6 +128,8 @@ class IncrementalGPMixin:
         y_new = np.asarray(y_new, dtype=float).ravel()
         if len(X_new) != len(y_new):
             raise ValueError("X_new and y_new misaligned")
+        require_finite("X_new", X_new)
+        require_finite("y_new", y_new)
         self.last_update_fallback = False
         if len(y_new) == 0:
             return self

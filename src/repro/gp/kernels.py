@@ -6,24 +6,42 @@ optimization).  Every kernel exposes:
 
 - ``theta`` — the log-hyperparameter vector (settable);
 - ``eval(X1, X2)`` — cross-covariance matrix;
-- ``eval_with_grads(X)`` — symmetric covariance plus ``dK/dtheta_i`` for
-  each hyperparameter, used by marginal-likelihood training.
+- ``eval_and_grad(X)`` — symmetric covariance ``K`` plus a function
+  that maps a weight matrix ``W`` to the vector of ``<W, dK/dtheta_i>``.
+  With the ``W`` of :func:`~repro.gp.likelihood.gaussian_log_marginal`
+  that vector is the marginal-likelihood gradient, computed without
+  materializing any ``dK/dtheta_i``.
+
+Scaled squared distances come from ``cdist(..., "sqeuclidean")``, which
+never forms the ``(n1, n2, d)`` difference tensor.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 #: Default log-space box constraints for lengthscales and variances.
 _LOG_BOUNDS = (-6.0, 6.0)
 
+#: Maps a weight matrix ``W`` to ``<W, dK/dtheta_i>`` for every ``i``.
+GradFn = Callable[[np.ndarray], np.ndarray]
 
-def _sq_dists_per_dim(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape ``(n1, n2, d)``."""
-    diff = X1[:, None, :] - X2[None, :, :]
-    return diff * diff
+
+def _sq_diff_contraction(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``sum_ab M_ab (S_aj - S_bj)^2`` for every column ``j`` at once.
+
+    Expands the square into ``(S∘S)^T (M 1 + M^T 1) - 2 * 1^T (S∘(M S))``:
+    one ``(n, n) @ (n, d)`` product instead of an ``(n, n, d)`` tensor.
+    Differences are shift-invariant per column, so ``S`` is centred
+    first; that keeps the expansion's cancellation small.
+    """
+    S = S - S.mean(axis=0)
+    row = M.sum(axis=1) + M.sum(axis=0)
+    return (S * S).T @ row - 2.0 * np.sum(S * (M @ S), axis=0)
 
 
 class Kernel(ABC):
@@ -53,10 +71,14 @@ class Kernel(ABC):
         """Covariance matrix between ``X1`` and ``X2`` (or ``X1`` itself)."""
 
     @abstractmethod
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Symmetric covariance of ``X`` and per-hyperparameter gradients."""
+    def eval_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, GradFn]:
+        """Symmetric covariance of ``X`` and its gradient contraction.
+
+        Returns:
+            ``(K, grad)`` where ``grad(W)`` is the length-``n_params``
+            vector of ``<W, dK/dtheta_i>``.  ``grad`` reads ``K``, so
+            callers must not modify ``K`` in place.
+        """
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         """Diagonal of ``eval(X, X)`` without forming the matrix."""
@@ -78,7 +100,14 @@ class Kernel(ABC):
 
 
 class _ArdKernel(Kernel):
-    """Shared machinery for ARD kernels: theta = [log ls_1..d, log var]."""
+    """Shared machinery for ARD kernels: theta = [log ls_1..d, log var].
+
+    Subclasses give the covariance as a function of the scaled squared
+    distance ``r2``: :meth:`_profile` returns ``k(r2)`` and
+    :meth:`_profile_and_slope` also returns ``-2 dk/d(r2)``, the factor
+    that turns ``(S_aj - S_bj)^2`` into ``dK_ab/d(log ls_j)``, where
+    ``S = X / ls``.
+    """
 
     def __init__(
         self, lengthscales: np.ndarray | list[float], variance: float = 1.0
@@ -126,11 +155,33 @@ class _ArdKernel(Kernel):
     def bounds(self) -> list[tuple[float, float]]:
         return [_LOG_BOUNDS] * (self.dim + 1)
 
-    def _scaled_sq_dists(
-        self, X1: np.ndarray, X2: np.ndarray
-    ) -> np.ndarray:
+    @abstractmethod
+    def _profile(self, r2: np.ndarray) -> np.ndarray:
+        """Covariance at scaled squared distances ``r2``."""
+
+    @abstractmethod
+    def _profile_and_slope(
+        self, r2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Covariance and ``-2 dk/d(r2)`` at ``r2``."""
+
+    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
         ls = self.lengthscales
-        return _sq_dists_per_dim(X1 / ls, X2 / ls)
+        S1 = np.atleast_2d(X1) / ls
+        S2 = S1 if X2 is None else np.atleast_2d(X2) / ls
+        return self._profile(cdist(S1, S2, "sqeuclidean"))
+
+    def eval_and_grad(self, X: np.ndarray) -> tuple[np.ndarray, GradFn]:
+        S = np.atleast_2d(X) / self.lengthscales
+        K, slope = self._profile_and_slope(cdist(S, S, "sqeuclidean"))
+
+        def grad(W: np.ndarray) -> np.ndarray:
+            # d(r2_ab)/d(log ls_j) = -2 (S_aj - S_bj)^2; dK/d(log var) = K.
+            return np.append(
+                _sq_diff_contraction(W * slope, S), np.sum(W * K)
+            )
+
+        return K, grad
 
 
 class RBFKernel(_ArdKernel):
@@ -139,23 +190,14 @@ class RBFKernel(_ArdKernel):
     ``k(x, x') = variance * exp(-0.5 * sum_j ((x_j - x'_j) / ls_j)^2)``
     """
 
-    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        X1 = np.atleast_2d(X1)
-        X2 = X1 if X2 is None else np.atleast_2d(X2)
-        sq = self._scaled_sq_dists(X1, X2).sum(axis=2)
-        return self.variance * np.exp(-0.5 * sq)
+    def _profile(self, r2: np.ndarray) -> np.ndarray:
+        return self.variance * np.exp(-0.5 * r2)
 
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        X = np.atleast_2d(X)
-        sq_dims = self._scaled_sq_dists(X, X)
-        K = self.variance * np.exp(-0.5 * sq_dims.sum(axis=2))
-        grads: list[np.ndarray] = [
-            K * sq_dims[:, :, j] for j in range(self.dim)
-        ]
-        grads.append(K.copy())  # d/dlog var
-        return K, grads
+    def _profile_and_slope(
+        self, r2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        K = self._profile(r2)
+        return K, K  # dk/d(r2) = -k/2
 
 
 class Matern52Kernel(_ArdKernel):
@@ -165,32 +207,18 @@ class Matern52Kernel(_ArdKernel):
     ``r`` is the ARD-scaled Euclidean distance.
     """
 
-    def eval(self, X1: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
-        X1 = np.atleast_2d(X1)
-        X2 = X1 if X2 is None else np.atleast_2d(X2)
-        r2 = self._scaled_sq_dists(X1, X2).sum(axis=2)
-        r = np.sqrt(np.maximum(r2, 0.0))
-        s5r = np.sqrt(5.0) * r
+    def _profile(self, r2: np.ndarray) -> np.ndarray:
+        s5r = np.sqrt(5.0) * np.sqrt(r2)
         return self.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * np.exp(-s5r)
 
-    def eval_with_grads(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        X = np.atleast_2d(X)
-        sq_dims = self._scaled_sq_dists(X, X)
-        r2 = sq_dims.sum(axis=2)
-        r = np.sqrt(np.maximum(r2, 0.0))
-        s5r = np.sqrt(5.0) * r
+    def _profile_and_slope(
+        self, r2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        s5r = np.sqrt(5.0) * np.sqrt(r2)
         expo = np.exp(-s5r)
         K = self.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * expo
         # dk/d(r^2) = -(5/6) * variance * (1 + sqrt(5) r) * exp(-sqrt5 r)
-        dk_dr2 = -(5.0 / 6.0) * self.variance * (1.0 + s5r) * expo
-        grads: list[np.ndarray] = []
-        for j in range(self.dim):
-            # d(r^2)/d(log ls_j) = -2 * scaled_sq_dist_j
-            grads.append(dk_dr2 * (-2.0 * sq_dims[:, :, j]))
-        grads.append(K.copy())  # d/dlog var
-        return K, grads
+        return K, (5.0 / 3.0) * self.variance * (1.0 + s5r) * expo
 
 
 def make_kernel(

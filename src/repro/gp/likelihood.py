@@ -1,4 +1,16 @@
-"""Marginal-likelihood evaluation and hyperparameter optimization."""
+"""Marginal-likelihood evaluation and hyperparameter optimization.
+
+The gradient of ``log N(y | 0, K)`` with respect to any hyperparameter
+``theta_i`` is ``<W, dK/dtheta_i>`` with the single weight matrix
+
+    W = 0.5 * (alpha alpha^T - K^-1),      alpha = K^-1 y,
+
+so :func:`gaussian_log_marginal` returns ``W`` and each kernel's
+``eval_and_grad`` contracts it against its own derivatives (see
+:mod:`repro.gp.kernels`).  Per evaluation this costs one O(n^3)
+factorization and inverse plus an O(n^2 d) contraction; no ``n x n``
+derivative matrix is formed.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .linalg import (
+    cholesky_inverse,
     cholesky_solve,
     log_det_from_cholesky,
     robust_cholesky,
@@ -18,21 +31,18 @@ Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def gaussian_log_marginal(
-    K: np.ndarray,
-    y: np.ndarray,
-    K_grads: list[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """Log marginal likelihood of ``y ~ N(0, K)`` and optional gradients.
+    K: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log marginal likelihood of ``y ~ N(0, K)`` and its gradient weights.
 
     Args:
         K: Covariance (including noise on the diagonal).
         y: Observations (zero-mean).
-        K_grads: Optional ``dK/dtheta_i`` matrices.
 
     Returns:
-        ``(lml, grads_or_None, alpha)`` where ``alpha = K^-1 y``.  The
-        gradient of the LML w.r.t. each hyperparameter is
-        ``0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)``.
+        ``(lml, W, alpha)`` where ``alpha = K^-1 y`` and
+        ``W = 0.5 * (alpha alpha^T - K^-1)``: the gradient of the LML
+        with respect to a hyperparameter is ``sum(W * dK/dtheta)``.
     """
     L, _ = robust_cholesky(K)
     alpha = cholesky_solve(L, y)
@@ -41,14 +51,10 @@ def gaussian_log_marginal(
         - 0.5 * log_det_from_cholesky(L)
         - 0.5 * len(y) * np.log(2.0 * np.pi)
     )
-    if K_grads is None:
-        return lml, None, alpha
-    K_inv = cholesky_solve(L, np.eye(len(y)))
-    inner = np.outer(alpha, alpha) - K_inv
-    grads = np.array(
-        [0.5 * np.sum(inner * dK) for dK in K_grads]
-    )
-    return lml, grads, alpha
+    W = np.outer(alpha, alpha)
+    W -= cholesky_inverse(L)
+    W *= 0.5
+    return lml, W, alpha
 
 
 def maximize_objective(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 
 #: Initial diagonal jitter added when a covariance factorization fails.
 DEFAULT_JITTER = 1e-8
@@ -15,6 +15,16 @@ _MAX_TRIES = 8
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Covariance matrix could not be factorized even with jitter."""
+
+
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``values`` holds NaN/inf.
+
+    GP inputs are checked on entry: a non-finite value would otherwise
+    surface only deep inside a factorization, as an anonymous error.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains NaN or inf")
 
 
 def robust_cholesky(
@@ -57,6 +67,21 @@ def robust_cholesky(
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L @ L.T) x = b`` given the lower factor ``L``."""
     return cho_solve((L, True), b)
+
+
+def cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """``(L @ L.T)^-1`` from a lower factor ``L`` via LAPACK ``dpotri``.
+
+    ``L`` must be zero above the diagonal, as :func:`robust_cholesky`
+    returns it.  About twice as fast as ``cholesky_solve(L, I)``.
+    """
+    inv, info = lapack.dpotri(L, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
+    # dpotri fills the lower triangle and keeps L's zero upper one.
+    full = inv + inv.T
+    full[np.diag_indices_from(full)] *= 0.5
+    return full
 
 
 def triangular_solve(
@@ -227,10 +252,12 @@ __all__ = [
     "cho_factor",
     "cholesky_append_row",
     "cholesky_append_rows",
+    "cholesky_inverse",
     "cholesky_rank1_downdate",
     "cholesky_rank1_update",
     "cholesky_solve",
     "log_det_from_cholesky",
+    "require_finite",
     "robust_cholesky",
     "solve_psd",
     "triangular_solve",

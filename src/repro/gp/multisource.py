@@ -24,7 +24,7 @@ import numpy as np
 from .incremental import IncrementalGPMixin
 from .kernels import Kernel, RBFKernel
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
+from .linalg import cholesky_solve, require_finite, robust_cholesky
 
 #: Log-space bounds for Gamma parameters and noise variances.
 _GAMMA_BOUNDS = (-5.0, 4.0)
@@ -127,7 +127,8 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             ``self``.
 
         Raises:
-            ValueError: On shape problems or empty target data.
+            ValueError: On shape problems, empty target data, or NaN/inf
+                values.
         """
         if sources is None:
             sources = []
@@ -137,14 +138,18 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         yt = np.asarray(y_target, dtype=float).ravel()
         if len(Xt) != len(yt) or len(yt) == 0:
             raise ValueError("target X/y misaligned or empty")
+        require_finite("X_target", Xt)
+        require_finite("y_target", yt)
         cleaned: list[tuple[np.ndarray, np.ndarray]] = []
-        for Xs, ys in sources:
+        for k, (Xs, ys) in enumerate(sources):
             Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
             ys = np.asarray(ys, dtype=float).ravel()
             if len(Xs) != len(ys):
                 raise ValueError("source X/y misaligned")
             if Xs.size and Xs.shape[1] != Xt.shape[1]:
                 raise ValueError("source dimensionality mismatch")
+            require_finite(f"source {k} X", Xs)
+            require_finite(f"source {k} y", ys)
             if len(ys):
                 cleaned.append((Xs, ys))
         self._n_sources = len(cleaned)
@@ -245,7 +250,7 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         assert kernel is not None
         n_src = self._n_sources
         n_kernel = kernel.n_params
-        task_masks = [tasks == k for k in range(n_src + 1)]
+        onehot = np.eye(n_src + 1)[tasks]
 
         def unpack(theta):
             kernel.theta = theta[:n_kernel]
@@ -260,40 +265,30 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             a = np.exp(log_a)
             b = np.exp(log_b)
             coeffs = self._coeffs()
-            B = self._task_matrix(coeffs)
-            K_base, base_grads = kernel.eval_with_grads(X)
-            B_exp = B[np.ix_(tasks, tasks)]
-            K = K_base * B_exp
-            noise = np.exp(log_noise)[tasks]
-            K = K + np.diag(noise)
+            B_exp = self._task_matrix(coeffs)[np.ix_(tasks, tasks)]
+            K_base, base_grad = kernel.eval_and_grad(X)
+            noise = np.exp(log_noise)
+            K = K_base * B_exp + np.diag(noise[tasks])
+            lml, W, _ = gaussian_log_marginal(K, z)
 
-            grads: list[np.ndarray] = [g * B_exp for g in base_grads]
+            # <W, K_base * dB/dc_s[tasks, tasks]> through the task-block
+            # sums T: dB/dc_s is ``coeffs`` along row and column s, zero
+            # at (s, s).
+            T = onehot.T @ (W * K_base) @ onehot
+            dc = (T @ coeffs + T.T @ coeffs - 2.0 * np.diag(T) * coeffs)
+            dc = dc[:n_src]
             # d lambda_s / d log a_s and / d log b_s (see transfer_kernel).
             dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
             dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-            for s in range(n_src):
-                # dB/dc_s: row/col s become the other coeffs; diagonal
-                # stays 1.
-                dB = np.zeros_like(B)
-                dB[s, :] = coeffs
-                dB[:, s] = coeffs
-                dB[s, s] = 0.0
-                dB_exp = dB[np.ix_(tasks, tasks)]
-                grads.append(K_base * dB_exp * dlam_da[s])
-            for s in range(n_src):
-                dB = np.zeros_like(B)
-                dB[s, :] = coeffs
-                dB[:, s] = coeffs
-                dB[s, s] = 0.0
-                dB_exp = dB[np.ix_(tasks, tasks)]
-                grads.append(K_base * dB_exp * dlam_db[s])
-            for k in range(n_src + 1):
-                grads.append(np.diag(
-                    np.exp(log_noise[k]) * task_masks[k].astype(float)
-                ))
-
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
+            W_task_diag = np.bincount(
+                tasks, weights=np.diag(W), minlength=n_src + 1
+            )
+            g = np.concatenate([
+                base_grad(W * B_exp),
+                dc * dlam_da,
+                dc * dlam_db,
+                noise * W_task_diag,
+            ])
             return -lml, -g
 
         # Warm-start refits from the previously optimized vector (the

@@ -23,7 +23,7 @@ import numpy as np
 from .incremental import IncrementalGPMixin
 from .kernels import Kernel, RBFKernel
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, robust_cholesky
+from .linalg import cholesky_solve, require_finite, robust_cholesky
 from .transfer_kernel import TransferKernel
 
 #: Log-space bounds for the two task noise variances.
@@ -173,8 +173,8 @@ class TransferGP(IncrementalGPMixin):
             ``self``.
 
         Raises:
-            ValueError: On shape mismatch, empty target data, or
-                conflicting source arguments.
+            ValueError: On shape mismatch, empty target data, NaN/inf
+                values, or conflicting source arguments.
         """
         X_source, y_source = _resolve_source_kwargs(
             X_source, y_source, sources
@@ -193,6 +193,11 @@ class TransferGP(IncrementalGPMixin):
             raise ValueError("need at least one target observation")
         if Xs.size and Xs.shape[1] != Xt.shape[1]:
             raise ValueError("source/target dimensionality mismatch")
+        for name, values in (
+            ("X_source", Xs), ("y_source", ys),
+            ("X_target", Xt), ("y_target", yt),
+        ):
+            require_finite(name, values)
 
         X = np.vstack([Xs, Xt])
         y = np.concatenate([ys, yt])
@@ -279,19 +284,20 @@ class TransferGP(IncrementalGPMixin):
     ) -> None:
         tk = self.transfer_kernel
         assert tk is not None
-        src_diag = np.diag((tasks == SOURCE_TASK).astype(float))
-        tgt_diag = np.diag((tasks == TARGET_TASK).astype(float))
-        has_source = bool((tasks == SOURCE_TASK).any())
+        src = tasks == SOURCE_TASK
+        has_source = bool(src.any())
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             tk.theta = theta[:-2]
             noise_s = float(np.exp(theta[-2]))
             noise_t = float(np.exp(theta[-1]))
-            K, grads = tk.eval_with_grads(X, tasks)
-            K = K + noise_s * src_diag + noise_t * tgt_diag
-            grads = grads + [noise_s * src_diag, noise_t * tgt_diag]
-            lml, g, _ = gaussian_log_marginal(K, z, grads)
-            assert g is not None
+            K, grad = tk.eval_and_grad(X, tasks)
+            K = K + np.diag(np.where(src, noise_s, noise_t))
+            lml, W, _ = gaussian_log_marginal(K, z)
+            W_diag = np.diag(W)
+            g = np.append(grad(W), [
+                noise_s * W_diag[src].sum(), noise_t * W_diag[~src].sum(),
+            ])
             return -lml, -g
 
         # Warm-start mid-loop refits from the previously *optimized*

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import GradFn, Kernel
 
 #: Log-space bounds for the Gamma hyperparameters a and b.
 _GAMMA_BOUNDS = (-5.0, 4.0)
@@ -139,26 +139,31 @@ class TransferKernel:
         factor = 1.0 + cross * (self.lam - 1.0)
         return K * factor
 
-    def eval_with_grads(
+    def eval_and_grad(
         self, X: np.ndarray, tasks: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Symmetric transfer covariance and hyperparameter gradients.
+    ) -> tuple[np.ndarray, GradFn]:
+        """Symmetric transfer covariance and its gradient contraction.
 
         Returns:
-            ``(K~, grads)`` with one gradient matrix per entry of
-            :attr:`theta`.
+            ``(K~, grad)`` where ``grad(W)`` is the vector of
+            ``<W, dK~/dtheta_i>`` over :attr:`theta`.  The base kernel
+            sees ``W`` damped by the same factor as ``K~``; ``a`` and
+            ``b`` share one masked sum over the cross-task pairs.
         """
-        K_base, base_grads = self.base.eval_with_grads(X)
+        K_base, base_grad = self.base.eval_and_grad(X)
         cross = self._cross_mask(tasks, tasks)
-        lam = self.lam
-        factor = 1.0 + cross * (lam - 1.0)
+        factor = 1.0 + cross * (self.lam - 1.0)
         K = K_base * factor
-        grads = [g * factor for g in base_grads]
-        # d lambda / d log a = -2 b a (1+a)^(-b-1)
         a, b = self.a, self.b
-        dlam_dloga = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
-        # d lambda / d log b = -2 b log(1+a) (1+a)^(-b)
-        dlam_dlogb = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-        grads.append(K_base * cross * dlam_dloga)
-        grads.append(K_base * cross * dlam_dlogb)
-        return K, grads
+        dlam = np.array([
+            # d lambda / d log a = -2 b a (1+a)^(-b-1)
+            -2.0 * b * a * (1.0 + a) ** (-b - 1.0),
+            # d lambda / d log b = -2 b log(1+a) (1+a)^(-b)
+            -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b),
+        ])
+
+        def grad(W: np.ndarray) -> np.ndarray:
+            cross_sum = np.sum(W * K_base * cross)
+            return np.concatenate([base_grad(W * factor), cross_sum * dlam])
+
+        return K, grad

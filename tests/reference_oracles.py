@@ -1,4 +1,4 @@
-"""Test-only reference implementations of the decision hot path.
+"""Test-only reference implementations of the hot paths.
 
 The vectorized/blocked fast paths in :mod:`repro.core.decision`,
 :mod:`repro.core.uncertainty` and :mod:`repro.pareto.dominance` are
@@ -9,6 +9,11 @@ compare against: the per-point reference sweeps, and scalar double
 loops straight off the paper's Eq. (10)-(12) definitions — slow, but
 obviously correct.
 
+The GP section keeps the kernels' ``(n1, n2, d)`` broadcast and the
+list-of-``dK/dtheta`` marginal-likelihood gradient that the ``cdist``
+evaluation and the single-contraction gradients of :mod:`repro.gp`
+replaced; ``tests/test_gp_gradients.py`` compares against them.
+
 Nothing here is on the hot path; clarity beats speed throughout.
 """
 
@@ -17,8 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.uncertainty import UncertaintyRegions
+from repro.gp import Matern52Kernel, RBFKernel, TransferKernel
+from repro.gp.linalg import cholesky_solve, robust_cholesky
 
 __all__ = [
+    "ard_eval_reference",
+    "ard_eval_with_grads_reference",
+    "lml_grads_reference",
+    "multisource_grads_reference",
+    "transfer_eval_with_grads_reference",
     "decide_reference",
     "dominated_by_any_reference",
     "dominated_by_any_scalar",
@@ -238,3 +250,149 @@ def intersect_scalar(
             hi = np.where(empty, nearest, hi)
         regions.lo[idx] = lo
         regions.hi[idx] = hi
+
+
+# ---------------------------------------------------------------------
+# GP kernels and likelihood gradients — the list-of-matrices form
+
+
+def _sq_dists_per_dim(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences, shape ``(n1, n2, d)``."""
+    diff = X1[:, None, :] - X2[None, :, :]
+    return diff * diff
+
+
+def _scaled_sq_dists(kernel, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    ls = kernel.lengthscales
+    return _sq_dists_per_dim(X1 / ls, X2 / ls)
+
+
+def ard_eval_reference(
+    kernel, X1: np.ndarray, X2: np.ndarray | None = None
+) -> np.ndarray:
+    """``RBFKernel.eval`` / ``Matern52Kernel.eval`` by the broadcast."""
+    X1 = np.atleast_2d(X1)
+    X2 = X1 if X2 is None else np.atleast_2d(X2)
+    if isinstance(kernel, RBFKernel):
+        sq = _scaled_sq_dists(kernel, X1, X2).sum(axis=2)
+        return kernel.variance * np.exp(-0.5 * sq)
+    assert isinstance(kernel, Matern52Kernel)
+    r2 = _scaled_sq_dists(kernel, X1, X2).sum(axis=2)
+    r = np.sqrt(np.maximum(r2, 0.0))
+    s5r = np.sqrt(5.0) * r
+    return kernel.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * np.exp(-s5r)
+
+
+def ard_eval_with_grads_reference(
+    kernel, X: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Symmetric covariance plus one ``dK/dtheta_i`` matrix per
+    hyperparameter (RBF or Matérn-5/2)."""
+    X = np.atleast_2d(X)
+    sq_dims = _scaled_sq_dists(kernel, X, X)
+    if isinstance(kernel, RBFKernel):
+        K = kernel.variance * np.exp(-0.5 * sq_dims.sum(axis=2))
+        grads: list[np.ndarray] = [
+            K * sq_dims[:, :, j] for j in range(kernel.dim)
+        ]
+        grads.append(K.copy())  # d/dlog var
+        return K, grads
+    assert isinstance(kernel, Matern52Kernel)
+    r2 = sq_dims.sum(axis=2)
+    r = np.sqrt(np.maximum(r2, 0.0))
+    s5r = np.sqrt(5.0) * r
+    expo = np.exp(-s5r)
+    K = kernel.variance * (1.0 + s5r + 5.0 / 3.0 * r2) * expo
+    # dk/d(r^2) = -(5/6) * variance * (1 + sqrt(5) r) * exp(-sqrt5 r)
+    dk_dr2 = -(5.0 / 6.0) * kernel.variance * (1.0 + s5r) * expo
+    grads = []
+    for j in range(kernel.dim):
+        # d(r^2)/d(log ls_j) = -2 * scaled_sq_dist_j
+        grads.append(dk_dr2 * (-2.0 * sq_dims[:, :, j]))
+    grads.append(K.copy())  # d/dlog var
+    return K, grads
+
+
+def transfer_eval_with_grads_reference(
+    tk: TransferKernel, X: np.ndarray, tasks: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eq. (7) transfer covariance and one gradient matrix per entry of
+    ``tk.theta``."""
+    K_base, base_grads = ard_eval_with_grads_reference(tk.base, X)
+    cross = tk._cross_mask(tasks, tasks)
+    lam = tk.lam
+    factor = 1.0 + cross * (lam - 1.0)
+    K = K_base * factor
+    grads = [g * factor for g in base_grads]
+    # d lambda / d log a = -2 b a (1+a)^(-b-1)
+    a, b = tk.a, tk.b
+    dlam_dloga = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
+    # d lambda / d log b = -2 b log(1+a) (1+a)^(-b)
+    dlam_dlogb = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
+    grads.append(K_base * cross * dlam_dloga)
+    grads.append(K_base * cross * dlam_dlogb)
+    return K, grads
+
+
+def multisource_grads_reference(
+    kernel,
+    X: np.ndarray,
+    tasks: np.ndarray,
+    log_a: np.ndarray,
+    log_b: np.ndarray,
+    log_noise: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``MultiSourceTransferGP``'s noisy covariance and its gradient
+    matrices in theta order (kernel, log a, log b, log noise), with one
+    ``dB`` loop per source."""
+    n_src = len(log_a)
+    task_masks = [tasks == k for k in range(n_src + 1)]
+    a = np.exp(log_a)
+    b = np.exp(log_b)
+    coeffs = np.append(2.0 * (1.0 + a) ** (-b) - 1.0, 1.0)
+    B = np.outer(coeffs, coeffs)
+    np.fill_diagonal(B, 1.0)
+    K_base, base_grads = ard_eval_with_grads_reference(kernel, X)
+    B_exp = B[np.ix_(tasks, tasks)]
+    K = K_base * B_exp
+    noise = np.exp(log_noise)[tasks]
+    K = K + np.diag(noise)
+
+    grads: list[np.ndarray] = [g * B_exp for g in base_grads]
+    dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
+    dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
+    for s in range(n_src):
+        # dB/dc_s: row/col s become the other coeffs; diagonal
+        # stays 1.
+        dB = np.zeros_like(B)
+        dB[s, :] = coeffs
+        dB[:, s] = coeffs
+        dB[s, s] = 0.0
+        dB_exp = dB[np.ix_(tasks, tasks)]
+        grads.append(K_base * dB_exp * dlam_da[s])
+    for s in range(n_src):
+        dB = np.zeros_like(B)
+        dB[s, :] = coeffs
+        dB[:, s] = coeffs
+        dB[s, s] = 0.0
+        dB_exp = dB[np.ix_(tasks, tasks)]
+        grads.append(K_base * dB_exp * dlam_db[s])
+    for k in range(n_src + 1):
+        grads.append(np.diag(
+            np.exp(log_noise[k]) * task_masks[k].astype(float)
+        ))
+    return K, grads
+
+
+def lml_grads_reference(
+    K: np.ndarray, y: np.ndarray, K_grads: list[np.ndarray]
+) -> np.ndarray:
+    """LML gradient ``0.5 * tr((alpha alpha^T - K^-1) dK/dtheta)`` per
+    matrix, with ``K^-1`` solved against the identity."""
+    L, _ = robust_cholesky(K)
+    alpha = cholesky_solve(L, y)
+    K_inv = cholesky_solve(L, np.eye(len(y)))
+    inner = np.outer(alpha, alpha) - K_inv
+    return np.array(
+        [0.5 * np.sum(inner * dK) for dK in K_grads]
+    )

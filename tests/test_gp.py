@@ -96,19 +96,18 @@ class TestKernels:
 
         def lml(theta):
             kernel.theta = theta
-            K, _ = kernel.eval_with_grads(X)
             value, _, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(12), y
+                kernel.eval(X) + 0.01 * np.eye(12), y
             )
             return value
 
         def grad(theta):
             kernel.theta = theta
-            K, grads = kernel.eval_with_grads(X)
-            _, g, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(12), y, grads
+            K, grad_of = kernel.eval_and_grad(X)
+            _, W, _ = gaussian_log_marginal(
+                K + 0.01 * np.eye(12), y
             )
-            return g
+            return grad_of(W)
 
         theta0 = kernel.theta + rng.normal(scale=0.05, size=4)
         numeric = approx_fprime(theta0, lml, 1e-6)

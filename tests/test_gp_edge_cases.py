@@ -8,6 +8,7 @@ import pytest
 from repro.gp import (
     GPRegressor,
     Matern52Kernel,
+    MultiSourceTransferGP,
     RBFKernel,
     TransferGP,
     gaussian_log_marginal,
@@ -99,6 +100,53 @@ class TestTransferGPEdgeCases:
         yt2 = np.append(yt, 0.0)
         model.fit(Xs, ys, Xt2, yt2)
         assert model.lam == pytest.approx(lam_before)
+
+
+class TestNonFiniteData:
+    """NaN/inf is rejected on entry with a message naming the array, not
+    deep inside a factorization."""
+
+    def _data(self):
+        X = rng.uniform(size=(12, 3))
+        return X, np.sin(3 * X.sum(axis=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fit_rejects_nonfinite_inputs(self, value):
+        X, y = self._data()
+        X_bad = X.copy()
+        X_bad[3, 1] = value
+        with pytest.raises(ValueError, match="X contains"):
+            GPRegressor().fit(X_bad, y)
+        with pytest.raises(ValueError, match="X_source"):
+            TransferGP().fit(X_bad, y, X, y)
+        with pytest.raises(ValueError, match="source 1 X"):
+            MultiSourceTransferGP().fit([(X, y), (X_bad, y)], X, y)
+
+    def test_fit_rejects_nonfinite_targets(self):
+        X, y = self._data()
+        y_bad = y.copy()
+        y_bad[0] = np.nan
+        with pytest.raises(ValueError, match="y"):
+            GPRegressor().fit(X, y_bad)
+        with pytest.raises(ValueError, match="y_target"):
+            TransferGP().fit(None, None, X, y_bad)
+        with pytest.raises(ValueError, match="source 0 y"):
+            MultiSourceTransferGP().fit([(X, y_bad)], X, y)
+
+    @pytest.mark.parametrize("model_cls", [
+        GPRegressor, TransferGP, MultiSourceTransferGP,
+    ])
+    def test_update_rejects_nonfinite(self, model_cls):
+        X, y = self._data()
+        model = model_cls(optimize=False)
+        if model_cls is GPRegressor:
+            model.fit(X, y)
+        else:
+            model.fit(sources=[], X_target=X, y_target=y)
+        with pytest.raises(ValueError, match="y_new"):
+            model.update(X[:2], np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="X_new"):
+            model.update(np.full((1, 3), np.inf), np.zeros(1))
 
 
 class TestMarginalLikelihood:

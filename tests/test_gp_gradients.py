@@ -1,0 +1,229 @@
+"""Gradient and kernel-evaluation checks for the GP hyperparameter fits.
+
+Each model's whole marginal-likelihood objective — captured with a spy
+on ``maximize_objective`` — must match finite differences, noise terms
+included.  The kernels' single-contraction gradients must equal the
+list-of-``dK/dtheta`` form they replaced, and the ``cdist`` kernel
+evaluation must equal the ``(n1, n2, d)`` broadcast: bit for bit while
+the distance sum has at most seven terms, to roundoff beyond.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.optimize import approx_fprime
+
+import repro.gp.gp_regression as gp_regression_mod
+import repro.gp.multisource as multisource_mod
+import repro.gp.transfer_gp as transfer_gp_mod
+from repro.gp import (
+    GPRegressor,
+    Matern52Kernel,
+    MultiSourceTransferGP,
+    RBFKernel,
+    TransferGP,
+    TransferKernel,
+    gaussian_log_marginal,
+)
+
+from .reference_oracles import (
+    _sq_dists_per_dim,
+    ard_eval_reference,
+    ard_eval_with_grads_reference,
+    lml_grads_reference,
+    multisource_grads_reference,
+    transfer_eval_with_grads_reference,
+)
+
+KERNELS = [RBFKernel, Matern52Kernel]
+
+
+def _f(X):
+    return np.sin(3 * X.sum(axis=1))
+
+
+def _capture_objective(module, fit):
+    """Run ``fit`` with ``module.maximize_objective`` replaced by a spy
+    that records the objective and returns the start point."""
+    seen = {}
+    original = module.maximize_objective
+
+    def spy(objective, theta0, bounds, **kwargs):
+        seen["objective"] = objective
+        seen["theta0"] = np.asarray(theta0, dtype=float).copy()
+        return theta0
+
+    module.maximize_objective = spy
+    try:
+        fit()
+    finally:
+        module.maximize_objective = original
+    return seen["objective"], seen["theta0"]
+
+
+def _data(d, seed=0):
+    rng = np.random.default_rng(seed)
+    Xs1 = rng.uniform(size=(15, d))
+    Xs2 = rng.uniform(size=(12, d))
+    Xt = rng.uniform(size=(8, d))
+    return rng, Xs1, Xs2, Xt
+
+
+def _model_objective(name, kernel_cls, d=3):
+    """The captured objective and start point of one model's fit."""
+    rng, Xs1, Xs2, Xt = _data(d)
+    kernel = kernel_cls(np.full(d, 0.4))
+    module, fit = {
+        "transfer": (transfer_gp_mod, lambda: TransferGP(kernel=kernel).fit(
+            Xs1, _f(Xs1), Xt, _f(Xt) + 0.1
+        )),
+        "transfer_no_source": (
+            transfer_gp_mod,
+            lambda: TransferGP(kernel=kernel).fit(None, None, Xt, _f(Xt)),
+        ),
+        "multisource": (
+            multisource_mod,
+            lambda: MultiSourceTransferGP(kernel=kernel).fit(
+                [(Xs1, _f(Xs1)), (Xs2, -_f(Xs2))], Xt, _f(Xt)
+            ),
+        ),
+        "regressor": (
+            gp_regression_mod,
+            lambda: GPRegressor(kernel=kernel).fit(Xt, _f(Xt)),
+        ),
+    }[name]
+    return rng, *_capture_objective(module, fit)
+
+
+class TestObjectiveGradients:
+    """The whole objective each model hands to L-BFGS-B."""
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    @pytest.mark.parametrize(
+        "name,n_params",
+        [
+            ("transfer", 8),
+            ("transfer_no_source", 8),
+            ("multisource", 11),
+            ("regressor", 5),
+        ],
+    )
+    def test_matches_finite_differences(self, name, n_params, kernel_cls):
+        rng, objective, theta0 = _model_objective(name, kernel_cls)
+        assert len(theta0) == n_params
+        theta = theta0 + rng.normal(scale=0.1, size=n_params)
+        value, grad = objective(theta)
+        assert np.isfinite(value) and grad.shape == (n_params,)
+        numeric = approx_fprime(theta, lambda t: objective(t)[0], 1e-6)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-4)
+
+
+def _assert_close_to_reference(new, ref):
+    np.testing.assert_allclose(
+        new, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max()
+    )
+
+
+class TestContractionMatchesListForm:
+    """One contraction per kernel equals the per-parameter matrices."""
+
+    @pytest.mark.parametrize("d", [3, 9])
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_ard_kernels(self, kernel_cls, d):
+        rng = np.random.default_rng(d)
+        X = rng.uniform(size=(30, d))
+        y = _f(X)
+        kernel = kernel_cls(np.exp(rng.uniform(-1, 1, size=d)), 1.3)
+        noise = 0.01 * np.eye(len(X))
+
+        K, grad = kernel.eval_and_grad(X)
+        _, W, _ = gaussian_log_marginal(K + noise, y)
+        K_ref, grads_ref = ard_eval_with_grads_reference(kernel, X)
+        ref = lml_grads_reference(K_ref + noise, y, grads_ref)
+        _assert_close_to_reference(grad(W), ref)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_transfer_kernel(self, kernel_cls, d):
+        rng = np.random.default_rng(10 + d)
+        X = rng.uniform(size=(30, d))
+        tasks = np.repeat([0, 1], 15)
+        y = _f(X)
+        tk = TransferKernel(
+            kernel_cls(np.exp(rng.uniform(-1, 1, size=d))), a=0.7, b=1.4
+        )
+        noise = 0.01 * np.eye(len(X))
+
+        K, grad = tk.eval_and_grad(X, tasks)
+        _, W, _ = gaussian_log_marginal(K + noise, y)
+        K_ref, grads_ref = transfer_eval_with_grads_reference(tk, X, tasks)
+        ref = lml_grads_reference(K_ref + noise, y, grads_ref)
+        _assert_close_to_reference(grad(W), ref)
+
+    @pytest.mark.parametrize("d", [3, 9])
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_multisource_objective(self, kernel_cls, d):
+        # The task-block sums replace one n x n dB matrix per source.
+        rng, objective, theta0 = _model_objective(
+            "multisource", kernel_cls, d=d
+        )
+        theta = theta0 + rng.normal(scale=0.1, size=len(theta0))
+        _, grad = objective(theta)
+
+        _, Xs1, Xs2, Xt = _data(d)
+        X = np.vstack([Xs1, Xs2, Xt])
+        y = np.concatenate([_f(Xs1), -_f(Xs2), _f(Xt)])
+        z = (y - y.mean()) / y.std()
+        tasks = np.repeat([0, 1, 2], [len(Xs1), len(Xs2), len(Xt)])
+        kernel = kernel_cls(np.ones(d))
+        kernel.theta = theta[:d + 1]
+        K_ref, grads_ref = multisource_grads_reference(
+            kernel, X, tasks,
+            theta[d + 1:d + 3], theta[d + 3:d + 5], theta[d + 5:],
+        )
+        _assert_close_to_reference(
+            -grad, lml_grads_reference(K_ref, z, grads_ref)
+        )
+
+
+class TestKernelEvalMatchesBroadcast:
+    """``cdist`` distances against the ``(n1, n2, d)`` broadcast."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_cross_and_symmetric(self, kernel_cls, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(10):
+            kernel = kernel_cls(
+                np.exp(rng.uniform(-2, 1, size=d)),
+                float(np.exp(rng.uniform(-1, 1))),
+            )
+            X1 = rng.uniform(size=(37, d))
+            X2 = rng.uniform(size=(23, d))
+            for A, B in ((X1, X2), (X1, None)):
+                new = kernel.eval(A, B)
+                ref = ard_eval_reference(kernel, A, B)
+                if d <= 7:
+                    # cdist adds up to seven terms in numpy's order.
+                    np.testing.assert_array_equal(new, ref)
+                    continue
+                # Beyond seven terms numpy sums pairwise, so the scaled
+                # squared distance r2 may differ in its last bits; the
+                # kernel's exponent scales that relative difference by
+                # at most r2.
+                ls = kernel.lengthscales
+                r2 = _sq_dists_per_dim(
+                    A / ls, (A if B is None else B) / ls
+                ).sum(axis=2)
+                rel = np.abs(new - ref) / np.abs(ref)
+                assert np.all(rel <= 1e-14 * np.maximum(1.0, r2))
+
+    @pytest.mark.parametrize("d", [1, 6, 9])
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_symmetric_diagonal_is_variance(self, kernel_cls, d):
+        rng = np.random.default_rng(d)
+        kernel = kernel_cls(np.exp(rng.uniform(-2, 1, size=d)), 1.7)
+        K = kernel.eval(rng.uniform(size=(25, d)))
+        assert np.all(np.diag(K) == kernel.variance)
+        np.testing.assert_array_equal(K, K.T)

@@ -287,6 +287,21 @@ class TestProtocolErrors:
         assert exc.value.status == 400
         assert "config" in str(exc.value)
 
+    @pytest.mark.parametrize("where", ["X_pool", "source 0 X"])
+    def test_nonfinite_input_is_400(self, http, where):
+        server, client = http
+        X, Y = random_pool(0)
+        Xs, Ys = random_pool(1)
+        (X if where == "X_pool" else Xs)[4, 2] = np.nan
+        with pytest.raises(ServiceError) as exc:
+            client.create_session(
+                PPATunerConfig(max_iterations=5, seed=0), X, Y.shape[1],
+                sources=[(Xs, Ys)],
+            )
+        assert exc.value.status == 400
+        assert where in str(exc.value)
+        assert server.service.store.list_ids() == []
+
     def test_malformed_json_is_400(self, http):
         server, _ = http
         import urllib.error

@@ -451,6 +451,44 @@ class TestSnapshotResume:
 
 
 # ---------------------------------------------------------------------------
+# non-finite input
+
+
+class TestNonFiniteInput:
+    """NaN or inf in the pool or a source archive fails at construction,
+    with a message naming the array, before any tool run is spent."""
+
+    def _source(self, seed: int, n: int = 40):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(n, 3)), rng.uniform(0.5, 2.0, size=(n, 2))
+
+    @pytest.mark.parametrize("which,value", [("X", np.nan), ("Y", np.inf)])
+    def test_nonfinite_source_rejected(self, which, value):
+        X, Y = random_pool(0)
+        Xs, Ys = self._source(5)
+        (Xs if which == "X" else Ys)[7, -1] = value
+        cfg = PPATunerConfig(max_iterations=5, seed=0)
+        with pytest.raises(ValueError, match=f"source 1 {which}"):
+            TuningSession(
+                cfg, X, Y.shape[1], sources=[self._source(6), (Xs, Ys)]
+            )
+        oracle = PoolOracle(Y)
+        with pytest.raises(ValueError, match=f"source 0 {which}"):
+            PPATuner(cfg).tune(X, oracle, X_source=Xs, Y_source=Ys)
+        assert oracle.n_evaluations == 0
+
+    def test_nonfinite_pool_rejected(self):
+        X, Y = random_pool(0)
+        X[3, 2] = np.nan
+        oracle = PoolOracle(Y)
+        with pytest.raises(ValueError, match="X_pool"):
+            PPATuner(PPATunerConfig(max_iterations=5, seed=0)).tune(
+                X, oracle
+            )
+        assert oracle.n_evaluations == 0
+
+
+# ---------------------------------------------------------------------------
 # JSON round-trips
 
 

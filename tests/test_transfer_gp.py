@@ -104,19 +104,18 @@ class TestTransferKernel:
 
         def lml(theta):
             tk.theta = theta
-            K, _ = tk.eval_with_grads(X, tasks)
             value, _, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(10), y
+                tk.eval(X, tasks) + 0.01 * np.eye(10), y
             )
             return value
 
         def grad(theta):
             tk.theta = theta
-            K, grads = tk.eval_with_grads(X, tasks)
-            _, g, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(10), y, grads
+            K, grad_of = tk.eval_and_grad(X, tasks)
+            _, W, _ = gaussian_log_marginal(
+                K + 0.01 * np.eye(10), y
             )
-            return g
+            return grad_of(W)
 
         theta0 = tk.theta + rng.normal(scale=0.05, size=len(tk.theta))
         numeric = approx_fprime(theta0, lml, 1e-6)
