@@ -1,11 +1,11 @@
 """Ablation (extension): multi-source vs single-source transfer models.
 
 Compares surrogate accuracy on Target2 power with 25 target samples:
-target-only GP, the paper's two-task transfer GP, and the multi-source
-extension fed one related and one hostile archive.  The multi-source
-model should match or beat two-task transfer while isolating the hostile
-archive (lambda near -1 exploits anti-correlation rather than suffering
-from it).
+target-only GP, the paper's two-task transfer GP (the transfer GP with
+one archive), and the multi-source extension fed one related and one
+hostile archive.  The multi-source model should match or beat two-task
+transfer while isolating the hostile archive (lambda near -1 exploits
+anti-correlation rather than suffering from it).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import generate_benchmark
-from repro.gp import GPRegressor, MultiSourceTransferGP, TransferGP
+from repro.gp import GPRegressor, MultiSourceTransferGP
 
 from _util import run_once
 
@@ -44,13 +44,13 @@ def test_ablation_multisource_transfer(benchmark):
             return float(np.sqrt(np.mean((model_mean - yq) ** 2)))
 
         solo = GPRegressor(seed=0).fit(Xt, yt)
-        two = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
+        two = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
         multi = MultiSourceTransferGP(seed=0).fit(
             [(Xs, ys), (Xs, ys_bad)], Xt, yt
         )
         return {
             "target-only": (rmse(solo.predict(Xq)[0]), None),
-            "two-task": (rmse(two.predict(Xq)[0]), [two.lam]),
+            "two-task": (rmse(two.predict(Xq)[0]), list(two.lambdas)),
             "multi-source": (
                 rmse(multi.predict(Xq)[0]), list(multi.lambdas),
             ),

@@ -54,8 +54,8 @@ def main() -> None:
     print(f"Pareto configs found:  {len(result.pareto_indices)}")
     print(f"Hyper-volume error:    {hypervolume_error(found, golden):.4f}")
     print(f"ADRS:                  {adrs(golden, found):.4f}")
-    print(f"Learned task similarity lambda per metric: "
-          f"{[round(m.lam, 3) for m in tuner.models_]}")
+    lambdas = [[round(float(v), 3) for v in m.lambdas] for m in tuner.models_]
+    print(f"Learned task similarity lambdas per metric: {lambdas}")
     print()
     print("Found Pareto frontier (power mW, delay ns):")
     for p, d in found:

@@ -50,6 +50,7 @@ __all__ = [
     "GaussianCopula",
     "MetricsRegistry",
     "Mlcad19LcbBayesOpt",
+    "MultiSourceTransferGP",
     "NullRecorder",
     "Oracle",
     "PDFlow",
@@ -65,8 +66,6 @@ __all__ = [
     "Tcad19ActiveLearner",
     "ToolParameters",
     "TraceRecorder",
-    "TransferGP",
-    "TransferKernel",
     "Tuner",
     "TuningResult",
     "TuningService",
@@ -102,8 +101,7 @@ _EXPORTS = {
     "ServiceClient": "service",
     "TuningService": "service",
     "GPRegressor": "gp",
-    "TransferGP": "gp",
-    "TransferKernel": "gp",
+    "MultiSourceTransferGP": "gp",
     "MetricsRegistry": "obs",
     "NullRecorder": "obs",
     "TraceRecorder": "obs",
@@ -143,7 +141,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         TuningResult,
         TuningSession,
     )
-    from .gp import GPRegressor, TransferGP, TransferKernel
+    from .gp import GPRegressor, MultiSourceTransferGP
     from .obs import (
         MetricsRegistry,
         NullRecorder,

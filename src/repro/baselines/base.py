@@ -8,7 +8,8 @@ Most of them ignore source-task data — that contrast is the paper's point
 tuner uniformly.
 
 Transfer data arrives through the unified ``sources=[(X, y), ...]``
-keyword (the same shape :meth:`repro.gp.TransferGP.fit` takes).
+keyword (the same shape
+:meth:`repro.gp.MultiSourceTransferGP.fit` takes).
 Subclasses implement :meth:`PoolTuner._tune`.
 """
 

@@ -60,9 +60,7 @@ class CalibrationEngine:
     """Per-iteration surrogate calibration with an incremental fast path.
 
     Example:
-        >>> engine = CalibrationEngine(models, cfg, multi=False,
-        ...                            sources=[], X_source=Xs,
-        ...                            Y_source=Ys)          # doctest: +SKIP
+        >>> engine = CalibrationEngine(models, cfg, sources) # doctest: +SKIP
         >>> engine.register_pool(Xn_pool)                    # doctest: +SKIP
         >>> engine.calibrate(t, Xn_pool, sampled, y_obs, new) # doctest: +SKIP
         >>> mean, std = engine.predict(active_ids)            # doctest: +SKIP
@@ -72,30 +70,22 @@ class CalibrationEngine:
         self,
         models: list,
         config: PPATunerConfig,
-        multi: bool,
         sources: list[tuple[np.ndarray, np.ndarray]],
-        X_source: np.ndarray,
-        Y_source: np.ndarray,
         recorder=None,
     ) -> None:
         """Create the engine.
 
         Args:
-            models: One fitted-or-fresh GP model per QoR metric.
+            models: One fitted-or-fresh transfer GP per QoR metric.
             config: Loop configuration (cadence and engine switch).
-            multi: Whether the models are multi-source transfer GPs.
-            sources: Normalized ``(X_k, Y_k)`` archives (multi mode).
-            X_source: Stacked normalized source features (two-task mode).
-            Y_source: Stacked source objectives (two-task mode).
+            sources: Normalized ``(X_k, Y_k)`` archives, ``Y_k`` with
+                one column per metric (empty: no transfer).
             recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`
                 fed one ``CalibrationDone`` per :meth:`calibrate` call.
         """
         self.models = models
         self.config = config
-        self.multi = multi
         self.sources = sources
-        self.X_source = X_source
-        self.Y_source = Y_source
         self.stats = CalibrationStats()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._fitted = False
@@ -195,15 +185,7 @@ class CalibrationEngine:
         partial = bool(np.isnan(y_obs[sampled]).any())
         for j, model in enumerate(self.models):
             model.optimize = reopt
-            # Both model kinds share the ``sources`` fit keyword; the
-            # two-task model stacks the pairs into one source task.
-            if self.multi:
-                src_j = [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
-            else:
-                src_j = (
-                    [(self.X_source, self.Y_source[:, j])]
-                    if len(self.X_source) else []
-                )
+            src_j = [(Xs, Ys[:, j]) for Xs, Ys in self.sources]
             if partial:
                 mask = sampled & np.isfinite(y_obs[:, j])
                 model.fit(

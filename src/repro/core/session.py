@@ -60,7 +60,6 @@ import numpy as np
 from ..gp.kernels import make_kernel
 from ..gp.linalg import require_finite
 from ..gp.multisource import MultiSourceTransferGP
-from ..gp.transfer_gp import TransferGP
 from ..obs.events import (
     IterationEnd,
     IterationStart,
@@ -298,45 +297,28 @@ class TuningSession:
         self._Xn_sources = [
             ((Xs - lo) / span, Ys) for Xs, Ys in self.source_list
         ]
-        self._Xn_source = (
-            (X_source - lo) / span if len(X_source) else X_source
-        )
-        self.multi = len(self._Xn_sources) > 1
 
     def _build_models(self) -> None:
-        """One fresh surrogate per metric (deterministic seeds)."""
+        """One fresh surrogate per metric (deterministic seeds).
+
+        The same transfer GP serves every archive count: one source is
+        the paper's two-task model, none fits the target alone.
+        """
         cfg = self.config
         d = self.X_pool.shape[1]
-        if self.multi:
-            self.models = [
-                MultiSourceTransferGP(
-                    kernel=make_kernel(cfg.kernel, d, 0.3, 1.0),
-                    # Optimistic prior (lambda ~ 0.67): archives are
-                    # presumed relevant until the likelihood says
-                    # otherwise; the default a=b=1 starts exactly at
-                    # lambda=0, a saddle the optimizer can stall on.
-                    a=0.2,
-                    b=1.0,
-                    n_restarts=max(cfg.n_restarts, 2),
-                    seed=cfg.seed + j,
-                )
-                for j in range(self.m)
-            ]
-        else:
-            self.models = [
-                TransferGP(
-                    kernel=make_kernel(cfg.kernel, d, 0.3, 1.0),
-                    n_restarts=cfg.n_restarts,
-                    seed=cfg.seed + j,
-                )
-                for j in range(self.m)
-            ]
+        self.models = [
+            MultiSourceTransferGP(
+                kernel=make_kernel(cfg.kernel, d, 0.3, 1.0),
+                n_restarts=cfg.n_restarts,
+                seed=cfg.seed + j,
+            )
+            for j in range(self.m)
+        ]
 
     def _build_engine(self, recorder, n_pool: int | None = None) -> None:
         self.engine = CalibrationEngine(
-            self.models, self.config, multi=self.multi,
-            sources=self._Xn_sources, X_source=self._Xn_source,
-            Y_source=self.Y_source, recorder=recorder,
+            self.models, self.config, sources=self._Xn_sources,
+            recorder=recorder,
         )
         pool = (
             self._Xn_pool if n_pool is None else self._Xn_pool[:n_pool]

@@ -43,7 +43,6 @@ from .uncertainty import UncertaintyRegions
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gp.multisource import MultiSourceTransferGP
-    from ..gp.transfer_gp import TransferGP
     from .oracle import Oracle
 
 
@@ -102,7 +101,7 @@ class PPATuner:
         """
         self.config = config or PPATunerConfig()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.models_: list[TransferGP | MultiSourceTransferGP] = []
+        self.models_: list[MultiSourceTransferGP] = []
         self.calibration_: CalibrationEngine | None = None
         self.session_: TuningSession | None = None
 
@@ -128,12 +127,11 @@ class PPATuner:
             Y_source: ``(N, m)`` source-task golden objectives.
             init_indices: Explicit initial target evaluations ``D^T``;
                 sampled randomly per the config when omitted.
-            sources: Multiple historical tasks as ``(X_k, Y_k)`` pairs —
-                an extension beyond the paper's single source; when more
-                than one is given, the surrogates are
-                :class:`MultiSourceTransferGP` models that learn a
-                per-archive similarity.  Mutually exclusive with
-                ``X_source``/``Y_source``.
+            sources: Historical tasks as ``(X_k, Y_k)`` pairs — more
+                than one is an extension beyond the paper's single
+                source; the :class:`MultiSourceTransferGP` surrogates
+                learn a similarity per archive.  Mutually exclusive
+                with ``X_source``/``Y_source``.
 
         Returns:
             A :class:`TuningResult`.

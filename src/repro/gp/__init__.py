@@ -1,14 +1,18 @@
 """Gaussian-process substrate (from scratch on numpy/scipy).
 
-Standard GP regression (paper Eq. (1)), the transfer kernel (Eq. (5)-(7)),
-and the two-task transfer GP (Eq. (8)).
+Standard GP regression (paper Eq. (1)) and the transfer GP of paper
+Section 3.1: :class:`MultiSourceTransferGP` damps the base kernel across
+tasks by the Gamma-integrated factor ``lambda = 2 (1 + a)^-b - 1``
+(Eq. (5)-(7), :func:`transfer_factor`), carries per-task noise and
+predicts by Eq. (8).  With one source archive it is exactly the paper's
+two-task model; it also takes several archives, or none.
 """
 
 from .gp_regression import GPRegressor
 from .incremental import IncrementalGPMixin
 from .kernels import Kernel, Matern52Kernel, RBFKernel, make_kernel
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .multisource import MultiSourceTransferGP
+from .multisource import MultiSourceTransferGP, transfer_factor
 from .linalg import (
     NotPositiveDefiniteError,
     cholesky_append_row,
@@ -20,12 +24,8 @@ from .linalg import (
     robust_cholesky,
     solve_psd,
 )
-from .transfer_gp import SOURCE_TASK, TARGET_TASK, TransferGP
-from .transfer_kernel import TransferKernel, transfer_factor
 
 __all__ = [
-    "SOURCE_TASK",
-    "TARGET_TASK",
     "GPRegressor",
     "IncrementalGPMixin",
     "Kernel",
@@ -33,8 +33,6 @@ __all__ = [
     "MultiSourceTransferGP",
     "NotPositiveDefiniteError",
     "RBFKernel",
-    "TransferGP",
-    "TransferKernel",
     "cholesky_append_row",
     "cholesky_append_rows",
     "cholesky_rank1_downdate",

@@ -66,11 +66,6 @@ class GPRegressor(IncrementalGPMixin):
         """Observation-noise variance (standardized scale)."""
         return float(np.exp(self._log_noise))
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._alpha is not None
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GPRegressor":
         """Fit hyperparameters (optionally) and the posterior state.
 
@@ -173,39 +168,6 @@ class GPRegressor(IncrementalGPMixin):
         kernel.theta = best[:-1]
         self._log_noise = float(best[-1])
         self._opt_theta = np.asarray(best, dtype=float).copy()
-
-    def predict(
-        self, X_new: np.ndarray, include_noise: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at ``X_new`` (paper Eq. (1)).
-
-        Args:
-            X_new: ``(m, d)`` query inputs.
-            include_noise: Add the observation-noise variance to the
-                predictive variance.
-
-        Returns:
-            ``(mean, variance)`` arrays of length ``m`` in the original
-            target scale.
-
-        Raises:
-            RuntimeError: If called before :meth:`fit`.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("predict() before fit()")
-        assert self._X is not None and self.kernel is not None
-        assert self._L is not None and self._alpha is not None
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-        K_star = self.kernel.eval(X_new, self._X)
-        mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
-        var_z = self.kernel.diag(X_new) - np.sum(v * v, axis=0)
-        var_z = np.maximum(var_z, 1e-12)
-        if include_noise:
-            var_z = var_z + self.noise_variance
-        mean = mean_z * self._y_std + self._y_mean
-        var = var_z * self._y_std**2
-        return mean, var
 
     def log_marginal_likelihood(self) -> float:
         """LML of the fitted model on its training data."""

@@ -37,7 +37,8 @@ updates round, so changing it can move trajectories.
 
 Subclasses must maintain ``_X``, ``_L``, ``_alpha``, ``_y_mean``,
 ``_y_std`` (the existing fit state) plus ``_y_raw`` and ``_jitter``, and
-implement the small covariance hooks below.
+implement the small covariance hooks below; ``predict`` is built from
+the same hooks, so every model predicts one way.
 """
 
 from __future__ import annotations
@@ -58,9 +59,12 @@ POOL_BLOCK = 32768
 
 
 class IncrementalGPMixin:
-    """Exact incremental updates + cached pool prediction for GP models."""
+    """Prediction, exact incremental updates and cached pool prediction
+    for GP models."""
 
-    # Incremental bookkeeping (instance attributes shadow these).
+    # Fit state and incremental bookkeeping (instance attributes shadow
+    # these).
+    _alpha: np.ndarray | None = None
     _y_raw: np.ndarray | None = None
     _jitter: float = 0.0
     _pool_X: np.ndarray | None = None
@@ -98,6 +102,51 @@ class IncrementalGPMixin:
         """Append new target rows to the stored training data."""
         raise NotImplementedError
 
+    # ---- prediction --------------------------------------------------
+
+    @property
+    def is_fitted(self) -> bool:
+        """Whether ``fit`` has been called."""
+        return self._alpha is not None
+
+    def predict(
+        self, X_new: np.ndarray, include_noise: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at target-task inputs.
+
+        Paper Eq. (1) for a single-task model, Eq. (8) for the transfer
+        GP: ``mu = k*^T alpha`` and ``sigma^2 = k(x, x) - v^T v`` with
+        ``v = L^-1 k*``.
+
+        Args:
+            X_new: ``(m, d)`` query inputs.
+            include_noise: Add the target observation-noise variance
+                (off by default: the tuner's uncertainty regions are
+                epistemic).
+
+        Returns:
+            ``(mean, variance)`` arrays of length ``m`` in the original
+            target scale.
+
+        Raises:
+            RuntimeError: If called before ``fit``.
+        """
+        if not self.is_fitted:
+            raise RuntimeError("predict() before fit()")
+        assert self._L is not None and self._alpha is not None
+        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+        K_star = self._cross_cov(X_new)
+        mean_z = K_star @ self._alpha
+        v = np.linalg.solve(self._L, K_star.T)
+        var_z = self._prior_diag(X_new) - np.sum(v * v, axis=0)
+        var_z = np.maximum(var_z, 1e-12)
+        if include_noise:
+            var_z = var_z + self._predict_noise()
+        return (
+            mean_z * self._y_std + self._y_mean,
+            var_z * self._y_std**2,
+        )
+
     # ---- incremental update ------------------------------------------
 
     def update(self, X_new: np.ndarray, y_new: np.ndarray):
@@ -120,7 +169,7 @@ class IncrementalGPMixin:
             RuntimeError: If called before ``fit``.
             ValueError: On shape mismatch or NaN/inf values.
         """
-        if not self.is_fitted:  # type: ignore[attr-defined]
+        if not self.is_fitted:
             raise RuntimeError("update() before fit()")
         assert self._X is not None and self._L is not None
         assert self._y_raw is not None
@@ -301,7 +350,7 @@ class IncrementalGPMixin:
             RuntimeError: If the model is unfitted or no pool is
                 registered.
         """
-        if not self.is_fitted:  # type: ignore[attr-defined]
+        if not self.is_fitted:
             raise RuntimeError("predict_pool() before fit()")
         if self._pool_X is None:
             raise RuntimeError("predict_pool() before register_pool()")

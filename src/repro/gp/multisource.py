@@ -1,20 +1,43 @@
-"""Multi-source transfer GP — an extension beyond the paper's two tasks.
+"""Transfer Gaussian process (paper Section 3.1, Eq. (4)-(8)).
 
-The paper transfers from *one* historical tuning task; real tuning
-archives hold many.  This module generalizes the Eq. (7) transfer kernel
-to K source tasks with a rank-1-plus-diagonal task-correlation matrix:
+One model per QoR metric.  Source-task and target-task observations are
+stacked and share one prior: the base kernel within a task, damped by a
+task-similarity factor across tasks.  The paper places a Gamma(b, a)
+prior on the task dissimilarity ``phi`` in ``2 exp(-phi) - 1`` and
+integrates it out analytically, giving
+
+    lambda = 2 * (1 / (1 + a)) ** b - 1            (Eq. (7))
+
+in ``(-1, 1]``: positive transfer, no transfer (0), or *negative*
+correlation between tasks — the "stronger expression ability" the
+paper highlights.
+
+The paper transfers from one historical task; real tuning archives hold
+many.  With K source tasks each gets its own ``lambda_s`` and the task
+correlations form a rank-1-plus-diagonal matrix
 
     B[i, j] = c_i * c_j   (i != j),     B[i, i] = 1
 
-with ``c_target = 1`` and ``c_s = lambda_s = 2 (1 + a_s)^-b_s - 1`` per
-source — so each target-source correlation reproduces the paper's
-two-task factor, source-source correlations follow as products, and
+with ``c_target = 1`` and ``c_s = lambda_s``, so
 ``B = diag(1 - c^2) + c c^T`` is positive semi-definite by construction
 (hence the Schur product with the base kernel stays a valid covariance).
+Each target-source correlation is the paper's two-task factor and
+source-source correlations follow as products.  K=1 is exactly the
+paper's model, ``K~[n, m] = k(x_n, x_m) * lambda`` across the two tasks
+and ``k(x_n, x_m)`` within one; K=0 is plain GP regression on the
+target.
 
-Each task also carries its own noise variance (the paper's
-``beta_s/beta_t`` generalized).  All hyperparameters are fitted by joint
-marginal likelihood with analytic gradients.
+Each task also carries its own noise variance — the ``Lambda`` of
+Eq. (8), ``beta_s^-1`` on source rows and ``beta_t^-1`` on target rows.
+All hyperparameters (base kernel, Gamma parameters, noises) are learned
+by maximizing the joint log marginal likelihood with analytic
+gradients.  Prediction at a target-task input follows Eq. (8):
+
+    mu(x)      = k(x, X)^T (K~ + Lambda)^-1 y
+    sigma^2(x) = k(x, x) + beta_t^-1 - k(x, X)^T (K~ + Lambda)^-1 k(x, X)
+
+where ``k(x, X)`` is the transfer covariance (source-``s`` columns
+damped by ``lambda_s``).
 """
 
 from __future__ import annotations
@@ -31,13 +54,38 @@ _GAMMA_BOUNDS = (-5.0, 4.0)
 _NOISE_BOUNDS = (-12.0, 2.0)
 
 
+def transfer_factor(a, b):
+    """The integrated cross-task damping ``lambda`` of Eq. (7).
+
+    Works elementwise on arrays of Gamma parameters.
+
+    Args:
+        a: Gamma scale parameter(s) (> 0).
+        b: Gamma shape parameter(s) (> 0).
+
+    Returns:
+        ``2 * (1 + a) ** -b - 1`` in ``(-1, 1]``.
+
+    Raises:
+        ValueError: If any ``a`` or ``b`` is not positive.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ValueError("Gamma parameters a, b must be positive")
+    return 2.0 * (1.0 + a) ** (-b) - 1.0
+
+
 class MultiSourceTransferGP(IncrementalGPMixin):
     """Transfer GP over K source tasks and one target task.
 
+    One source archive is the paper's two-task model; several archives,
+    or none, go through the same ``sources`` list.
+
     Example:
         >>> model = MultiSourceTransferGP()
-        >>> model.fit([(Xs1, ys1), (Xs2, ys2)], Xt, yt)  # doctest: +SKIP
-        >>> mean, var = model.predict(Xq)                # doctest: +SKIP
+        >>> model.fit([(Xs, ys)], Xt, yt)  # doctest: +SKIP
+        >>> mean, var = model.predict(Xq)  # doctest: +SKIP
     """
 
     def __init__(
@@ -86,9 +134,7 @@ class MultiSourceTransferGP(IncrementalGPMixin):
     def _lambdas(self) -> np.ndarray:
         """Per-source correlation coefficients ``c_s`` in (-1, 1]."""
         assert self._log_a is not None and self._log_b is not None
-        a = np.exp(self._log_a)
-        b = np.exp(self._log_b)
-        return 2.0 * (1.0 + a) ** (-b) - 1.0
+        return transfer_factor(np.exp(self._log_a), np.exp(self._log_b))
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -118,8 +164,9 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         """Fit on K source datasets plus the target data.
 
         Args:
-            sources: List of ``(X_s, y_s)`` pairs (may be empty) — the
-                keyword shared with :class:`~repro.gp.transfer_gp.TransferGP`.
+            sources: List of ``(X_s, y_s)`` pairs; one pair is the
+                paper's two-task model, none (or only empty pairs) fits
+                the target alone.
             X_target: ``(M, d)`` target inputs.
             y_target: Length-``M`` target values.
 
@@ -277,7 +324,8 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             T = onehot.T @ (W * K_base) @ onehot
             dc = (T @ coeffs + T.T @ coeffs - 2.0 * np.diag(T) * coeffs)
             dc = dc[:n_src]
-            # d lambda_s / d log a_s and / d log b_s (see transfer_kernel).
+            # d lambda / d log a = -2 b a (1+a)^(-b-1) and
+            # d lambda / d log b = -2 b log(1+a) (1+a)^(-b), per source.
             dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
             dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
             W_task_diag = np.bincount(
@@ -315,48 +363,3 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         self._log_b = best[n_kernel + n_src:n_kernel + 2 * n_src].copy()
         self._log_noise = best[n_kernel + 2 * n_src:].copy()
         self._opt_theta = np.asarray(best, dtype=float).copy()
-
-    # ---- prediction ----------------------------------------------------
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._alpha is not None
-
-    def predict(
-        self, X_new: np.ndarray, include_noise: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean/variance at target-task inputs.
-
-        Args:
-            X_new: ``(m, d)`` query inputs.
-            include_noise: Add the target-task noise variance.
-
-        Returns:
-            ``(mean, variance)`` in the original target scale.
-
-        Raises:
-            RuntimeError: If not fitted.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("predict() before fit()")
-        assert self._X is not None and self._tasks is not None
-        assert self._L is not None and self._alpha is not None
-        assert self._kernel is not None and self._log_noise is not None
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-        coeffs = self._coeffs()
-        # Cross-covariance: target rows against all training tasks.
-        factors = coeffs[self._tasks] * coeffs[-1]
-        same_task = self._tasks == self._n_sources
-        factors = np.where(same_task, 1.0, factors)
-        K_star = self._kernel.eval(X_new, self._X) * factors[None, :]
-        mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
-        var_z = self._kernel.diag(X_new) - np.sum(v * v, axis=0)
-        var_z = np.maximum(var_z, 1e-12)
-        if include_noise:
-            var_z = var_z + float(np.exp(self._log_noise[-1]))
-        return (
-            mean_z * self._y_std + self._y_mean,
-            var_z * self._y_std**2,
-        )

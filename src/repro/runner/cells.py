@@ -312,18 +312,16 @@ def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
     oracle = _cell_oracle(spec, target.objectives(names))
     result = tuner.tune(target.X, oracle, **kwargs)
 
+    # One row per objective and one lambda per archive; the no-transfer
+    # variant (and an unfitted model) reports none.
     lambdas: list[list[float]] = []
     for model in tuner.models_:
-        if hasattr(model, "lambdas"):
-            try:
-                lambdas.append([float(v) for v in model.lambdas])
-            except RuntimeError:
-                pass
-        elif hasattr(model, "lam") and kwargs:
-            try:
-                lambdas.append([float(model.lam)])
-            except RuntimeError:
-                pass
+        try:
+            lams = model.lambdas
+        except RuntimeError:
+            continue
+        if len(lams):
+            lambdas.append([float(v) for v in lams])
     outcome = evaluate_outcome(
         spec.method, spec.objective_space, result, target, names
     )

@@ -16,13 +16,18 @@ Entry layout (one ``.npz`` per cell under the memo root)::
 
 The JSON blob records the memo format version, the full spec (verified
 on load — a hash collision or renamed file can never serve the wrong
-cell), scalar outcome fields, iteration history, telemetry and extras;
-sibling arrays carry the index/objective matrices bit-exactly.
+cell), a digest of the ``repro`` sources that computed the entry
+(verified on load — a code change that moves a trajectory re-executes
+the cell instead of serving the old outcome), scalar outcome fields,
+iteration history, telemetry and extras; sibling arrays carry the
+index/objective matrices bit-exactly.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import json
 import logging
 import os
@@ -73,6 +78,24 @@ def default_memo_dir() -> Path:
     from .. import env
 
     return env.run_cache_dir()
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """SHA-256 over the ``repro`` package's Python sources.
+
+    Files are hashed with their package-relative paths in sorted order,
+    so the digest changes with any edit, addition, removal or rename and
+    with nothing else.  Computed once per process.
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def _fsync_dir(path: Path) -> None:
@@ -138,6 +161,7 @@ class RunMemo:
         meta = {
             "version": MEMO_VERSION,
             "spec": record.spec.to_json(),
+            "code": _code_digest(),
             "method": outcome.method,
             "objective_space": outcome.objective_space,
             "hv_error": outcome.hv_error,
@@ -196,9 +220,9 @@ class RunMemo:
     def load(self, spec: RunSpec):
         """Load one memoized record, or ``None``.
 
-        A torn, garbage, version-skewed or wrong-spec file is deleted
-        (self-healing) and ``None`` returned so the caller re-executes;
-        corruption never raises.
+        A torn, garbage, version-skewed, wrong-spec or other-code file
+        is deleted (self-healing) and ``None`` returned so the caller
+        re-executes; corruption never raises.
         """
         from ..experiments.scenarios import MethodOutcome
         from .runner import RunRecord, RunTelemetry
@@ -228,6 +252,10 @@ class RunMemo:
                 )
             if meta.get("spec") != spec.to_json():
                 raise ValueError("memo entry does not match spec")
+            if meta.get("code") != _code_digest():
+                raise ValueError(
+                    "memo entry was computed by other library code"
+                )
         except _LOAD_ERRORS as exc:
             log.warning(
                 "memoized run %s is unusable (%s: %s); re-executing",

@@ -12,7 +12,11 @@ obviously correct.
 The GP section keeps the kernels' ``(n1, n2, d)`` broadcast and the
 list-of-``dK/dtheta`` marginal-likelihood gradient that the ``cdist``
 evaluation and the single-contraction gradients of :mod:`repro.gp`
-replaced; ``tests/test_gp_gradients.py`` compares against them.
+replaced; ``tests/test_gp_gradients.py`` compares against them.  It
+also writes out the paper's two-task transfer GP densely — the Eq. (7)
+covariance and the Eq. (8) posterior — which the one-source
+``MultiSourceTransferGP`` must reproduce
+(``tests/test_calibration_equivalence.py``).
 
 Nothing here is on the hot path; clarity beats speed throughout.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.uncertainty import UncertaintyRegions
-from repro.gp import Matern52Kernel, RBFKernel, TransferKernel
+from repro.gp import Matern52Kernel, RBFKernel
 from repro.gp.linalg import cholesky_solve, robust_cholesky
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "lml_grads_reference",
     "multisource_grads_reference",
     "transfer_eval_with_grads_reference",
+    "transfer_posterior_reference",
     "decide_reference",
     "dominated_by_any_reference",
     "dominated_by_any_scalar",
@@ -314,24 +319,69 @@ def ard_eval_with_grads_reference(
 
 
 def transfer_eval_with_grads_reference(
-    tk: TransferKernel, X: np.ndarray, tasks: np.ndarray
+    base, a: float, b: float, X: np.ndarray, tasks: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Eq. (7) transfer covariance and one gradient matrix per entry of
-    ``tk.theta``."""
-    K_base, base_grads = ard_eval_with_grads_reference(tk.base, X)
-    cross = tk._cross_mask(tasks, tasks)
-    lam = tk.lam
+    """The paper's two-task covariance (Eq. (7)) and its gradients.
+
+    ``K = K_base * (1 + cross * (lambda - 1))`` with ``cross`` marking
+    the pairs whose ``tasks`` labels differ and ``lambda = 2 (1 + a)^-b
+    - 1``.  One gradient matrix per ``base.theta`` entry, then ``log a``
+    and ``log b``.
+    """
+    K_base, base_grads = ard_eval_with_grads_reference(base, X)
+    cross = (tasks[:, None] != tasks[None, :]).astype(float)
+    lam = 2.0 * (1.0 + a) ** (-b) - 1.0
     factor = 1.0 + cross * (lam - 1.0)
     K = K_base * factor
     grads = [g * factor for g in base_grads]
     # d lambda / d log a = -2 b a (1+a)^(-b-1)
-    a, b = tk.a, tk.b
     dlam_dloga = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
     # d lambda / d log b = -2 b log(1+a) (1+a)^(-b)
     dlam_dlogb = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
     grads.append(K_base * cross * dlam_dloga)
     grads.append(K_base * cross * dlam_dlogb)
     return K, grads
+
+
+def transfer_posterior_reference(
+    base,
+    a: float,
+    b: float,
+    noise_source: float,
+    noise_target: float,
+    Xs: np.ndarray,
+    ys: np.ndarray,
+    Xt: np.ndarray,
+    yt: np.ndarray,
+    Xq: np.ndarray,
+    include_noise: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's two-task posterior (Eq. (8)) at target queries ``Xq``.
+
+    Source and target rows are stacked and standardized jointly; the
+    Eq. (7) covariance plus the per-task noise ``Lambda`` is solved
+    densely (no Cholesky, no caches).  Returns the mean and variance in
+    the original scale, with ``noise_target`` added to the variance when
+    ``include_noise``.
+    """
+    X = np.vstack([Xs, Xt])
+    y = np.concatenate([ys, yt])
+    tasks = np.repeat([0, 1], [len(ys), len(yt)])
+    K, _ = transfer_eval_with_grads_reference(base, a, b, X, tasks)
+    K = K + np.diag(np.where(tasks == 0, noise_source, noise_target))
+    lam = 2.0 * (1.0 + a) ** (-b) - 1.0
+    # Target queries against source columns cross tasks.
+    K_star = ard_eval_reference(base, Xq, X) * np.where(tasks == 0, lam, 1.0)
+    y_mean, y_std = y.mean(), y.std() or 1.0
+    z = (y - y_mean) / y_std
+    mean = K_star @ np.linalg.solve(K, z)
+    var = np.diag(ard_eval_reference(base, Xq, Xq)) - np.sum(
+        K_star * np.linalg.solve(K, K_star.T).T, axis=1
+    )
+    var = np.maximum(var, 1e-12)
+    if include_noise:
+        var = var + noise_target
+    return mean * y_std + y_mean, var * y_std**2
 
 
 def multisource_grads_reference(

@@ -2,8 +2,7 @@
 
 Covers the :class:`repro.core.oracle.Oracle` protocol (both built-in
 oracles and third-party duck-typed implementations), ``FlowOracle``
-batch/accounting semantics, the unified GP source-data fit keyword,
-and the lazy ``repro`` package surface.
+batch/accounting semantics, and the lazy ``repro`` package surface.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 import repro
 from repro.core import FlowOracle, Oracle, PoolOracle, PPATuner, PPATunerConfig
-from repro.gp import TransferGP
 from repro.space import (
     EnumParameter,
     FloatParameter,
@@ -115,49 +113,6 @@ class TestFlowOracleSemantics:
     def test_out_of_range_raises(self, oracle):
         with pytest.raises(IndexError):
             oracle.evaluate(99)
-
-
-def _transfer_data():
-    Xs = rng.uniform(size=(14, 2))
-    ys = Xs[:, 0] + 0.3 * Xs[:, 1]
-    Xt = rng.uniform(size=(8, 2))
-    yt = Xt[:, 0] + 0.35 * Xt[:, 1]
-    return Xs, ys, Xt, yt
-
-
-class TestUnifiedFitKeyword:
-    def test_sources_matches_positional(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        a = TransferGP(seed=0, optimize=False).fit(Xs, ys, Xt, yt)
-        b = TransferGP(seed=0, optimize=False).fit(
-            sources=[(Xs, ys)], X_target=Xt, y_target=yt
-        )
-        np.testing.assert_allclose(
-            a.predict(Xq)[0], b.predict(Xq)[0]
-        )
-
-    def test_multiple_pairs_stack(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        Xq = rng.uniform(size=(5, 2))
-        split = 7
-        stacked = TransferGP(seed=0, optimize=False).fit(
-            Xs, ys, Xt, yt
-        )
-        paired = TransferGP(seed=0, optimize=False).fit(
-            sources=[(Xs[:split], ys[:split]), (Xs[split:], ys[split:])],
-            X_target=Xt, y_target=yt,
-        )
-        np.testing.assert_allclose(
-            stacked.predict(Xq)[0], paired.predict(Xq)[0]
-        )
-
-    def test_conflicting_kwargs_raise(self):
-        Xs, ys, Xt, yt = _transfer_data()
-        with pytest.raises(ValueError):
-            TransferGP(optimize=False).fit(
-                Xs, ys, Xt, yt, sources=[(Xs, ys)]
-            )
 
 
 class TestLazyPackageSurface:

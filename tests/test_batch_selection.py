@@ -424,7 +424,7 @@ class TestPoolRefinement:
 @pytest.mark.fastpath
 class TestExtendPoolEquivalence:
     def test_append_matches_full_registration(self):
-        from repro.gp import RBFKernel, TransferGP
+        from repro.gp import MultiSourceTransferGP, RBFKernel
 
         rng = np.random.default_rng(9)
         Xs = rng.uniform(size=(20, 3))
@@ -436,9 +436,9 @@ class TestExtendPoolEquivalence:
         grown = np.vstack([pool, X_new])
 
         def fitted():
-            return TransferGP(
+            return MultiSourceTransferGP(
                 kernel=RBFKernel(np.full(3, 0.4)), optimize=False
-            ).fit(Xs, ys, Xt, yt)
+            ).fit([(Xs, ys)], Xt, yt)
 
         # Arm A: register the prefix, warm the cache, append.
         a = fitted()

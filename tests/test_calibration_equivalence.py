@@ -4,7 +4,9 @@ The fast path (rank-1 border updates + cached pool cross-covariance)
 must be numerically indistinguishable from a from-scratch refit: for
 random kernels, noise levels, source/target splits, and append orders,
 posterior mean/variance agree within 1e-8 — including when the border
-update falls back to the exact jittered refactorization.  The
+update falls back to the exact jittered refactorization.  With one
+source archive the transfer GP must also be the paper's two-task model:
+its posterior matches a dense Eq. (7)-(8) reference within 1e-10.  The
 golden-trajectory test then locks the whole loop: `PPATuner.tune` with
 the engine on selects the same evaluation indices and the same final
 Pareto set as the from-scratch path (guards Eq. (9)-(13) behavior).
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.gp.multisource as multisource_mod
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.gp import (
     GPRegressor,
@@ -24,12 +27,13 @@ from repro.gp import (
     MultiSourceTransferGP,
     NotPositiveDefiniteError,
     RBFKernel,
-    TransferGP,
     cholesky_append_row,
     cholesky_append_rows,
     cholesky_rank1_downdate,
     cholesky_rank1_update,
 )
+
+from .reference_oracles import transfer_posterior_reference
 
 TOL = 1e-8
 
@@ -150,13 +154,12 @@ class TestPosteriorEquivalence:
         Xq = rng.uniform(size=(10, d))
 
         def make():
-            return TransferGP(
+            return MultiSourceTransferGP(
                 kernel=_make_kernel(kname, d, ls, var),
-                noise_source=noise, noise_target=noise,
-                optimize=False,
+                noise=noise, optimize=False,
             )
 
-        inc = make().fit(Xs, ys, Xt[:n_t0], yt[:n_t0])
+        inc = make().fit([(Xs, ys)], Xt[:n_t0], yt[:n_t0])
         app = np.arange(n_t0, n_t0 + n_app)
         for batch in _split_batches(rng, n_app, n_b):
             ids = app[batch]
@@ -168,11 +171,56 @@ class TestPosteriorEquivalence:
                 np.random.default_rng(seed), n_app, n_b
             )]
         )
-        ref = make().fit(Xs, ys, Xt[order], yt[order])
+        ref = make().fit([(Xs, ys)], Xt[order], yt[order])
         mi, vi = inc.predict(Xq)
         mr, vr = ref.predict(Xq)
         np.testing.assert_allclose(mi, mr, atol=TOL)
         np.testing.assert_allclose(vi, vr, atol=TOL)
+
+    @given(calibration_cases())
+    @moderate
+    def test_one_source_is_the_paper_model(self, case):
+        """One archive gives the paper's two-task GP: ``predict``,
+        ``predict_pool`` and the posterior after ``update`` all match
+        the dense Eq. (7)-(8) reference, per-task noises included."""
+        seed, d, kname, ls, var, noise, n_src, n_t0, n_app, _ = case
+        rng = np.random.default_rng(seed)
+        Xs = rng.uniform(size=(n_src, d))
+        ys = rng.normal(size=n_src)
+        Xt = rng.uniform(size=(n_t0 + n_app, d))
+        yt = rng.normal(size=n_t0 + n_app)
+        pool = rng.uniform(size=(12, d))
+        a, b = rng.uniform(0.05, 3.0, size=2)
+        noise_s = noise * rng.uniform(0.2, 5.0)
+        kernel = _make_kernel(kname, d, ls, var)
+
+        model = MultiSourceTransferGP(
+            kernel=kernel, a=a, b=b, noise=noise, optimize=False
+        ).fit([(Xs, ys)], Xt[:n_t0], yt[:n_t0])
+        # Source noise first, target noise last; the refit without
+        # optimization keeps them.
+        model._log_noise[:-1] = np.log(noise_s)
+        model.fit([(Xs, ys)], Xt[:n_t0], yt[:n_t0])
+        model.register_pool(pool)
+
+        def check(n_t):
+            for flag in (False, True):
+                ref = transfer_posterior_reference(
+                    kernel, a, b, noise_s, noise, Xs, ys,
+                    Xt[:n_t], yt[:n_t], pool, include_noise=flag,
+                )
+                for got in (
+                    model.predict(pool, include_noise=flag),
+                    model.predict_pool(np.arange(12), include_noise=flag),
+                ):
+                    for g, r in zip(got, ref):
+                        np.testing.assert_allclose(
+                            g, r, rtol=1e-10, atol=1e-10
+                        )
+
+        check(n_t0)
+        model.update(Xt[n_t0:], yt[n_t0:])
+        check(n_t0 + n_app)
 
     @given(calibration_cases())
     @moderate
@@ -244,10 +292,10 @@ class TestPosteriorEquivalence:
         yt = rng.normal(size=n_t0 + n_app)
         pool = rng.uniform(size=(15, d))
 
-        model = TransferGP(
+        model = MultiSourceTransferGP(
             kernel=_make_kernel(kname, d, ls, var),
-            noise_source=noise, noise_target=noise, optimize=False,
-        ).fit(Xs, ys, Xt[:n_t0], yt[:n_t0])
+            noise=noise, optimize=False,
+        ).fit([(Xs, ys)], Xt[:n_t0], yt[:n_t0])
         model.register_pool(pool)
         # Build the cache, then grow incrementally: the extended cache
         # must keep matching the direct (uncached) predict.
@@ -265,10 +313,20 @@ class TestFallbackPath:
         rng = np.random.default_rng(5)
         Xs = rng.uniform(size=(12, 3))
         Xt = rng.uniform(size=(6, 3))
-        model = TransferGP(
+        model = MultiSourceTransferGP(
             kernel=RBFKernel(np.full(3, 0.4)), optimize=False
-        ).fit(Xs, rng.normal(size=12), Xt, rng.normal(size=6))
+        ).fit([(Xs, rng.normal(size=12))], Xt, rng.normal(size=6))
         return model, rng
+
+    def _refit(self, model):
+        """A from-scratch fit on ``model``'s source and target rows."""
+        src = model._tasks == 0
+        return MultiSourceTransferGP(
+            kernel=RBFKernel(np.full(3, 0.4)), optimize=False
+        ).fit(
+            [(model._X[src], model._y_raw[src])],
+            model._X[~src], model._y_raw[~src],
+        )
 
     def test_forced_fallback_matches_refit(self, monkeypatch):
         """When the border update is rejected, the exact refactorization
@@ -289,14 +347,7 @@ class TestFallbackPath:
         model.update(X_new, y_new)
         assert model.last_update_fallback is True
 
-        ref = TransferGP(
-            kernel=RBFKernel(np.full(3, 0.4)), optimize=False
-        ).fit(
-            model._X[model._tasks == 0],
-            model._y_raw[model._tasks == 0],
-            model._X[model._tasks == 1],
-            model._y_raw[model._tasks == 1],
-        )
+        ref = self._refit(model)
         mi, vi = model.predict(Xq)
         mr, vr = ref.predict(Xq)
         np.testing.assert_allclose(mi, mr, atol=TOL)
@@ -316,14 +367,7 @@ class TestFallbackPath:
         y_new = rng.normal(size=2)
         Xq = rng.uniform(size=(9, 3))
         model.update(X_new, y_new)
-        ref = TransferGP(
-            kernel=RBFKernel(np.full(3, 0.4)), optimize=False
-        ).fit(
-            model._X[model._tasks == 0],
-            model._y_raw[model._tasks == 0],
-            model._X[model._tasks == 1],
-            model._y_raw[model._tasks == 1],
-        )
+        ref = self._refit(model)
         mi, vi = model.predict(Xq)
         mr, vr = ref.predict(Xq)
         np.testing.assert_allclose(mi, mr, atol=1e-6)
@@ -336,7 +380,7 @@ class TestFallbackPath:
         with pytest.raises(ValueError, match="dimensionality"):
             model.update(rng.uniform(size=(2, 5)), np.zeros(2))
         with pytest.raises(RuntimeError, match="before fit"):
-            TransferGP().update(np.zeros((1, 3)), np.zeros(1))
+            MultiSourceTransferGP().update(np.zeros((1, 3)), np.zeros(1))
         # Empty update is a no-op.
         L_before = model._L.copy()
         model.update(np.empty((0, 3)), np.empty(0))
@@ -349,41 +393,30 @@ class TestFallbackPath:
 
 
 class TestWarmStart:
-    def test_refit_resumes_from_previous_optimum(self):
+    def test_refit_resumes_from_previous_optimum(self, monkeypatch):
         rng = np.random.default_rng(2)
         Xs = rng.uniform(size=(20, 3))
         Xt = rng.uniform(size=(10, 3))
-        model = TransferGP(
+        model = MultiSourceTransferGP(
             kernel=RBFKernel(np.full(3, 0.4)), n_restarts=0, seed=0
         )
-        model.fit(Xs, rng.normal(size=20), Xt, rng.normal(size=10))
+        model.fit([(Xs, rng.normal(size=20))], Xt, rng.normal(size=10))
         theta_opt = model._opt_theta.copy()
-        # Perturb the live kernel the way an aborted objective
-        # evaluation would; the refit must resume from the stored
-        # optimum, not the perturbed live value.
-        model.transfer_kernel.theta = theta_opt[:-2] + 2.5
-        with np.errstate(all="ignore"):
-            model._optimize_hyperparameters = (
-                TransferGP._optimize_hyperparameters.__get__(model)
-            )
-        # Refit with a zero-iteration budget: whatever the optimizer
-        # starts from is what it returns.
-        import repro.gp.transfer_gp as transfer_gp_mod
-
-        original = transfer_gp_mod.maximize_objective
+        # Perturb the live kernel and Gamma parameters the way an
+        # aborted objective evaluation would; the refit must resume
+        # from the stored optimum, not the perturbed live values.
+        model._kernel.theta = model._kernel.theta + 2.5
+        model._log_a = model._log_a + 2.5
+        model._log_b = model._log_b + 2.5
         seen_theta0 = {}
+        original = multisource_mod.maximize_objective
 
         def spy(objective, theta0, bounds, **kwargs):
             seen_theta0["value"] = np.asarray(theta0).copy()
             return original(objective, theta0, bounds, **kwargs)
 
-        transfer_gp_mod.maximize_objective = spy
-        try:
-            model.fit(
-                Xs, rng.normal(size=20), Xt, rng.normal(size=10)
-            )
-        finally:
-            transfer_gp_mod.maximize_objective = original
+        monkeypatch.setattr(multisource_mod, "maximize_objective", spy)
+        model.fit([(Xs, rng.normal(size=20))], Xt, rng.normal(size=10))
         np.testing.assert_allclose(seen_theta0["value"], theta_opt)
 
 

@@ -25,7 +25,7 @@ class TestScenarioTable:
 
         for src, tgt in CROSS_DESIGN_SCENARIOS.values():
             assert src in SPACES and tgt in SPACES
-            # TransferGP requires column-aligned knob spaces.
+            # The transfer GP requires column-aligned knob spaces.
             assert SPACES[src]().names == SPACES[tgt]().names
 
     def test_default_methods(self):

@@ -28,7 +28,7 @@ from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.core.calibration import CalibrationEngine
 from repro.core.decision import _DOM_BLOCK, _dominated_by_any, apply_decision_rules
 from repro.core.uncertainty import UncertaintyRegions
-from repro.gp import NotPositiveDefiniteError, RBFKernel, TransferGP
+from repro.gp import MultiSourceTransferGP, NotPositiveDefiniteError, RBFKernel
 from repro.pareto import non_dominated_mask
 
 from .reference_oracles import (
@@ -276,7 +276,7 @@ class TestRectangleBatches:
 
 
 def _make_engine(m=3, d=3, seed=0, n_pool=30):
-    """A two-task engine over a synthetic pool; pool row 10 duplicates
+    """A one-source engine over a synthetic pool; pool row 10 duplicates
     row 3 so later evaluations can append exact-duplicate configs."""
     rng = np.random.default_rng(seed)
     X_pool = rng.uniform(size=(n_pool, d))
@@ -286,12 +286,12 @@ def _make_engine(m=3, d=3, seed=0, n_pool=30):
     Ys = rng.normal(size=(20, m))
     cfg = PPATunerConfig(reopt_every=0, n_restarts=0)
     models = [
-        TransferGP(kernel=RBFKernel(np.full(d, 0.4)), optimize=False)
+        MultiSourceTransferGP(
+            kernel=RBFKernel(np.full(d, 0.4)), optimize=False
+        )
         for _ in range(m)
     ]
-    engine = CalibrationEngine(
-        models, cfg, multi=False, sources=[], X_source=Xs, Y_source=Ys
-    )
+    engine = CalibrationEngine(models, cfg, sources=[(Xs, Ys)])
     engine.register_pool(X_pool)
     return engine, X_pool, Y_pool
 
@@ -380,9 +380,9 @@ class TestFloat32Pool:
 
         def trajectory():
             r = np.random.default_rng(5)
-            model = TransferGP(
+            model = MultiSourceTransferGP(
                 kernel=RBFKernel(np.full(d, 0.4)), optimize=False
-            ).fit(Xs, r.normal(size=20), Xt, r.normal(size=10))
+            ).fit([(Xs, r.normal(size=20))], Xt, r.normal(size=10))
             model.register_pool(pool)
             out = [model.predict_pool(np.arange(100))]
             model.extend_pool(X_more)

@@ -10,7 +10,6 @@ from repro.gp import (
     Matern52Kernel,
     MultiSourceTransferGP,
     RBFKernel,
-    TransferGP,
     gaussian_log_marginal,
 )
 
@@ -57,11 +56,13 @@ class TestDuplicateAndDegenerateData:
 
 
 class TestTransferGPEdgeCases:
+    """The paper's two-task model: one source archive."""
+
     def test_single_target_point_with_source(self):
         Xs = rng.uniform(size=(30, 2))
         ys = Xs.sum(axis=1)
-        model = TransferGP(seed=0).fit(
-            Xs, ys, np.array([[0.5, 0.5]]), np.array([1.0])
+        model = MultiSourceTransferGP(seed=0).fit(
+            [(Xs, ys)], np.array([[0.5, 0.5]]), np.array([1.0])
         )
         mean, var = model.predict(rng.uniform(size=(5, 2)))
         assert np.isfinite(mean).all()
@@ -72,7 +73,7 @@ class TestTransferGPEdgeCases:
         ys = np.sin(3 * Xs.sum(axis=1))
         Xt = rng.uniform(size=(3, 2))
         yt = np.sin(3 * Xt.sum(axis=1))
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
+        model = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
         Xq = rng.uniform(size=(40, 2))
         mean, _ = model.predict(Xq)
         true = np.sin(3 * Xq.sum(axis=1))
@@ -80,8 +81,8 @@ class TestTransferGPEdgeCases:
 
     def test_constant_source_targets(self):
         Xs = rng.uniform(size=(20, 2))
-        model = TransferGP(seed=0).fit(
-            Xs, np.full(20, 5.0),
+        model = MultiSourceTransferGP(seed=0).fit(
+            [(Xs, np.full(20, 5.0))],
             rng.uniform(size=(6, 2)), rng.normal(size=6),
         )
         mean, _ = model.predict(rng.uniform(size=(4, 2)))
@@ -92,14 +93,14 @@ class TestTransferGPEdgeCases:
         ys = np.sin(3 * Xs.sum(axis=1))
         Xt = rng.uniform(size=(8, 2))
         yt = np.sin(3 * Xt.sum(axis=1))
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
-        lam_before = model.lam
+        model = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
+        lam_before = model.lambdas[0]
         model.optimize = False
         # Refit with one more target point; lambda must persist.
         Xt2 = np.vstack([Xt, rng.uniform(size=(1, 2))])
         yt2 = np.append(yt, 0.0)
-        model.fit(Xs, ys, Xt2, yt2)
-        assert model.lam == pytest.approx(lam_before)
+        model.fit([(Xs, ys)], Xt2, yt2)
+        assert model.lambdas[0] == pytest.approx(lam_before)
 
 
 class TestNonFiniteData:
@@ -117,8 +118,8 @@ class TestNonFiniteData:
         X_bad[3, 1] = value
         with pytest.raises(ValueError, match="X contains"):
             GPRegressor().fit(X_bad, y)
-        with pytest.raises(ValueError, match="X_source"):
-            TransferGP().fit(X_bad, y, X, y)
+        with pytest.raises(ValueError, match="source 0 X"):
+            MultiSourceTransferGP().fit([(X_bad, y)], X, y)
         with pytest.raises(ValueError, match="source 1 X"):
             MultiSourceTransferGP().fit([(X, y), (X_bad, y)], X, y)
 
@@ -129,12 +130,12 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match="y"):
             GPRegressor().fit(X, y_bad)
         with pytest.raises(ValueError, match="y_target"):
-            TransferGP().fit(None, None, X, y_bad)
+            MultiSourceTransferGP().fit([], X, y_bad)
         with pytest.raises(ValueError, match="source 0 y"):
             MultiSourceTransferGP().fit([(X, y_bad)], X, y)
 
     @pytest.mark.parametrize("model_cls", [
-        GPRegressor, TransferGP, MultiSourceTransferGP,
+        GPRegressor, MultiSourceTransferGP,
     ])
     def test_update_rejects_nonfinite(self, model_cls):
         X, y = self._data()

@@ -16,14 +16,11 @@ from scipy.optimize import approx_fprime
 
 import repro.gp.gp_regression as gp_regression_mod
 import repro.gp.multisource as multisource_mod
-import repro.gp.transfer_gp as transfer_gp_mod
 from repro.gp import (
     GPRegressor,
     Matern52Kernel,
     MultiSourceTransferGP,
     RBFKernel,
-    TransferGP,
-    TransferKernel,
     gaussian_log_marginal,
 )
 
@@ -74,25 +71,23 @@ def _model_objective(name, kernel_cls, d=3):
     """The captured objective and start point of one model's fit."""
     rng, Xs1, Xs2, Xt = _data(d)
     kernel = kernel_cls(np.full(d, 0.4))
-    module, fit = {
-        "transfer": (transfer_gp_mod, lambda: TransferGP(kernel=kernel).fit(
-            Xs1, _f(Xs1), Xt, _f(Xt) + 0.1
-        )),
-        "transfer_no_source": (
-            transfer_gp_mod,
-            lambda: TransferGP(kernel=kernel).fit(None, None, Xt, _f(Xt)),
-        ),
-        "multisource": (
-            multisource_mod,
-            lambda: MultiSourceTransferGP(kernel=kernel).fit(
-                [(Xs1, _f(Xs1)), (Xs2, -_f(Xs2))], Xt, _f(Xt)
-            ),
-        ),
-        "regressor": (
-            gp_regression_mod,
-            lambda: GPRegressor(kernel=kernel).fit(Xt, _f(Xt)),
-        ),
-    }[name]
+    sources = {
+        "transfer": [(Xs1, _f(Xs1))],
+        "transfer_no_source": [],
+        "multisource": [(Xs1, _f(Xs1)), (Xs2, -_f(Xs2))],
+    }
+    if name == "regressor":
+        module = gp_regression_mod
+
+        def fit():
+            GPRegressor(kernel=kernel).fit(Xt, _f(Xt))
+    else:
+        module = multisource_mod
+
+        def fit():
+            MultiSourceTransferGP(kernel=kernel).fit(
+                sources[name], Xt, _f(Xt)
+            )
     return rng, *_capture_objective(module, fit)
 
 
@@ -104,7 +99,7 @@ class TestObjectiveGradients:
         "name,n_params",
         [
             ("transfer", 8),
-            ("transfer_no_source", 8),
+            ("transfer_no_source", 5),
             ("multisource", 11),
             ("regressor", 5),
         ],
@@ -146,45 +141,51 @@ class TestContractionMatchesListForm:
     @pytest.mark.parametrize("d", [3, 9])
     @pytest.mark.parametrize("kernel_cls", KERNELS)
     def test_transfer_kernel(self, kernel_cls, d):
-        rng = np.random.default_rng(10 + d)
-        X = rng.uniform(size=(30, d))
-        tasks = np.repeat([0, 1], 15)
-        y = _f(X)
-        tk = TransferKernel(
-            kernel_cls(np.exp(rng.uniform(-1, 1, size=d))), a=0.7, b=1.4
-        )
-        noise = 0.01 * np.eye(len(X))
-
-        K, grad = tk.eval_and_grad(X, tasks)
-        _, W, _ = gaussian_log_marginal(K + noise, y)
-        K_ref, grads_ref = transfer_eval_with_grads_reference(tk, X, tasks)
-        ref = lml_grads_reference(K_ref + noise, y, grads_ref)
-        _assert_close_to_reference(grad(W), ref)
+        """One source archive: the paper's Eq. (7) kernel gradient."""
+        _check_transfer_objective(kernel_cls, d, n_sources=1)
 
     @pytest.mark.parametrize("d", [3, 9])
     @pytest.mark.parametrize("kernel_cls", KERNELS)
     def test_multisource_objective(self, kernel_cls, d):
         # The task-block sums replace one n x n dB matrix per source.
-        rng, objective, theta0 = _model_objective(
-            "multisource", kernel_cls, d=d
-        )
-        theta = theta0 + rng.normal(scale=0.1, size=len(theta0))
-        _, grad = objective(theta)
+        _check_transfer_objective(kernel_cls, d, n_sources=2)
 
-        _, Xs1, Xs2, Xt = _data(d)
-        X = np.vstack([Xs1, Xs2, Xt])
-        y = np.concatenate([_f(Xs1), -_f(Xs2), _f(Xt)])
-        z = (y - y.mean()) / y.std()
-        tasks = np.repeat([0, 1, 2], [len(Xs1), len(Xs2), len(Xt)])
-        kernel = kernel_cls(np.ones(d))
-        kernel.theta = theta[:d + 1]
+
+def _check_transfer_objective(kernel_cls, d, n_sources):
+    """The transfer GP's objective gradient over ``n_sources`` archives
+    against the list-of-matrices form: the Eq. (7) reference for one
+    source, the per-source ``dB`` loop for two."""
+    name = "transfer" if n_sources == 1 else "multisource"
+    rng, objective, theta0 = _model_objective(name, kernel_cls, d=d)
+    theta = theta0 + rng.normal(scale=0.1, size=len(theta0))
+    _, grad = objective(theta)
+
+    _, Xs1, Xs2, Xt = _data(d)
+    parts = [(Xs1, _f(Xs1)), (Xs2, -_f(Xs2))][:n_sources]
+    parts.append((Xt, _f(Xt)))
+    X = np.vstack([Xp for Xp, _ in parts])
+    y = np.concatenate([yp for _, yp in parts])
+    z = (y - y.mean()) / y.std()
+    tasks = np.repeat(np.arange(n_sources + 1), [len(yp) for _, yp in parts])
+    kernel = kernel_cls(np.ones(d))
+    kernel.theta = theta[:d + 1]
+    log_a, log_b, log_noise = np.split(
+        theta[d + 1:], [n_sources, 2 * n_sources]
+    )
+    if n_sources == 1:
+        K_ref, grads_ref = transfer_eval_with_grads_reference(
+            kernel, np.exp(log_a[0]), np.exp(log_b[0]), X, tasks
+        )
+        noise = np.exp(log_noise)
+        K_ref = K_ref + np.diag(noise[tasks])
+        grads_ref += [np.diag(noise[k] * (tasks == k)) for k in (0, 1)]
+    else:
         K_ref, grads_ref = multisource_grads_reference(
-            kernel, X, tasks,
-            theta[d + 1:d + 3], theta[d + 3:d + 5], theta[d + 5:],
+            kernel, X, tasks, log_a, log_b, log_noise
         )
-        _assert_close_to_reference(
-            -grad, lml_grads_reference(K_ref, z, grads_ref)
-        )
+    _assert_close_to_reference(
+        -grad, lml_grads_reference(K_ref, z, grads_ref)
+    )
 
 
 class TestKernelEvalMatchesBroadcast:

@@ -168,7 +168,7 @@ class TestGoldenTables:
         assert a.space.names != b.space.names
 
     def test_cross_design_pairs_share_columns(self):
-        """TransferGP needs column-aligned source/target features."""
+        """The transfer GP needs column-aligned source/target features."""
         pairs = (("source3", "fabric1"), ("cpu1", "cpu2"),
                  ("fabric2", "cpu2"))
         from repro.bench import SPACES

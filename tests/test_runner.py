@@ -132,6 +132,21 @@ class TestMemo:
         assert len(memo) == 0
         assert memo.load(record.spec) is None
 
+    def test_other_library_code_re_executes(
+        self, tmp_path, tiny_benchmark, monkeypatch
+    ):
+        """An entry computed by other ``repro`` sources is dropped, not
+        served: a code change may have moved the cell's trajectory."""
+        import repro.runner.memo as memo_mod
+
+        memo = RunMemo(tmp_path)
+        record = self.make_record(tiny_benchmark)
+        path = memo.save(record)
+        assert memo.load(record.spec) is not None
+        monkeypatch.setattr(memo_mod, "_code_digest", lambda: "edited")
+        assert memo.load(record.spec) is None
+        assert not path.exists()
+
 
 class TestResume:
     @pytest.fixture()

@@ -1,4 +1,9 @@
-"""Tests for the transfer kernel (Eq. (5)-(7)) and transfer GP (Eq. (8))."""
+"""Tests for the paper's transfer GP (Eq. (5)-(8)).
+
+The paper's two-task model is :class:`MultiSourceTransferGP` with one
+source archive: ``fit([(Xs, ys)], Xt, yt)``, with the learned factor
+``lambdas[0]``.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,8 @@ import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
 
-from repro.gp import (
-    SOURCE_TASK,
-    TARGET_TASK,
-    RBFKernel,
-    TransferGP,
-    TransferKernel,
-    gaussian_log_marginal,
-    transfer_factor,
-)
+import repro.gp.multisource as multisource_mod
+from repro.gp import MultiSourceTransferGP, RBFKernel, transfer_factor
 
 rng = np.random.default_rng(1)
 
@@ -45,6 +43,8 @@ class TestTransferFactor:
             transfer_factor(-1.0, 1.0)
         with pytest.raises(ValueError):
             transfer_factor(1.0, 0.0)
+        with pytest.raises(ValueError):
+            transfer_factor(np.array([1.0, 0.0]), 1.0)
 
     def test_matches_eq7_form(self):
         a, b = 0.7, 2.3
@@ -52,74 +52,72 @@ class TestTransferFactor:
             2.0 * (1.0 / (1.0 + a)) ** b - 1.0
         )
 
+    def test_elementwise(self):
+        a = np.array([0.1, 1.0, 10.0])
+        b = np.array([2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(
+            transfer_factor(a, b),
+            [transfer_factor(ai, bi) for ai, bi in zip(a, b)],
+        )
+
 
 class TestTransferKernel:
-    def _kernel(self, a=1.0, b=1.0):
-        return TransferKernel(RBFKernel(np.full(2, 0.5)), a=a, b=b)
+    """The one-source covariance: the Eq. (7) transfer kernel."""
+
+    def _model(self, a=1.0, b=1.0):
+        X = rng.uniform(size=(4, 2))
+        return MultiSourceTransferGP(
+            kernel=RBFKernel(np.full(2, 0.5)), a=a, b=b, optimize=False
+        ).fit([(X[:2], np.zeros(2))], X[2:], np.ones(2))
 
     def test_within_task_is_base_kernel(self):
-        tk = self._kernel()
+        model = self._model()
         X = rng.uniform(size=(6, 2))
-        tasks = np.zeros(6, dtype=int)
-        assert np.allclose(tk.eval(X, tasks), tk.base.eval(X))
+        for task in (0, 1):
+            tasks = np.full(6, task)
+            assert np.allclose(
+                model._full_kernel(X, tasks), model._kernel.eval(X)
+            )
 
     def test_cross_task_damped(self):
-        tk = self._kernel(a=1.0, b=2.0)  # lambda = 2/4-1 = -0.5
+        model = self._model(a=1.0, b=2.0)  # lambda = 2/4-1 = -0.5
+        lam = model.lambdas[0]
+        assert lam == pytest.approx(-0.5)
         X = rng.uniform(size=(4, 2))
         tasks = np.array([0, 0, 1, 1])
-        K = tk.eval(X, tasks)
-        K_base = tk.base.eval(X)
-        assert np.allclose(K[:2, 2:], tk.lam * K_base[:2, 2:])
+        K = model._full_kernel(X, tasks)
+        K_base = model._kernel.eval(X)
+        assert np.allclose(K[:2, 2:], lam * K_base[:2, 2:])
         assert np.allclose(K[:2, :2], K_base[:2, :2])
 
     def test_psd_for_positive_lambda(self):
-        tk = self._kernel(a=0.5, b=0.5)
-        assert tk.lam > 0
+        model = self._model(a=0.5, b=0.5)
+        assert model.lambdas[0] > 0
         X = rng.uniform(size=(10, 2))
-        tasks = (np.arange(10) % 2)
-        eigs = np.linalg.eigvalsh(tk.eval(X, tasks))
+        tasks = np.arange(10) % 2
+        eigs = np.linalg.eigvalsh(model._full_kernel(X, tasks))
         assert eigs.min() > -1e-8
 
-    def test_theta_includes_gamma_params(self):
-        tk = self._kernel()
-        assert len(tk.theta) == tk.base.n_params + 2
-
-    def test_theta_setter(self):
-        tk = self._kernel()
-        theta = tk.theta
-        theta[-2:] = np.log([2.0, 3.0])
-        tk.theta = theta
-        assert tk.a == pytest.approx(2.0)
-        assert tk.b == pytest.approx(3.0)
-
-    def test_invalid_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            TransferKernel(RBFKernel(np.ones(2)), a=-1.0)
-
-    def test_gradients_match_finite_differences(self):
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        """The two-task likelihood gradient: kernel, ``a``, ``b`` and
+        both task noises."""
         X = rng.uniform(size=(10, 2))
-        tasks = np.array([0] * 5 + [1] * 5)
         y = np.sin(4 * X.sum(axis=1))
-        tk = self._kernel(a=0.8, b=1.2)
+        seen = {}
 
-        def lml(theta):
-            tk.theta = theta
-            value, _, _ = gaussian_log_marginal(
-                tk.eval(X, tasks) + 0.01 * np.eye(10), y
-            )
-            return value
+        def spy(objective, theta0, bounds, **kwargs):
+            seen["objective"] = objective
+            return theta0
 
-        def grad(theta):
-            tk.theta = theta
-            K, grad_of = tk.eval_and_grad(X, tasks)
-            _, W, _ = gaussian_log_marginal(
-                K + 0.01 * np.eye(10), y
-            )
-            return grad_of(W)
-
-        theta0 = tk.theta + rng.normal(scale=0.05, size=len(tk.theta))
-        numeric = approx_fprime(theta0, lml, 1e-6)
-        assert np.allclose(grad(theta0), numeric, atol=1e-4)
+        monkeypatch.setattr(multisource_mod, "maximize_objective", spy)
+        MultiSourceTransferGP(
+            kernel=RBFKernel(np.full(2, 0.5)), a=0.8, b=1.2
+        ).fit([(X[:5], y[:5])], X[5:], y[5:])
+        objective = seen["objective"]
+        theta0 = np.log([0.5, 0.5, 1.0, 0.8, 1.2, 0.01, 0.02])
+        theta0 = theta0 + rng.normal(scale=0.05, size=len(theta0))
+        numeric = approx_fprime(theta0, lambda t: objective(t)[0], 1e-6)
+        assert np.allclose(objective(theta0)[1], numeric, atol=1e-4)
 
 
 def _make_tasks(shift=0.05, flip=False, n_src=60, n_tgt=10):
@@ -136,15 +134,15 @@ def _make_tasks(shift=0.05, flip=False, n_src=60, n_tgt=10):
 class TestTransferGP:
     def test_positive_transfer_learned(self):
         Xs, ys, Xt, yt, Xq, yq = _make_tasks()
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
-        assert model.lam > 0.5
+        model = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
+        assert model.lambdas[0] > 0.5
         mean, _ = model.predict(Xq)
         assert np.sqrt(np.mean((mean - yq) ** 2)) < 0.15
 
     def test_negative_transfer_learned(self):
         Xs, ys, Xt, yt, Xq, yq = _make_tasks(flip=True)
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
-        assert model.lam < -0.5
+        model = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
+        assert model.lambdas[0] < -0.5
         mean, _ = model.predict(Xq)
         assert np.sqrt(np.mean((mean - yq) ** 2)) < 0.3
 
@@ -152,7 +150,7 @@ class TestTransferGP:
         from repro.gp import GPRegressor
 
         Xs, ys, Xt, yt, Xq, yq = _make_tasks()
-        transfer = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
+        transfer = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
         target_only = GPRegressor(seed=0).fit(Xt, yt)
         rmse_t = np.sqrt(np.mean((transfer.predict(Xq)[0] - yq) ** 2))
         rmse_o = np.sqrt(np.mean((target_only.predict(Xq)[0] - yq) ** 2))
@@ -160,54 +158,41 @@ class TestTransferGP:
 
     def test_no_source_data_still_works(self):
         _, _, Xt, yt, Xq, yq = _make_tasks(n_tgt=25)
-        model = TransferGP(seed=0).fit(
-            np.empty((0, 3)), np.empty(0), Xt, yt
+        model = MultiSourceTransferGP(seed=0).fit(
+            [(np.empty((0, 3)), np.empty(0))], Xt, yt
         )
         mean, var = model.predict(Xq)
         assert mean.shape == (60,)
         assert np.all(var > 0)
+        assert len(model.lambdas) == 0
 
     def test_empty_target_raises(self):
         Xs, ys, *_ = _make_tasks()
         with pytest.raises(ValueError, match="target"):
-            TransferGP().fit(Xs, ys, np.empty((0, 3)), np.empty(0))
+            MultiSourceTransferGP().fit(
+                [(Xs, ys)], np.empty((0, 3)), np.empty(0)
+            )
 
     def test_dim_mismatch_raises(self):
         Xs, ys, Xt, yt, *_ = _make_tasks()
         with pytest.raises(ValueError, match="dimensionality"):
-            TransferGP().fit(Xs[:, :2], ys, Xt, yt)
+            MultiSourceTransferGP().fit([(Xs[:, :2], ys)], Xt, yt)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            TransferGP().predict(np.zeros((1, 3)))
-
-    def test_noise_properties(self):
-        Xs, ys, Xt, yt, *_ = _make_tasks()
-        model = TransferGP(
-            noise_source=0.5, noise_target=0.25, optimize=False
-        ).fit(Xs, ys, Xt, yt)
-        assert model.noise_source == pytest.approx(0.5)
-        assert model.noise_target == pytest.approx(0.25)
+            MultiSourceTransferGP().predict(np.zeros((1, 3)))
 
     def test_include_noise_adds_target_noise(self):
         Xs, ys, Xt, yt, Xq, _ = _make_tasks()
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
+        model = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
         _, v0 = model.predict(Xq[:3], include_noise=False)
         _, v1 = model.predict(Xq[:3], include_noise=True)
         assert np.all(v1 >= v0)
 
     def test_interpolates_target_points(self):
         Xs, ys, Xt, yt, *_ = _make_tasks(n_tgt=15)
-        model = TransferGP(
-            noise_target=1e-6, noise_source=1e-2, seed=0
-        ).fit(Xs, ys, Xt, yt)
+        model = MultiSourceTransferGP(noise=1e-6, seed=0).fit(
+            [(Xs, ys)], Xt, yt
+        )
         mean, _ = model.predict(Xt)
         assert np.abs(mean - yt).max() < 0.1
-
-    def test_lml_finite(self):
-        Xs, ys, Xt, yt, *_ = _make_tasks()
-        model = TransferGP(seed=0).fit(Xs, ys, Xt, yt)
-        assert np.isfinite(model.log_marginal_likelihood())
-
-    def test_task_constants(self):
-        assert SOURCE_TASK != TARGET_TASK

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.gp.multisource import MultiSourceTransferGP
-from repro.gp.transfer_gp import TransferGP
 from repro.pareto import hypervolume_error, pareto_front
 
 
@@ -20,20 +19,25 @@ def multi_pool(synthetic_pool):
     return X, Y, [(Xs, Ys), (X_noise, Y_noise)]
 
 
+def _assert_transfer_models(tuner, n_sources):
+    """Every surrogate is the one transfer GP, over ``n_sources``."""
+    for m in tuner.models_:
+        assert isinstance(m, MultiSourceTransferGP)
+        assert len(m.lambdas) == n_sources
+
+
 class TestMultiSourceTuning:
     def test_uses_multisource_models(self, multi_pool):
         X, Y, sources = multi_pool
         tuner = PPATuner(PPATunerConfig(max_iterations=15, seed=0))
         tuner.tune(X, PoolOracle(Y), sources=sources)
-        assert all(
-            isinstance(m, MultiSourceTransferGP) for m in tuner.models_
-        )
+        _assert_transfer_models(tuner, n_sources=2)
 
     def test_single_entry_sources_uses_two_task_model(self, multi_pool):
         X, Y, sources = multi_pool
         tuner = PPATuner(PPATunerConfig(max_iterations=10, seed=0))
         tuner.tune(X, PoolOracle(Y), sources=sources[:1])
-        assert all(isinstance(m, TransferGP) for m in tuner.models_)
+        _assert_transfer_models(tuner, n_sources=1)
 
     def test_quality_comparable_to_single_source(self, multi_pool):
         X, Y, sources = multi_pool
@@ -68,7 +72,7 @@ class TestMultiSourceTuning:
         tuner = PPATuner(PPATunerConfig(max_iterations=8, seed=0))
         result = tuner.tune(X, PoolOracle(Y), sources=[])
         assert len(result.pareto_indices) > 0
-        assert all(isinstance(m, TransferGP) for m in tuner.models_)
+        _assert_transfer_models(tuner, n_sources=0)
 
     def test_misaligned_source_rejected(self, multi_pool):
         X, Y, sources = multi_pool
@@ -82,4 +86,4 @@ class TestMultiSourceTuning:
             PPATunerConfig(max_iterations=8, seed=0, transfer=False)
         )
         tuner.tune(X, PoolOracle(Y), sources=sources)
-        assert all(isinstance(m, TransferGP) for m in tuner.models_)
+        _assert_transfer_models(tuner, n_sources=0)
