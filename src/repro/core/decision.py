@@ -13,22 +13,26 @@ Minimization semantics.  With uncertainty boxes ``[lo(x), hi(x)]``:
 
 Both rules only ever compare against the *Pareto front* of the relevant
 corner values (a dominator must itself be non-dominated among the
-corners), which keeps each pass near-linear instead of quadratic.
+corners), so a pass costs one front sweep per rule plus a
+``(front, candidates)`` comparison: linear in the pool for a fixed
+front size, quadratic only when most of the pool is on the front.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..obs.events import DecisionSummary
-from ..pareto.dominance import pareto_indices
+from ..pareto.dominance import dominance_matrix, pareto_indices
 from .uncertainty import UncertaintyRegions
 
 
-#: Chunk size of the blocked δ-domination reduction: 2048 rows keep the
-#: (block, block, m) comparison intermediates cache-resident even for
-#: pools of 10^5-10^6 candidates, where the old single-shot broadcast
-#: would materialize a multi-gigabyte (nf, nq, m) array.
+#: Chunk size of the blocked δ-domination reduction: each step builds
+#: one (block, block) boolean matrix at most, 4 MB at 2048 rows, where a
+#: single-shot comparison over pools of 10^5-10^6 candidates would need
+#: gigabytes.
 _DOM_BLOCK = 2048
 
 
@@ -45,11 +49,12 @@ def _dominated_by_any(
     A front point ``f`` δ-dominates query ``q`` iff
     ``f <= q + slack`` componentwise with strict ``<`` somewhere.
 
-    Evaluated in (query × front) blocks — pure elementwise comparisons
-    plus an ``any`` reduction over a partitioned axis, so the result is
-    bit-identical to the single-shot broadcast for every input; query
-    chunks whose rows are all already dominated stop scanning the
-    remaining front blocks early.
+    Evaluated in (query × front) blocks with
+    :func:`~repro.pareto.dominance.dominance_matrix` — pure elementwise
+    comparisons plus an ``any`` reduction over a partitioned axis, so
+    the result is bit-identical to the single-shot broadcast for every
+    input; query chunks whose rows are all already dominated stop
+    scanning the remaining front blocks early.
 
     Args:
         front: ``(nf, m)`` dominator corner values.
@@ -73,12 +78,10 @@ def _dominated_by_any(
         dom_q = np.zeros(qe - qs, dtype=bool)
         for fs in range(0, nf, block):
             fe = min(fs + block, nf)
-            F = front[fs:fe]
             # (bf, bq): does front i dominate query j?
-            weak = np.all(F[:, None, :] <= relaxed[None, :, :], axis=2)
-            strict = np.any(F[:, None, :] < relaxed[None, :, :], axis=2)
-            not_self = front_ids[fs:fe, None] != qid[None, :]
-            dom_q |= np.any(weak & strict & not_self, axis=0)
+            dom = dominance_matrix(front[fs:fe], relaxed)
+            dom &= front_ids[fs:fe, None] != qid[None, :]
+            dom_q |= dom.any(axis=0)
             if dom_q.all():
                 break
         out[qs:qe] = dom_q
@@ -147,6 +150,7 @@ def apply_decision_rules(
     """
     undecided = np.asarray(undecided, dtype=bool)
     pareto = np.asarray(pareto, dtype=bool)
+    start = time.perf_counter() if recorder else 0.0
     newly_dropped, newly_pareto = _decide(
         regions, undecided, pareto, delta, pareto_delta
     )
@@ -167,6 +171,7 @@ def apply_decision_rules(
             n_dropped=n_dropped,
             newly_dropped=len(newly_dropped),
             newly_pareto=len(newly_pareto),
+            seconds=time.perf_counter() - start,
         ))
     return newly_dropped, newly_pareto
 

@@ -35,6 +35,15 @@ also fixes the whitened cache's memory layout (column-major for one
 block, row-major for several), and that layout decides how border
 updates round, so changing it can move trajectories.
 
+Border updates grow the caches in place: both are views into buffers
+with up to :data:`POOL_SPARE` spare training columns, so an update
+writes only its new columns, and a full buffer is reallocated with that
+much room again.  The buffers keep the layout a copy-based
+``np.hstack``/``np.vstack`` growth would give, so predictions match it
+bit for bit.  Anything that rebuilds the caches (``fit``, the fallback
+refit, :meth:`register_pool`, :meth:`extend_pool`) drops the buffers
+with them.
+
 Subclasses must maintain ``_X``, ``_L``, ``_alpha``, ``_y_mean``,
 ``_y_std`` (the existing fit state) plus ``_y_raw`` and ``_jitter``, and
 implement the small covariance hooks below; ``predict`` is built from
@@ -57,6 +66,23 @@ from .linalg import (
 #: Row-chunk size for building and extending the pool prediction caches.
 POOL_BLOCK = 32768
 
+#: Spare training columns a pool-cache buffer is (re)allocated with, so
+#: that many border-updated points cost no reallocation.
+POOL_SPARE = 16
+
+
+def _stacked_order(*blocks: np.ndarray) -> str:
+    """Memory order ``np.concatenate`` gives a stack of 2-D ``blocks``.
+
+    Column-major only if every block without a unit dimension is
+    column-major (row-major wins conflicts; unit dimensions carry no
+    order).
+    """
+    ordered = [b for b in blocks if 1 not in b.shape]
+    if ordered and all(b.strides[1] > b.strides[0] for b in ordered):
+        return "F"
+    return "C"
+
 
 class IncrementalGPMixin:
     """Prediction, exact incremental updates and cached pool prediction
@@ -70,6 +96,9 @@ class IncrementalGPMixin:
     _pool_X: np.ndarray | None = None
     _pool_K: np.ndarray | None = None
     _pool_V: np.ndarray | None = None
+    #: ``(K, V)`` buffers ``_pool_K``/``_pool_V`` are views into once a
+    #: border update has grown them; ``None`` after every rebuild.
+    _pool_buffers: tuple[np.ndarray, np.ndarray] | None = None
     #: Whether the last :meth:`update` call had to fall back to an exact
     #: from-scratch refactorization (jitter escalation).
     last_update_fallback: bool = False
@@ -210,9 +239,39 @@ class IncrementalGPMixin:
                 rows=slice(n_old, n_old + k),
                 C=L_ext[n_old:, :n_old], V_old=self._pool_V,
             )
-            self._pool_K = np.hstack([self._pool_K, Kp_new])
-            self._pool_V = np.vstack([self._pool_V, V_new])
+            self._append_pool_columns(Kp_new, V_new)
         return self
+
+    def _append_pool_columns(
+        self, K_new: np.ndarray, V_new: np.ndarray
+    ) -> None:
+        """Append training columns to the pool caches, in place.
+
+        ``K_new`` is ``(p, k)`` and ``V_new`` is ``(k, p)``.  They are
+        written into the spare columns of the caches' buffers.  Without
+        room the buffers are reallocated with :data:`POOL_SPARE` spare
+        columns, and so they are when the whitened cache must change
+        layout: it keeps the layout ``np.vstack([V, V_new])`` would
+        give, which decides how later border updates round.
+        """
+        K, V = self._pool_K, self._pool_V
+        (p, n), k = K.shape, K_new.shape[1]
+        order = _stacked_order(V, V_new)
+        bufs = self._pool_buffers
+        if (
+            bufs is None
+            or bufs[0].shape[1] < n + k
+            or _stacked_order(bufs[1]) != order
+        ):
+            cap = n + k + POOL_SPARE
+            bufs = (np.empty((p, cap)), np.empty((cap, p), order=order))
+            bufs[0][:, :n] = K
+            bufs[1][:n] = V
+            self._pool_buffers = bufs
+        K_buf, V_buf = bufs
+        K_buf[:, n:n + k] = K_new
+        V_buf[n:n + k] = V_new
+        self._pool_K, self._pool_V = K_buf[:, :n + k], V_buf[:n + k]
 
     def _restandardize(self) -> None:
         """Refresh standardization constants and ``alpha`` from raw y."""
@@ -277,6 +336,7 @@ class IncrementalGPMixin:
         K_new, V_new = self._pool_blocks(X_new, self._L)
         self._pool_K = np.vstack([self._pool_K, K_new])
         self._pool_V = np.hstack([self._pool_V, V_new])
+        self._pool_buffers = None
 
     def _pool_blocks(
         self,
@@ -317,6 +377,7 @@ class IncrementalGPMixin:
     def _invalidate_pool_cache(self) -> None:
         self._pool_K = None
         self._pool_V = None
+        self._pool_buffers = None
 
     def _ensure_pool_cache(self) -> None:
         """Materialize the pool cross-covariance / whitened caches."""
@@ -373,4 +434,4 @@ class IncrementalGPMixin:
         )
 
 
-__all__ = ["POOL_BLOCK", "IncrementalGPMixin"]
+__all__ = ["POOL_BLOCK", "POOL_SPARE", "IncrementalGPMixin"]

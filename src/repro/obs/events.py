@@ -127,7 +127,8 @@ class DecisionSummary(TraceEvent):
     """One decision-making pass (Eq. (11)-(12)) finished.
 
     Counts are post-pass totals over the pool; ``newly_*`` are this
-    pass's contributions.
+    pass's contributions.  ``seconds`` is the pass's wall-clock time
+    (0.0 in traces written before it was recorded).
     """
 
     type = "decision_summary"
@@ -139,6 +140,7 @@ class DecisionSummary(TraceEvent):
     n_dropped: int
     newly_dropped: int
     newly_pareto: int
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Iterable
 from .events import (
     CalibrationDone,
     CircuitStateChange,
+    DecisionSummary,
     EvaluationRetry,
     PointQuarantined,
     SelectionMade,
@@ -135,6 +136,12 @@ def summarize_trace(source: str | Path | TraceReplay) -> str:
             f"calibration: {full} full, {incr} incremental, "
             f"{fallbacks} fallback(s), {reopts} re-optimization(s), "
             f"{total_s:.2f}s total"
+        )
+    decisions = [e for e in events if isinstance(e, DecisionSummary)]
+    if decisions:
+        lines.append(
+            f"decisions: {len(decisions)} pass(es), "
+            f"{sum(e.seconds for e in decisions):.2f}s total"
         )
 
     evals = [e for e in events if isinstance(e, ToolEvaluation)]

@@ -30,8 +30,43 @@ def epsilon_dominates(
     return bool(np.all(a - np.asarray(epsilon, dtype=float) <= b))
 
 
-#: Row-block size of the vectorized non-dominated sweep; 512 rows keep
-#: the (block, block, m) comparison intermediates inside the L2 cache.
+def dominance_matrix(
+    A: np.ndarray, B: np.ndarray, strict: bool = True
+) -> np.ndarray:
+    """Pairwise dominance of the rows of ``A`` over the rows of ``B``.
+
+    Entry ``[i, j]`` says whether ``A[i]`` dominates ``B[j]``: no worse
+    in every objective and, when ``strict``, strictly better in at least
+    one (Pareto dominance); ``strict=False`` gives weak dominance,
+    ``A[i] <= B[j]`` everywhere.  Built one objective at a time by
+    ``&=``/``|=`` over ``(len(A), len(B))`` comparisons, so no
+    ``(len(A), len(B), m)`` intermediate exists; the result equals the
+    ``np.all``/``np.any`` broadcast bit for bit.  A comparison against
+    NaN is False, so a row with a NaN coordinate neither dominates nor
+    is dominated.
+
+    Args:
+        A: ``(na, m)`` dominator candidates.
+        B: ``(nb, m)`` victim candidates.
+        strict: Pareto (default) or weak dominance.
+
+    Returns:
+        ``(na, nb)`` boolean matrix.
+    """
+    le = np.ones((len(A), len(B)), dtype=bool)
+    lt = np.zeros((len(A), len(B)), dtype=bool)
+    for k in range(A.shape[1]):
+        a, b = A[:, k, None], B[None, :, k]
+        le &= a <= b
+        if strict:
+            lt |= a < b
+    if strict:
+        le &= lt
+    return le
+
+
+#: Row-block size of the non-dominated sweep: bounds each step's
+#: ``(survivors, block)`` and ``(block, block)`` comparison matrices.
 _ND_BLOCK = 512
 
 
@@ -44,14 +79,18 @@ def non_dominated_mask(
     NaN rows are kept too — a comparison against NaN is False, so they
     neither dominate nor are dominated.
 
-    Blocked whole-array sweep in lexicographic order: a dominator is
-    always lexicographically no later than its victim, so each sorted
-    block only needs comparing against (a) itself, strictly-earlier
-    rows only, and (b) the *survivors* of earlier blocks — by dominance
-    transitivity any dominator eliminated earlier is itself dominated
-    by a surviving point, so checking survivors alone yields the exact
-    same mask as checking everything (property-tested against a
-    per-point reference sweep and a definition-direct double loop).
+    Blocked sweep in lexicographic order.  A dominator is always
+    lexicographically earlier than its victim, so each sorted block is
+    compared against (a) the *survivors* of earlier blocks — any
+    dominator eliminated earlier is itself dominated by a survivor, by
+    transitivity — and then (b) itself, but only on the rows no survivor
+    dominates: if a row of the block dominates one of those, no survivor
+    can dominate it either (else that survivor would dominate both), so
+    every within-block dominator of a remaining row is itself a
+    remaining row.  On pools whose front is small, step (a) eliminates
+    almost every row and (b) runs on a handful.  The mask is exactly
+    the definition's (property-tested against a per-point reference
+    sweep and a definition-direct double loop).
 
     Args:
         points: ``(n, m)`` objective matrix.
@@ -66,30 +105,26 @@ def non_dominated_mask(
         return np.zeros(0, dtype=bool)
     order = np.lexsort(pts.T[::-1])
     sorted_pts = pts[order]
-    keep = np.ones(n, dtype=bool)  # in sorted order
+    keep = np.empty(n, dtype=bool)  # in sorted order
+    survivors = sorted_pts[:0]
     for s in range(0, n, block):
-        e = min(s + block, n)
-        B = sorted_pts[s:e]
-        nb = e - s
-        dom = np.zeros(nb, dtype=bool)
+        B = sorted_pts[s:s + block]
         # (a) survivors of the earlier blocks.
-        prev = np.nonzero(keep[:s])[0]
-        for cs in range(0, len(prev), block):
-            S = sorted_pts[prev[cs:cs + block]]
-            le = np.all(S[:, None, :] <= B[None, :, :], axis=2)
-            lt = np.any(S[:, None, :] < B[None, :, :], axis=2)
-            dom |= np.any(le & lt, axis=0)
+        dom = np.zeros(len(B), dtype=bool)
+        for cs in range(0, len(survivors), block):
+            dom |= dominance_matrix(survivors[cs:cs + block], B).any(axis=0)
             if dom.all():
                 break
-        # (b) within the block: only strictly-earlier rows (i < j) can
-        # dominate — a lexicographically later row that is <= everywhere
-        # would have to be equal, and equals never strictly dominate.
+        # (b) within the block, among the rows (a) left.  No earlier-row
+        # mask is needed: a lexicographically later row dominates no
+        # earlier one, and no row dominates itself.
+        rest = np.nonzero(~dom)[0]
+        if len(rest) > 1:
+            R = B[rest]
+            dom[rest] = dominance_matrix(R, R).any(axis=0)
+        keep[s:s + block] = ~dom
         if not dom.all():
-            le = np.all(B[:, None, :] <= B[None, :, :], axis=2)
-            lt = np.any(B[:, None, :] < B[None, :, :], axis=2)
-            earlier = np.tri(nb, nb, -1, dtype=bool).T  # i < j
-            dom |= np.any(le & lt & earlier, axis=0)
-        keep[s:e] = ~dom
+            survivors = np.concatenate([survivors, B[~dom]])
     mask = np.empty(n, dtype=bool)
     mask[order] = keep
     return mask

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dominance import dominance_matrix
+
 
 def adrs(reference_set: np.ndarray, approx_set: np.ndarray) -> float:
     """Average distance from reference set, Eq. (3).
@@ -44,18 +46,25 @@ def adrs(reference_set: np.ndarray, approx_set: np.ndarray) -> float:
 def coverage(set_a: np.ndarray, set_b: np.ndarray) -> float:
     """C-metric: fraction of ``set_b`` weakly dominated by ``set_a``.
 
-    A supplementary indicator (not in the paper's tables) useful for
-    pairwise method comparison.
+    Zitzler and Thiele's set coverage: a point of ``set_b`` counts as
+    covered when some point of ``set_a`` is no worse in every objective
+    (``a <= b``), so a point both sets share is covered and
+    ``coverage(P, P) == 1.0``.  A supplementary indicator (not in the
+    paper's tables) useful for pairwise method comparison.
+
+    Raises:
+        ValueError: On empty sets or an objective-count mismatch.
     """
     a = np.atleast_2d(np.asarray(set_a, dtype=float))
     b = np.atleast_2d(np.asarray(set_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("coverage needs non-empty sets")
-    dominated = 0
-    for q in b:
-        if np.any(np.all(a <= q, axis=1) & np.any(a < q, axis=1)):
-            dominated += 1
-    return dominated / len(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"objective mismatch: {a.shape[1]} vs {b.shape[1]}"
+        )
+    covered = dominance_matrix(a, b, strict=False).any(axis=0)
+    return int(np.count_nonzero(covered)) / len(b)
 
 
 def spacing(front: np.ndarray) -> float:

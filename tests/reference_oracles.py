@@ -5,9 +5,13 @@ The vectorized/blocked fast paths in :mod:`repro.core.decision`,
 required to return *identical* index sets to the code they replaced.
 This module keeps that replaced code alive, verbatim, as the oracles the
 equivalence property tests in ``tests/test_fastpath_equivalence.py``
-compare against: the per-point reference sweeps, and scalar double
-loops straight off the paper's Eq. (10)-(12) definitions — slow, but
-obviously correct.
+compare against: the per-point reference sweeps, the blocked sweep that
+compared every block against itself in full, and scalar double loops
+straight off the paper's Eq. (10)-(12) definitions — slow, but
+obviously correct.  It also keeps the copy-based growth of the GP pool
+caches, which the in-place growth of
+:class:`~repro.gp.incremental.IncrementalGPMixin` must match bit for
+bit.
 
 The GP section keeps the kernels' ``(n1, n2, d)`` broadcast and the
 list-of-``dK/dtheta`` marginal-likelihood gradient that the ``cdist``
@@ -27,7 +31,11 @@ import numpy as np
 
 from repro.core.uncertainty import UncertaintyRegions
 from repro.gp import Matern52Kernel, RBFKernel
-from repro.gp.linalg import cholesky_solve, robust_cholesky
+from repro.gp.linalg import (
+    cholesky_append_rows,
+    cholesky_solve,
+    robust_cholesky,
+)
 
 __all__ = [
     "ard_eval_reference",
@@ -40,9 +48,11 @@ __all__ = [
     "dominated_by_any_reference",
     "dominated_by_any_scalar",
     "intersect_scalar",
+    "non_dominated_mask_blocked_reference",
     "non_dominated_mask_reference",
     "non_dominated_mask_scalar",
     "pareto_indices_reference",
+    "update_copy_reference",
 ]
 
 
@@ -69,6 +79,47 @@ def non_dominated_mask_reference(points: np.ndarray) -> np.ndarray:
         later = sorted_pts[i + 1:]
         dominated = np.all(p <= later, axis=1) & np.any(p < later, axis=1)
         mask[order[i + 1:][dominated]] = False
+    return mask
+
+
+def non_dominated_mask_blocked_reference(
+    points: np.ndarray, block: int = 512
+) -> np.ndarray:
+    """The blocked sweep that compared each block against itself in full.
+
+    Lexicographic order, survivors of earlier blocks compared against
+    the whole block, then a ``(block, block, m)`` within-block broadcast
+    over strictly-earlier rows — every row of the block, not only the
+    ones no survivor dominates.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = len(pts)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort(pts.T[::-1])
+    sorted_pts = pts[order]
+    keep = np.ones(n, dtype=bool)  # in sorted order
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        B = sorted_pts[s:e]
+        nb = e - s
+        dom = np.zeros(nb, dtype=bool)
+        prev = np.nonzero(keep[:s])[0]
+        for cs in range(0, len(prev), block):
+            S = sorted_pts[prev[cs:cs + block]]
+            le = np.all(S[:, None, :] <= B[None, :, :], axis=2)
+            lt = np.any(S[:, None, :] < B[None, :, :], axis=2)
+            dom |= np.any(le & lt, axis=0)
+            if dom.all():
+                break
+        if not dom.all():
+            le = np.all(B[:, None, :] <= B[None, :, :], axis=2)
+            lt = np.any(B[:, None, :] < B[None, :, :], axis=2)
+            earlier = np.tri(nb, nb, -1, dtype=bool).T  # i < j
+            dom |= np.any(le & lt & earlier, axis=0)
+        keep[s:e] = ~dom
+    mask = np.empty(n, dtype=bool)
+    mask[order] = keep
     return mask
 
 
@@ -255,6 +306,40 @@ def intersect_scalar(
             hi = np.where(empty, nearest, hi)
         regions.lo[idx] = lo
         regions.hi[idx] = hi
+
+
+# ---------------------------------------------------------------------
+# GP pool caches — copy-based growth
+
+
+def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
+    """``IncrementalGPMixin.update`` growing the pool caches by copying.
+
+    The border update as it was before the caches grew in place: every
+    call rebuilds both caches one training column larger with
+    ``np.hstack``/``np.vstack``.  No validation and no fallback — the
+    callers feed well-conditioned points.
+    """
+    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+    y_new = np.asarray(y_new, dtype=float).ravel()
+    n_old, k = len(model._L), len(y_new)
+    K_cross = model._cross_cov(X_new).T
+    K_block = model._cov_new_block(X_new)
+    if model._jitter:
+        K_block = K_block + model._jitter * np.eye(k)
+    L_ext = cholesky_append_rows(model._L, K_cross, K_block)
+    model._append_data(X_new, y_new)
+    model._L = L_ext
+    model._restandardize()
+    if model._pool_K is not None and model._pool_V is not None:
+        Kp_new, V_new = model._pool_blocks(
+            model._pool_X, L_ext[n_old:, n_old:],
+            rows=slice(n_old, n_old + k),
+            C=L_ext[n_old:, :n_old], V_old=model._pool_V,
+        )
+        model._pool_K = np.hstack([model._pool_K, Kp_new])
+        model._pool_V = np.vstack([model._pool_V, V_new])
+    return model
 
 
 # ---------------------------------------------------------------------

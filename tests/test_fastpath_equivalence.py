@@ -8,8 +8,14 @@ pool prediction caches are locked to reference implementations here:
   index sets to the per-point reference and scalar oracles in
   :mod:`tests.reference_oracles`, across random pools, degenerate
   (zero-width) rectangles, exact ties, and NaN-imputed rows;
+- the sweeps hold at scale — inputs spanning several blocks, all-front
+  sets, ties, NaN rows — and the survivor-restricted within-block step
+  catches a dominator that only its own block holds;
 - pool caches built in small blocks equal the single-shot build bit for
   bit (border updates to roundoff), and never move seeded trajectories;
+- pool caches grown in place by border updates equal the copy-based
+  growth bit for bit in both memory layouts, and every rebuild releases
+  their buffers;
 - a border update that hits a non-positive-definite Schur complement
   falls back to an exact per-GP refactorization without crashing,
   flagged via ``last_update_fallback``, including when the new row
@@ -30,14 +36,17 @@ from repro.core.decision import _DOM_BLOCK, _dominated_by_any, apply_decision_ru
 from repro.core.uncertainty import UncertaintyRegions
 from repro.gp import MultiSourceTransferGP, NotPositiveDefiniteError, RBFKernel
 from repro.pareto import non_dominated_mask
+from repro.pareto.dominance import _ND_BLOCK, dominance_matrix
 
 from .reference_oracles import (
     decide_reference,
     dominated_by_any_reference,
     dominated_by_any_scalar,
     intersect_scalar,
+    non_dominated_mask_blocked_reference,
     non_dominated_mask_reference,
     non_dominated_mask_scalar,
+    update_copy_reference,
 )
 
 pytestmark = pytest.mark.fastpath
@@ -70,6 +79,30 @@ def objective_pools(draw):
     if with_nans and n:
         pts[rng.random(n) < 0.2] = np.nan
     return pts
+
+
+def _scale_points(rng, n, m, kind):
+    """``(n, m)`` objectives of one ``kind``: ``"front"`` (anti-correlated,
+    every row non-dominated), ``"ties"`` (a few levels per objective, so
+    exact ties and duplicate rows abound) or ``"nan"`` (whole-NaN and
+    partial-NaN rows among ties)."""
+    if kind == "front":
+        return rng.dirichlet(np.ones(m), size=n)
+    pts = rng.integers(0, 4, size=(n, m)).astype(float)
+    if kind == "nan":
+        pts[rng.random(n) < 0.05] = np.nan
+        pts[rng.random((n, m)) < 0.05] = np.nan
+    return pts
+
+
+@st.composite
+def scale_pools(draw):
+    """600-1500-row objective matrices: several sweep blocks each."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(600, 1500))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["front", "ties", "nan"]))
+    return _scale_points(rng, n, m, kind)
 
 
 @st.composite
@@ -151,6 +184,76 @@ class TestNonDominatedMask:
         )
         assert non_dominated_mask(pts).all()
 
+    @given(scale_pools())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_reference_at_scale(self, pts):
+        """Inputs spanning two or three default blocks: all-front sets
+        (every within-block step runs in full), ties and NaN rows."""
+        assert len(pts) > _ND_BLOCK
+        fast = non_dominated_mask(pts)
+        np.testing.assert_array_equal(
+            fast, non_dominated_mask_reference(pts)
+        )
+        np.testing.assert_array_equal(
+            fast, non_dominated_mask_blocked_reference(pts)
+        )
+
+    @pytest.mark.parametrize("block", [4, _ND_BLOCK])
+    def test_dominator_only_in_own_block(self, block):
+        """A row whose one dominator is an earlier row of its own block
+        that no earlier survivor dominates: the within-block step must
+        still run on the rows the survivor check left."""
+        t = np.arange(block, dtype=float)
+        first = np.column_stack([t, 2.0 * block - t])  # a front
+        second = np.array([
+            [block + 0.0, 2.0],  # survives: y below every earlier row
+            [block + 1.0, 2.0],  # dominated by the row above, only
+            [block + 2.0, 1.0],
+            [block + 3.0, 0.5],
+        ])
+        pts = np.vstack([first, second])
+        victim = block + 1
+        dominators = [
+            i for i in range(len(pts))
+            if np.all(pts[i] <= pts[victim]) and np.any(pts[i] < pts[victim])
+        ]
+        assert dominators == [block]
+        expected = np.ones(len(pts), dtype=bool)
+        expected[victim] = False
+        perm = np.random.default_rng(0).permutation(len(pts))
+        np.testing.assert_array_equal(
+            non_dominated_mask(pts[perm], block=block), expected[perm]
+        )
+        np.testing.assert_array_equal(
+            non_dominated_mask_reference(pts[perm]), expected[perm]
+        )
+
+
+def _broadcast_dominance(A, B, strict=True):
+    """The ``(na, nb, m)`` ``np.all``/``np.any`` broadcast."""
+    le = np.all(A[:, None, :] <= B[None, :, :], axis=2)
+    if not strict:
+        return le
+    return le & np.any(A[:, None, :] < B[None, :, :], axis=2)
+
+
+class TestDominanceMatrix:
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.booleans())
+    @moderate
+    def test_equals_broadcast(self, seed, m, strict):
+        """Bit for bit, with ties, signed zeros, infinities and NaNs."""
+        rng = np.random.default_rng(seed)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf,
+                           np.nan])
+        A = rng.choice(values, size=(rng.integers(0, 30), m))
+        B = rng.choice(values, size=(rng.integers(0, 30), m))
+        got = dominance_matrix(A, B, strict=strict)
+        assert got.dtype == bool and got.shape == (len(A), len(B))
+        np.testing.assert_array_equal(
+            got, _broadcast_dominance(A, B, strict)
+        )
+
 
 class TestDeltaDomination:
     @given(domination_cases())
@@ -179,6 +282,30 @@ class TestDeltaDomination:
                 front, fids, queries, qids, slack, block=_DOM_BLOCK
             ),
         )
+
+    @given(st.integers(0, 10_000), st.integers(1, 4),
+           st.sampled_from(["front", "ties", "nan"]))
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_reference_at_scale(self, seed, m, kind):
+        """600-1500 rows a side, in default-size and in 512-row blocks."""
+        rng = np.random.default_rng(seed)
+        nf, nq = rng.integers(600, 1501, size=2)
+        front = _scale_points(rng, nf, m, kind)
+        queries = _scale_points(rng, nq, m, kind)
+        fids = rng.permutation(nf + nq)[:nf]
+        qids = rng.permutation(nf + nq)[:nq]
+        slack = np.where(rng.random(m) < 0.5, 0.0, 0.01)
+        expected = dominated_by_any_reference(
+            front, fids, queries, qids, slack
+        )
+        for block in (_DOM_BLOCK, 512):
+            np.testing.assert_array_equal(
+                _dominated_by_any(
+                    front, fids, queries, qids, slack, block=block
+                ),
+                expected,
+            )
 
 
 class TestDecisionBackends:
@@ -426,3 +553,126 @@ class TestFloat32Pool:
         assert [h.selected for h in ref.history] == [
             h.selected for h in fast.history
         ]
+
+
+# ---------------------------------------------------------------------
+# pool caches grown in place == copy-based growth
+# ---------------------------------------------------------------------
+
+
+def _growth_model(rng, d=3):
+    """A fixed-hyperparameter one-source model on 20 + 10 rows."""
+    Xs, Xt = rng.uniform(size=(20, d)), rng.uniform(size=(10, d))
+    return MultiSourceTransferGP(
+        kernel=RBFKernel(np.full(d, 0.4)), optimize=False
+    ).fit([(Xs, rng.normal(size=20))], Xt, rng.normal(size=10))
+
+
+class TestInPlacePoolGrowth:
+    @pytest.mark.parametrize("pool_block", [None, 17, 120])
+    def test_matches_copy_growth(self, pool_block, monkeypatch):
+        """More border updates than the spare capacity holds, with pool
+        extensions in between: every ``predict_pool`` equals the
+        copy-based growth bit for bit.  ``None`` keeps one block
+        (column-major whitened cache), 17 forces several (row-major),
+        and 120 lets the extensions carry the pool across a block
+        boundary, where the copy-based stack turns row-major."""
+        if pool_block is not None:
+            monkeypatch.setattr(incremental, "POOL_BLOCK", pool_block)
+        rng = np.random.default_rng(11)
+        pool = rng.uniform(size=(100, 3))
+        fast = _growth_model(np.random.default_rng(3))
+        ref = _growth_model(np.random.default_rng(3))
+        for model in (fast, ref):
+            model.register_pool(pool)
+            model.predict_pool(np.arange(len(pool)))
+        n_updates = 2 * incremental.POOL_SPARE + 5
+        p = len(pool)
+        buffers = []  # every K buffer the in-place growth allocated
+        for step in range(n_updates):
+            k = 1 + step % 3
+            X_new, y_new = rng.uniform(size=(k, 3)), rng.normal(size=k)
+            fast.update(X_new, y_new)
+            update_copy_reference(ref, X_new, y_new)
+            assert not fast.last_update_fallback
+            if not any(b is fast._pool_buffers[0] for b in buffers):
+                buffers.append(fast._pool_buffers[0])
+            if step in (4, n_updates - 4):
+                X_more = rng.uniform(size=(15, 3))
+                fast.extend_pool(X_more)
+                ref.extend_pool(X_more)
+                p += 15
+            idx = np.arange(p)
+            for got, want in zip(fast.predict_pool(idx),
+                                 ref.predict_pool(idx)):
+                np.testing.assert_array_equal(got, want)
+        # Besides the first update and the two after an extension, full
+        # buffers were reallocated in between.
+        assert len(buffers) > 3
+        np.testing.assert_array_equal(fast._pool_K, ref._pool_K)
+        np.testing.assert_array_equal(fast._pool_V, ref._pool_V)
+
+    @staticmethod
+    def _grown_pair():
+        """Two models in one state: ``fast`` has grown its caches in
+        place, into spare-capacity buffers; ``ref`` by copying."""
+        rng = np.random.default_rng(4)
+        fast = _growth_model(np.random.default_rng(3))
+        ref = _growth_model(np.random.default_rng(3))
+        pool = rng.uniform(size=(60, 3))
+        for model in (fast, ref):
+            model.register_pool(pool)
+            model.predict_pool(np.arange(len(pool)))
+        for _ in range(3):
+            X_new, y_new = rng.uniform(size=(2, 3)), rng.normal(size=2)
+            fast.update(X_new, y_new)
+            update_copy_reference(ref, X_new, y_new)
+        assert fast._pool_buffers is not None
+        return fast, ref, pool, rng
+
+    @staticmethod
+    def _check_rebuilt(fast, ref, pool, rng):
+        """The rebuild released the buffers, so the next border updates
+        extend the rebuilt caches, not the stale columns."""
+        assert fast._pool_buffers is None and fast._pool_K is None
+        idx = np.arange(len(pool))
+        for _ in range(3):
+            for got, want in zip(fast.predict_pool(idx),
+                                 ref.predict_pool(idx)):
+                np.testing.assert_array_equal(got, want)
+            X_new, y_new = rng.uniform(size=(2, 3)), rng.normal(size=2)
+            fast.update(X_new, y_new)
+            update_copy_reference(ref, X_new, y_new)
+
+    def test_reoptimising_fit_releases_buffers(self):
+        fast, ref, pool, rng = self._grown_pair()
+        for model in (fast, ref):
+            src = model._tasks == 0
+            model.optimize = True
+            model.fit(
+                [(model._X[src], model._y_raw[src])],
+                model._X[~src], model._y_raw[~src],
+            )
+        self._check_rebuilt(fast, ref, pool, rng)
+
+    def test_fallback_releases_buffers(self, monkeypatch):
+        fast, ref, pool, rng = self._grown_pair()
+
+        def boom(*args, **kwargs):
+            raise NotPositiveDefiniteError("forced")
+
+        X_new, y_new = rng.uniform(size=(2, 3)), rng.normal(size=2)
+        monkeypatch.setattr(incremental, "cholesky_append_rows", boom)
+        fast.update(X_new, y_new)
+        monkeypatch.undo()
+        assert fast.last_update_fallback
+        ref._append_data(X_new, y_new)
+        ref._refit_state()
+        self._check_rebuilt(fast, ref, pool, rng)
+
+    def test_register_pool_releases_buffers(self):
+        fast, ref, _, rng = self._grown_pair()
+        other = rng.uniform(size=(25, 3))
+        for model in (fast, ref):
+            model.register_pool(other)
+        self._check_rebuilt(fast, ref, other, rng)

@@ -72,7 +72,7 @@ _events = st.one_of(
     st.builds(
         DecisionSummary, iteration=_ints, n_live=_ints,
         n_undecided=_ints, n_pareto=_ints, n_dropped=_ints,
-        newly_dropped=_ints, newly_pareto=_ints,
+        newly_dropped=_ints, newly_pareto=_ints, seconds=_floats,
     ),
     st.builds(
         SelectionMade, iteration=_ints, selected=_int_lists,
@@ -124,6 +124,17 @@ class TestEventSchema:
         payload["added_in_a_future_version"] = 42
         back = event_from_json(payload)
         assert back.iteration == 2
+
+    def test_decision_summary_without_seconds_loads(self):
+        """Traces written before decision passes were timed."""
+        payload = {
+            "type": "decision_summary", "iteration": 4, "n_live": 9,
+            "n_undecided": 5, "n_pareto": 2, "n_dropped": 3,
+            "newly_dropped": 1, "newly_pareto": 0,
+        }
+        back = event_from_json(json.loads(json.dumps(payload)))
+        assert isinstance(back, DecisionSummary)
+        assert back.seconds == 0.0 and back.n_live == 9
 
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError, match="unknown trace event"):
@@ -343,6 +354,18 @@ class TestReports:
         assert "calibration:" in text
         assert "oracle:" in text
         assert "rectangles:" in text
+
+    def test_summary_totals_decision_time(self, synthetic_pool, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _traced_run(synthetic_pool, path)
+        passes = [e for e in read_trace(path)
+                  if isinstance(e, DecisionSummary)]
+        assert passes and all(e.seconds > 0.0 for e in passes)
+        total = sum(e.seconds for e in passes)
+        assert (
+            f"decisions: {len(passes)} pass(es), {total:.2f}s total"
+            in summarize_trace(path).splitlines()
+        )
 
     def test_summary_flags_truncation(self, synthetic_pool, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -250,9 +250,23 @@ class TestSupplementaryMetrics:
         b = np.array([[1.0, 1.0]])
         assert coverage(a, b) == 0.0
 
+    def test_coverage_of_a_set_by_itself_is_total(self):
+        """Weak dominance: every point covers itself."""
+        pts = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+        assert coverage(pts, pts) == 1.0
+
+    def test_coverage_counts_a_shared_point(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        b = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 0.0]])
+        # [1, 2] is in both sets; [0.5, 0.5] and [3, 0] are not covered.
+        assert coverage(a, b) == pytest.approx(1.0 / 3.0)
+        assert coverage(b, a) == 1.0
+
     def test_coverage_empty_raises(self):
         with pytest.raises(ValueError):
             coverage(np.empty((0, 2)), np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError, match="mismatch"):
+            coverage(np.ones((1, 2)), np.ones((1, 3)))
 
     def test_spacing_uniform_front_is_zero(self):
         front = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
