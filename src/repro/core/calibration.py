@@ -10,11 +10,17 @@ decides, per iteration, between two numerically equivalent paths:
   warm-started from the previous optimum inside the models), and when
   :class:`PPATunerConfig.incremental` is off.
 - **Fast path** — ``update`` per metric: the new evaluations extend the
-  cached Cholesky factor via rank-1 border updates and the cached
-  pool cross-covariance/whitened blocks by the new columns only (see
-  :mod:`repro.gp.incremental`).  If an update's Schur complement is not
-  positive definite the model falls back to an exact refactorization on
-  its own; the engine records the event in :attr:`CalibrationStats`.
+  cached Cholesky factor via rank-1 border updates and each cached pool
+  row's cross-covariance and whitened sum of squares by the new columns
+  only (see :mod:`repro.gp.incremental`).  If an update's Schur
+  complement is not positive definite the model falls back to an exact
+  refactorization on its own; the engine records the event in
+  :attr:`CalibrationStats`.
+
+Before either path, :meth:`CalibrationEngine.calibrate` shrinks every
+model's pool caches to the live rows it is given, so border updates
+never extend a candidate the loop has dropped or evaluated.  Cached
+values are row-local, so shrinking changes no prediction.
 
 Predictions over the candidate pool always go through the models'
 ``predict_pool`` so both paths share one code path (equivalence-tested
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..gp.incremental import pool_indices
 from ..obs.events import CalibrationDone
 from ..obs.recorder import NULL_RECORDER
 from .config import PPATunerConfig
@@ -62,7 +69,8 @@ class CalibrationEngine:
     Example:
         >>> engine = CalibrationEngine(models, cfg, sources) # doctest: +SKIP
         >>> engine.register_pool(Xn_pool)                    # doctest: +SKIP
-        >>> engine.calibrate(t, Xn_pool, sampled, y_obs, new) # doctest: +SKIP
+        >>> engine.calibrate(t, Xn_pool, sampled, y_obs, new,
+        ...                  live=active)                    # doctest: +SKIP
         >>> mean, std = engine.predict(active_ids)            # doctest: +SKIP
     """
 
@@ -115,6 +123,7 @@ class CalibrationEngine:
         sampled: np.ndarray,
         y_obs: np.ndarray,
         new_indices: list[int],
+        live: np.ndarray | None = None,
     ) -> None:
         """Bring every surrogate up to date with the evaluated data.
 
@@ -126,6 +135,9 @@ class CalibrationEngine:
             new_indices: Pool indices evaluated since the previous
                 :meth:`calibrate` call (the fast path absorbs exactly
                 these).
+            live: Mask over the registered pool of the rows later
+                predictions ask for; every model keeps pool caches for
+                these rows only (``None`` keeps the current ones).
         """
         cfg = self.config
         cadence = cfg.reopt_every
@@ -139,6 +151,9 @@ class CalibrationEngine:
         recorder = self.recorder
         start = time.perf_counter() if recorder else 0.0
         fallbacks_before = self.stats.n_fallbacks
+        if live is not None:
+            for model in self.models:
+                model.keep_pool_rows(live)
         if fast:
             if not new_indices:
                 # No new evidence; the posterior is current.
@@ -156,6 +171,7 @@ class CalibrationEngine:
             idx = np.asarray(new_indices, dtype=int)
             X_new = X_pool[idx]
             partial = bool(np.isnan(y_obs[idx]).any())
+            pool_rows = 0
             for j, model in enumerate(self.models):
                 if partial:
                     # Partial QoR reports: absorb only the rows this
@@ -166,6 +182,7 @@ class CalibrationEngine:
                     model.update(X_new[keep], y_obs[idx[keep], j])
                 else:
                     model.update(X_new, y_obs[idx, j])
+                pool_rows = max(pool_rows, model.pool_cache_rows)
                 self.stats.n_incremental += 1
                 if model.last_update_fallback:
                     self.stats.n_fallbacks += 1
@@ -178,6 +195,7 @@ class CalibrationEngine:
                     n_fallbacks=self.stats.n_fallbacks - fallbacks_before,
                     reopt=False,
                     seconds=time.perf_counter() - start,
+                    pool_rows=pool_rows,
                 ))
             return
 
@@ -224,9 +242,7 @@ class CalibrationEngine:
         Returns:
             ``(mean, std)`` arrays of shape ``(len(indices), m)``.
         """
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.nonzero(idx)[0]
+        idx = pool_indices(indices)
         mean = np.empty((len(idx), len(self.models)))
         std = np.empty_like(mean)
         for j, model in enumerate(self.models):

@@ -660,7 +660,8 @@ class TuningSession:
             len(self._eval_order),
         ))
         self.engine.calibrate(
-            t, self._Xn_pool, self.sampled, self.y_obs, self._new_indices
+            t, self._Xn_pool, self.sampled, self.y_obs, self._new_indices,
+            live=active,
         )
         active_ids = np.nonzero(active)[0]
         mean, std = self.engine.predict(
@@ -1157,6 +1158,12 @@ class TuningSession:
         before the calibrate call of their iteration — the same
         cache-extension pattern (and therefore the same floating-point
         path) as the live run.
+
+        The live run kept pool caches for ``~dropped & ~sampled`` at
+        each call; replay keeps ``~dropped_now & ~sampled_then``, a
+        subset that still holds every row the resumed session will ask
+        for.  Cached values are row-local, so those rows' caches match
+        the live run's bit for bit while replay extends fewer rows.
         """
         self._build_models()
         grown = self.n - sum(k for _, k in self._pool_log)
@@ -1175,12 +1182,13 @@ class TuningSession:
             sampled_then = np.zeros(self.n, dtype=bool)
             sampled_then[self._eval_order[:n_order]] = True
             self.engine.calibrate(
-                t, self._Xn_pool, sampled_then, self.y_obs, list(new)
+                t, self._Xn_pool, sampled_then, self.y_obs, list(new),
+                live=(~sampled_then & ~self.dropped)[:grown],
             )
             # The live loop predicts right after calibrating, which is
-            # when the models materialize (or border-extend) their pool
-            # caches; replaying the same pattern keeps every subsequent
-            # prediction on the identical floating-point path.
+            # when the models build their pool caches; building them at
+            # the same points keeps every subsequent prediction on the
+            # identical floating-point path.
             self.engine.predict(
                 np.zeros(1, dtype=int),
                 include_noise=cfg.noise_in_regions,

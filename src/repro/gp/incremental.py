@@ -11,11 +11,35 @@ This mixin gives every GP model an exact O(k n^2) fast path:
   recomputes the standardization constants and ``alpha`` — the posterior
   is *identical* (to floating-point roundoff) to a from-scratch refit
   with the same hyperparameters.
-- :meth:`register_pool` / :meth:`predict_pool` cache the pool-vs-train
-  cross-covariance ``K*`` and the whitened block ``V = L^-1 K*^T``;
-  updates extend both by the new columns/rows only, so a pool prediction
-  costs O(n·p) instead of a fresh kernel evaluation plus an O(n^2 p)
-  triangular solve.
+- :meth:`register_pool` / :meth:`predict_pool` cache, for each pool row
+  ``x``, its cross-covariance ``k*(x)`` against the training rows and
+  its whitened sum of squares ``s(x) = ||L^-1 k*(x)||^2``, so that
+  ``mu = k*(x) alpha`` and ``sigma^2 = k(x, x) - s(x)``.  A border
+  update by ``k`` rows appends ``k(x, X_new)`` to ``k*(x)`` and adds
+  ``||L22^-1 (k(x, X_new) - k*(x) W)||^2`` to ``s(x)``, with
+  ``W = K^-1 K_c`` from the factor: O(n·k) per row instead of a fresh
+  kernel evaluation plus an O(n^2) triangular solve.
+
+Every cached value is row-local: it is computed from its own row alone,
+by a triangular solve per column, ``cdist``/``exp``, column sums, and
+one ``(1, n) @ (n, k)`` product per row for ``k*(x) W``.  That product
+is stacked on purpose: one BLAS ``gemv`` or ``gemm`` over many rows
+rounds a row differently depending on which other rows share the call.  So dropping cached rows (:meth:`keep_pool_rows`), their order
+and the block size :data:`POOL_BLOCK` never change a prediction, bit for
+bit, and the caches can follow the live candidates instead of the pool.
+:data:`POOL_BLOCK` only bounds the transients of each step: one block's
+cross-covariance and triangular-solve right-hand side.  (Past about 512
+training rows the BLAS solve may stop treating columns alike, and the
+block size could then move last bits; builds solve whole pool blocks,
+so dropped rows and a replayed session stay exact there too — see
+:meth:`_ensure_pool_cache`.)
+
+The cross-covariance cache is a buffer with up to :data:`POOL_SPARE`
+spare training columns, so a border update writes only its new
+columns; a full buffer is reallocated with that much room again.
+Anything that rebuilds the caches (``fit``, the fallback refit,
+:meth:`register_pool`) drops them; the next prediction builds them for
+the kept rows.
 
 Numerical safety: the initial fit's escalated jitter is carried onto the
 appended diagonal so the extended factor matches the fitted covariance,
@@ -24,25 +48,6 @@ the model transparently falls back to an exact jittered refactorization
 (``last_update_fallback`` is set so callers can count these).  Because
 hyperparameter refits rebuild everything from scratch anyway, error from
 long append chains cannot accumulate past one re-optimization cadence.
-
-Pool caches are built and extended :data:`POOL_BLOCK` rows at a time.
-That bounds each step's transients — the block's ``(block, train)``
-cross-covariance and its triangular-solve right-hand side — instead of
-allocating them at full pool size.  Blocking only partitions the solve
-columns: built and pool-extended caches equal a single-shot build bit
-for bit, and border updates agree with it to roundoff.  The block size
-also fixes the whitened cache's memory layout (column-major for one
-block, row-major for several), and that layout decides how border
-updates round, so changing it can move trajectories.
-
-Border updates grow the caches in place: both are views into buffers
-with up to :data:`POOL_SPARE` spare training columns, so an update
-writes only its new columns, and a full buffer is reallocated with that
-much room again.  The buffers keep the layout a copy-based
-``np.hstack``/``np.vstack`` growth would give, so predictions match it
-bit for bit.  Anything that rebuilds the caches (``fit``, the fallback
-refit, :meth:`register_pool`, :meth:`extend_pool`) drops the buffers
-with them.
 
 Subclasses must maintain ``_X``, ``_L``, ``_alpha``, ``_y_mean``,
 ``_y_std`` (the existing fit state) plus ``_y_raw`` and ``_jitter``, and
@@ -63,25 +68,43 @@ from .linalg import (
     robust_cholesky,
 )
 
-#: Row-chunk size for building and extending the pool prediction caches.
-POOL_BLOCK = 32768
+#: Pool rows per step when building or extending the pool caches.  It
+#: bounds each step's transients only: cached values are row-local, so
+#: the block size never changes a prediction.
+POOL_BLOCK = 1024
 
-#: Spare training columns a pool-cache buffer is (re)allocated with, so
-#: that many border-updated points cost no reallocation.
+#: Spare training columns the cross-covariance cache is (re)allocated
+#: with, so that many border-updated points cost no reallocation.
 POOL_SPARE = 16
 
 
-def _stacked_order(*blocks: np.ndarray) -> str:
-    """Memory order ``np.concatenate`` gives a stack of 2-D ``blocks``.
+def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``L^-1 rhs`` for lower-triangular ``L``, each column alike.
 
-    Column-major only if every block without a unit dimension is
-    column-major (row-major wins conflicts; unit dimensions carry no
-    order).
+    LAPACK solves a single right-hand side by another routine, which
+    rounds differently, so a lone column is solved beside a copy of
+    itself.
     """
-    ordered = [b for b in blocks if 1 not in b.shape]
-    if ordered and all(b.strides[1] > b.strides[0] for b in ordered):
-        return "F"
-    return "C"
+    if rhs.shape[1] == 1:
+        return solve_triangular(L, np.hstack([rhs, rhs]), lower=True)[:, :1]
+    return solve_triangular(L, rhs, lower=True)
+
+
+def pool_indices(indices) -> np.ndarray:
+    """Pool row indices as an ``intp`` array.
+
+    A boolean mask selects its true rows; an empty request (a plain
+    ``[]`` included) is an empty index array.
+
+    Raises:
+        TypeError: On non-integer, non-boolean indices.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype == bool:
+        return np.flatnonzero(idx)
+    if idx.size == 0:
+        return np.empty(0, dtype=np.intp)
+    return idx.astype(np.intp, casting="same_kind", copy=False)
 
 
 class IncrementalGPMixin:
@@ -94,11 +117,17 @@ class IncrementalGPMixin:
     _y_raw: np.ndarray | None = None
     _jitter: float = 0.0
     _pool_X: np.ndarray | None = None
+    #: Mask of the pool rows the caches hold; ``None`` holds every row.
+    _pool_keep: np.ndarray | None = None
+    #: Pool row of each cache slot; ``None`` until the caches are built.
+    _pool_rows: np.ndarray | None = None
+    #: Cache slot of each pool row, ``-1`` for rows without one.
+    _pool_slot: np.ndarray | None = None
+    #: Buffer whose ``[:len(_pool_rows), :len(_L)]`` block holds ``k*``
+    #: of the cached rows, slot by slot.
     _pool_K: np.ndarray | None = None
-    _pool_V: np.ndarray | None = None
-    #: ``(K, V)`` buffers ``_pool_K``/``_pool_V`` are views into once a
-    #: border update has grown them; ``None`` after every rebuild.
-    _pool_buffers: tuple[np.ndarray, np.ndarray] | None = None
+    #: Whitened sum of squares ``s`` of each cache slot.
+    _pool_s: np.ndarray | None = None
     #: Whether the last :meth:`update` call had to fall back to an exact
     #: from-scratch refactorization (jitter escalation).
     last_update_fallback: bool = False
@@ -233,45 +262,9 @@ class IncrementalGPMixin:
         self._append_data(X_new, y_new)
         self._L = L_ext
         self._restandardize()
-        if self._pool_K is not None and self._pool_V is not None:
-            Kp_new, V_new = self._pool_blocks(
-                self._pool_X, L_ext[n_old:, n_old:],
-                rows=slice(n_old, n_old + k),
-                C=L_ext[n_old:, :n_old], V_old=self._pool_V,
-            )
-            self._append_pool_columns(Kp_new, V_new)
+        if self._pool_rows is not None:
+            self._extend_pool_columns(L_ext, n_old)
         return self
-
-    def _append_pool_columns(
-        self, K_new: np.ndarray, V_new: np.ndarray
-    ) -> None:
-        """Append training columns to the pool caches, in place.
-
-        ``K_new`` is ``(p, k)`` and ``V_new`` is ``(k, p)``.  They are
-        written into the spare columns of the caches' buffers.  Without
-        room the buffers are reallocated with :data:`POOL_SPARE` spare
-        columns, and so they are when the whitened cache must change
-        layout: it keeps the layout ``np.vstack([V, V_new])`` would
-        give, which decides how later border updates round.
-        """
-        K, V = self._pool_K, self._pool_V
-        (p, n), k = K.shape, K_new.shape[1]
-        order = _stacked_order(V, V_new)
-        bufs = self._pool_buffers
-        if (
-            bufs is None
-            or bufs[0].shape[1] < n + k
-            or _stacked_order(bufs[1]) != order
-        ):
-            cap = n + k + POOL_SPARE
-            bufs = (np.empty((p, cap)), np.empty((cap, p), order=order))
-            bufs[0][:, :n] = K
-            bufs[1][:n] = V
-            self._pool_buffers = bufs
-        K_buf, V_buf = bufs
-        K_buf[:, n:n + k] = K_new
-        V_buf[n:n + k] = V_new
-        self._pool_K, self._pool_V = K_buf[:, :n + k], V_buf[:n + k]
 
     def _restandardize(self) -> None:
         """Refresh standardization constants and ``alpha`` from raw y."""
@@ -294,11 +287,14 @@ class IncrementalGPMixin:
     def register_pool(self, X_pool: np.ndarray) -> None:
         """Attach a fixed candidate pool for cached prediction.
 
+        Every row is kept until :meth:`keep_pool_rows` says otherwise.
+
         Args:
             X_pool: ``(p, d)`` target-task candidate features; rows are
                 addressed by index in :meth:`predict_pool`.
         """
         self._pool_X = np.atleast_2d(np.asarray(X_pool, dtype=float))
+        self._pool_keep = None
         self._invalidate_pool_cache()
 
     def extend_pool(self, X_new: np.ndarray) -> None:
@@ -306,10 +302,10 @@ class IncrementalGPMixin:
 
         The adaptive-refinement counterpart of :meth:`update`: where
         ``update`` extends the caches by new *training* columns, this
-        extends them by new *pool* rows.  Only the appended rows' cross-
-        covariance (``(k, n)``) and whitened columns (``(n, k)``) are
-        computed — the existing caches are never rebuilt, so growing the
-        pool costs O(k·n²) instead of O(p·n²).
+        extends them by new, kept *pool* rows.  Only the appended rows'
+        cross-covariance and whitened sums are computed — the existing
+        caches are never rebuilt, so growing the pool costs O(k·n²)
+        instead of O(p·n²).
 
         Args:
             X_new: ``(k, d)`` new target-task candidate features,
@@ -327,66 +323,170 @@ class IncrementalGPMixin:
             return
         if X_new.shape[1] != self._pool_X.shape[1]:
             raise ValueError("dimensionality mismatch")
+        p, k = len(self._pool_X), len(X_new)
         self._pool_X = np.vstack([self._pool_X, X_new])
-        if self._pool_K is None or self._pool_V is None or self._L is None:
-            # No live caches to extend (pre-first-prediction): rebuild
-            # lazily.
-            self._invalidate_pool_cache()
+        if self._pool_keep is not None:
+            self._pool_keep = np.concatenate(
+                [self._pool_keep, np.ones(k, dtype=bool)]
+            )
+        if self._pool_rows is None:
+            return  # built lazily, with the new rows, on first use
+        new_rows = np.arange(p, p + k)
+        K_new, s_new = self._pool_blocks(new_rows)
+        r, n = len(self._pool_rows), len(self._L)
+        K = np.empty((r + k, self._pool_K.shape[1]))
+        K[:r, :n] = self._pool_K[:r, :n]
+        K[r:, :n] = K_new
+        self._pool_K = K
+        self._pool_s = np.concatenate([self._pool_s[:r], s_new])
+        self._pool_rows = np.concatenate([self._pool_rows, new_rows])
+        self._pool_slot = np.concatenate(
+            [self._pool_slot, np.arange(r, r + k)]
+        )
+
+    def keep_pool_rows(self, keep: np.ndarray) -> None:
+        """Hold pool caches for the rows of mask ``keep`` only.
+
+        Cached rows outside ``keep`` are dropped now, and the next build
+        caches exactly ``keep``.  Cached values are row-local, so
+        predictions of kept rows do not change, bit for bit.  A row
+        outside ``keep`` can still be predicted: it is computed fresh
+        and not cached.
+
+        Args:
+            keep: Boolean mask over the registered pool.
+
+        Raises:
+            RuntimeError: If no pool is registered.
+            ValueError: If ``keep`` is not a mask of the pool's length.
+        """
+        if self._pool_X is None:
+            raise RuntimeError("keep_pool_rows() before register_pool()")
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self._pool_X),):
+            raise ValueError("keep must be a boolean mask over the pool")
+        self._pool_keep = keep.copy()
+        if self._pool_rows is None:
             return
-        K_new, V_new = self._pool_blocks(X_new, self._L)
-        self._pool_K = np.vstack([self._pool_K, K_new])
-        self._pool_V = np.hstack([self._pool_V, V_new])
-        self._pool_buffers = None
+        live = keep[self._pool_rows]
+        if live.all():
+            return
+        # Fill the dead rows' slots with the last survivors: O(n) per
+        # moved row, and the order of slots never matters.  The buffer's
+        # unused tail goes at its next reallocation.
+        dead = np.flatnonzero(~live)
+        self._pool_slot[self._pool_rows[dead]] = -1
+        r_new = len(live) - len(dead)
+        holes = dead[dead < r_new]
+        movers = r_new + np.flatnonzero(live[r_new:])
+        self._pool_K[holes] = self._pool_K[movers]
+        self._pool_s[holes] = self._pool_s[movers]
+        self._pool_rows[holes] = self._pool_rows[movers]
+        self._pool_slot[self._pool_rows[holes]] = holes
+        self._pool_s = self._pool_s[:r_new]
+        self._pool_rows = self._pool_rows[:r_new]
+
+    @property
+    def pool_cache_rows(self) -> int:
+        """Pool rows the caches hold (0 while they are not built)."""
+        return 0 if self._pool_rows is None else len(self._pool_rows)
 
     def _pool_blocks(
-        self,
-        X_query: np.ndarray,
-        L: np.ndarray,
-        rows: slice | None = None,
-        C: np.ndarray | None = None,
-        V_old: np.ndarray | None = None,
+        self, rows: np.ndarray, keep: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cross-covariance and whitened blocks, :data:`POOL_BLOCK` rows
-        at a time.
+        """Cross-covariance ``k*`` and whitened sum of squares ``s`` of
+        pool ``rows`` from scratch, :data:`POOL_BLOCK` rows at a time.
 
-        Computes ``K = k(X_query, X[rows])`` and ``V = L^-1 (K^T - C
-        V_old)`` column block by column block (the ``C V_old`` term is
-        the border-update correction of :meth:`update`; omitted when
-        ``C`` is ``None``).
+        With a mask ``keep`` over ``rows``, only the kept rows are
+        returned, but each block holding one is solved whole, so every
+        row meets the same triangular-solve call whatever is kept (see
+        :meth:`_ensure_pool_cache`).
 
         Returns:
-            ``K`` of shape ``(len(X_query), len(L))`` and ``V`` of shape
-            ``(len(L), len(X_query))``.
+            ``K`` of shape ``(len(out), len(L))`` and ``s`` of length
+            ``len(out)``, where ``out`` is ``rows`` or its kept part.
         """
-        p, n = len(X_query), len(L)
-        K = np.empty((p, n))
-        # One block keeps the column-major layout solve_triangular
-        # returns; several fill a row-major array.  Border updates
-        # multiply against this cache and BLAS rounding depends on its
-        # layout; these are the layouts earlier releases used, so
-        # trajectories match them bit for bit.
-        V = np.empty((n, p), order="F" if p <= POOL_BLOCK else "C")
-        for s in range(0, p, POOL_BLOCK):
-            e = min(s + POOL_BLOCK, p)
-            Kb = self._cross_cov(X_query[s:e], rows)
-            K[s:e] = Kb
-            rhs = Kb.T if C is None else Kb.T - C @ V_old[:, s:e]
-            V[:, s:e] = solve_triangular(L, rhs, lower=True)
-        return K, V
+        assert self._pool_X is not None and self._L is not None
+        n_out = len(rows) if keep is None else int(keep.sum())
+        K = np.empty((n_out, len(self._L)))
+        s = np.empty(n_out)
+        i = 0
+        for a in range(0, len(rows), POOL_BLOCK):
+            b = min(a + POOL_BLOCK, len(rows))
+            kept = slice(None) if keep is None else keep[a:b]
+            if keep is not None and not kept.any():
+                continue
+            Kb = self._cross_cov(self._pool_X[rows[a:b]])
+            V = _solve_lower(self._L, Kb.T)
+            sb = np.sum(V * V, axis=0)[kept]
+            K[i:i + len(sb)] = Kb[kept]
+            s[i:i + len(sb)] = sb
+            i += len(sb)
+        return K, s
+
+    def _extend_pool_columns(self, L_ext: np.ndarray, n_old: int) -> None:
+        """Border-update the caches by the training rows ``n_old:``.
+
+        Appends ``k(x, X_new)`` to every cached ``k*(x)`` and adds
+        ``||L22^-1 (k(x, X_new) - k*(x) W)||^2`` to ``s(x)``, where
+        ``W = K^-1 K_c`` comes from the factor's new rows.  ``k*(x) W``
+        is computed row by row (see the module docstring), so each
+        row's result depends on that row alone.
+        """
+        n = len(L_ext)
+        W = solve_triangular(
+            L_ext[:n_old, :n_old], L_ext[n_old:, :n_old].T,
+            lower=True, trans="T",
+        )
+        L22 = L_ext[n_old:, n_old:]
+        r = len(self._pool_rows)
+        K = self._pool_K
+        if K.shape[1] < n:
+            K = np.empty((r, n + POOL_SPARE))
+            K[:, :n_old] = self._pool_K[:r, :n_old]
+            self._pool_K = K
+        for a in range(0, r, POOL_BLOCK):
+            b = min(a + POOL_BLOCK, r)
+            K_old = K[a:b, :n_old]
+            K_new = self._cross_cov(
+                self._pool_X[self._pool_rows[a:b]], slice(n_old, n)
+            )
+            # One (1, n) @ (n, k) product per row, never one gemv over
+            # many rows.
+            KW = np.matmul(K_old[:, None, :], W)[:, 0, :]
+            V = _solve_lower(L22, (K_new - KW).T)
+            self._pool_s[a:b] += np.sum(V * V, axis=0)
+            K[a:b, n_old:n] = K_new
 
     def _invalidate_pool_cache(self) -> None:
+        self._pool_rows = None
+        self._pool_slot = None
         self._pool_K = None
-        self._pool_V = None
-        self._pool_buffers = None
+        self._pool_s = None
 
     def _ensure_pool_cache(self) -> None:
-        """Materialize the pool cross-covariance / whitened caches."""
-        if self._pool_K is not None and self._pool_V is not None:
+        """Build the caches for the kept pool rows.
+
+        The build solves every pool block that holds a kept row whole,
+        not just its kept rows.  A triangular solve need not treat its
+        columns alike once the training set outgrows one BLAS blocking
+        panel: with OpenBLAS 0.3.31 they were alike at 520 training
+        rows, but at 610 some columns' last bits depended on the other
+        columns of the call (a random well-conditioned factor; GP
+        covariances have not shown it).  Solving whole blocks gives a
+        kept row the same call whatever else is kept, so a replayed
+        session stays bit-identical at any training-set size.
+        """
+        if self._pool_rows is not None:
             return
-        assert self._pool_X is not None and self._L is not None
-        self._pool_K, self._pool_V = self._pool_blocks(
-            self._pool_X, self._L
-        )
+        assert self._pool_X is not None
+        p = len(self._pool_X)
+        keep = self._pool_keep
+        rows = np.arange(p) if keep is None else np.flatnonzero(keep)
+        self._pool_K, self._pool_s = self._pool_blocks(np.arange(p), keep)
+        self._pool_rows = rows
+        self._pool_slot = np.full(p, -1, dtype=np.intp)
+        self._pool_slot[rows] = np.arange(len(rows))
 
     def predict_pool(
         self, indices: np.ndarray, include_noise: bool = False
@@ -394,14 +494,15 @@ class IncrementalGPMixin:
         """Posterior mean/variance at registered pool rows ``indices``.
 
         Numerically equivalent to ``predict(X_pool[indices])`` but served
-        from the cached cross-covariance and whitened blocks: after each
-        incremental update only the new columns are computed, so the
-        per-iteration cost is O(n·p) rather than a fresh kernel
-        evaluation plus an O(n^2 p) solve.
+        from the cached cross-covariance and whitened sums: after each
+        incremental update only the new columns are computed, so a
+        cached row costs O(n) rather than a fresh kernel evaluation plus
+        an O(n^2) solve.  Rows outside the kept set are computed fresh
+        and not cached.  An empty request builds nothing.
 
         Args:
             indices: Integer row indices (or boolean mask) into the
-                registered pool.
+                registered pool, in any order.
             include_noise: Add the target observation-noise variance.
 
         Returns:
@@ -416,16 +517,28 @@ class IncrementalGPMixin:
         if self._pool_X is None:
             raise RuntimeError("predict_pool() before register_pool()")
         assert self._L is not None and self._alpha is not None
+        idx = pool_indices(indices)
+        if len(idx) == 0:
+            return np.empty(0), np.empty(0)
         self._ensure_pool_cache()
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.nonzero(idx)[0]
-        V_cols = self._pool_V[:, idx]
-        mean_z = self._pool_K[idx] @ self._alpha
-        var_z = self._prior_diag(self._pool_X[idx]) - np.sum(
-            V_cols * V_cols, axis=0
-        )
-        var_z = np.maximum(var_z, 1e-12)
+        n, r = len(self._L), len(self._pool_rows)
+        slots = self._pool_slot[idx]
+        cached = slots >= 0
+        if len(idx) == r and np.array_equal(slots, np.arange(r)):
+            # The whole cache in slot order: read it without a copy.
+            K, s = self._pool_K[:r, :n], self._pool_s
+        elif cached.all():
+            K = self._pool_K[slots, :n]
+            s = self._pool_s[slots]
+        else:
+            K = np.empty((len(idx), n))
+            s = np.empty(len(idx))
+            hit = slots[cached]
+            K[cached] = self._pool_K[hit, :n]
+            s[cached] = self._pool_s[hit]
+            K[~cached], s[~cached] = self._pool_blocks(idx[~cached])
+        mean_z = K @ self._alpha
+        var_z = np.maximum(self._prior_diag(self._pool_X[idx]) - s, 1e-12)
         if include_noise:
             var_z = var_z + self._predict_noise()
         return (
@@ -434,4 +547,4 @@ class IncrementalGPMixin:
         )
 
 
-__all__ = ["POOL_BLOCK", "POOL_SPARE", "IncrementalGPMixin"]
+__all__ = ["POOL_BLOCK", "POOL_SPARE", "IncrementalGPMixin", "pool_indices"]

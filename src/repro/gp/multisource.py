@@ -298,6 +298,9 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         n_src = self._n_sources
         n_kernel = kernel.n_params
         onehot = np.eye(n_src + 1)[tasks]
+        # Flat index of each training pair's entry in the task matrix B.
+        pairs = tasks[:, None] * (n_src + 1) + tasks[None, :]
+        diag = np.diag_indices(len(tasks))
 
         def unpack(theta):
             kernel.theta = theta[:n_kernel]
@@ -312,10 +315,12 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             a = np.exp(log_a)
             b = np.exp(log_b)
             coeffs = self._coeffs()
-            B_exp = self._task_matrix(coeffs)[np.ix_(tasks, tasks)]
+            B_exp = self._task_matrix(coeffs).ravel().take(pairs)
             K_base, base_grad = kernel.eval_and_grad(X)
             noise = np.exp(log_noise)
-            K = K_base * B_exp + np.diag(noise[tasks])
+            # A new array: base_grad may close over K_base.
+            K = K_base * B_exp
+            K[diag] += noise[tasks]
             lml, W, _ = gaussian_log_marginal(K, z)
 
             # <W, K_base * dB/dc_s[tasks, tasks]> through the task-block

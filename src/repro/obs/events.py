@@ -109,6 +109,9 @@ class CalibrationDone(TraceEvent):
             refactorization this call.
         reopt: Whether hyperparameters were re-optimized.
         seconds: Wall-clock time of the calibration call.
+        pool_rows: Pool rows whose prediction caches the call extended
+            (largest over the models; 0 after a refit, which drops the
+            caches, and in traces written before it was recorded).
     """
 
     type = "calibration_done"
@@ -120,6 +123,7 @@ class CalibrationDone(TraceEvent):
     n_fallbacks: int
     reopt: bool
     seconds: float
+    pool_rows: int = 0
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,15 @@ def summarize_trace(source: str | Path | TraceReplay) -> str:
         fallbacks = sum(e.n_fallbacks for e in calib)
         reopts = sum(1 for e in calib if e.reopt)
         total_s = sum(e.seconds for e in calib)
-        lines.append(
+        line = (
             f"calibration: {full} full, {incr} incremental, "
             f"{fallbacks} fallback(s), {reopts} re-optimization(s), "
             f"{total_s:.2f}s total"
         )
+        pool_rows = [e.pool_rows for e in calib if e.pool_rows]
+        if pool_rows:
+            line += f"; pool rows extended {pool_rows[0]} -> {pool_rows[-1]}"
+        lines.append(line)
     decisions = [e for e in events if isinstance(e, DecisionSummary)]
     if decisions:
         lines.append(

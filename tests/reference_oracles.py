@@ -8,15 +8,18 @@ equivalence property tests in ``tests/test_fastpath_equivalence.py``
 compare against: the per-point reference sweeps, the blocked sweep that
 compared every block against itself in full, and scalar double loops
 straight off the paper's Eq. (10)-(12) definitions — slow, but
-obviously correct.  It also keeps the copy-based growth of the GP pool
-caches, which the in-place growth of
-:class:`~repro.gp.incremental.IncrementalGPMixin` must match bit for
-bit.
+obviously correct.  It also keeps two forms of the GP pool caches of
+:class:`~repro.gp.incremental.IncrementalGPMixin`: growth by copying,
+which the in-place growth must match bit for bit, and the whole-pool
+whitened cache ``V = L^-1 K*^T`` the row-local caches replaced, which
+they must match bit for bit until the first border update.
 
 The GP section keeps the kernels' ``(n1, n2, d)`` broadcast and the
 list-of-``dK/dtheta`` marginal-likelihood gradient that the ``cdist``
 evaluation and the single-contraction gradients of :mod:`repro.gp`
-replaced; ``tests/test_gp_gradients.py`` compares against them.  It
+replaced, and ``MultiSourceTransferGP``'s marginal-likelihood
+objective as it was before its trims;
+``tests/test_gp_gradients.py`` compares against them.  It
 also writes out the paper's two-task transfer GP densely — the Eq. (7)
 covariance and the Eq. (8) posterior — which the one-source
 ``MultiSourceTransferGP`` must reproduce
@@ -28,20 +31,26 @@ Nothing here is on the hot path; clarity beats speed throughout.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro.core.uncertainty import UncertaintyRegions
 from repro.gp import Matern52Kernel, RBFKernel
+from repro.gp.incremental import pool_indices
 from repro.gp.linalg import (
     cholesky_append_rows,
+    cholesky_inverse,
     cholesky_solve,
+    log_det_from_cholesky,
     robust_cholesky,
 )
 
 __all__ = [
     "ard_eval_reference",
     "ard_eval_with_grads_reference",
+    "gaussian_log_marginal_reference",
     "lml_grads_reference",
     "multisource_grads_reference",
+    "multisource_objective_reference",
     "transfer_eval_with_grads_reference",
     "transfer_posterior_reference",
     "decide_reference",
@@ -53,6 +62,7 @@ __all__ = [
     "non_dominated_mask_scalar",
     "pareto_indices_reference",
     "update_copy_reference",
+    "whitened_pool_predict_reference",
 ]
 
 
@@ -309,15 +319,16 @@ def intersect_scalar(
 
 
 # ---------------------------------------------------------------------
-# GP pool caches — copy-based growth
+# GP pool caches — copy-based growth and the whole-pool whitened cache
 
 
 def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
     """``IncrementalGPMixin.update`` growing the pool caches by copying.
 
-    The border update as it was before the caches grew in place: every
-    call rebuilds both caches one training column larger with
-    ``np.hstack``/``np.vstack``.  No validation and no fallback — the
+    The same border-update arithmetic over all cached rows at once,
+    with no spare capacity: every call rebuilds the cross-covariance
+    cache one training column larger with ``np.hstack`` and the
+    whitened sums as a new array.  No validation and no fallback — the
     callers feed well-conditioned points.
     """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
@@ -331,15 +342,56 @@ def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
     model._append_data(X_new, y_new)
     model._L = L_ext
     model._restandardize()
-    if model._pool_K is not None and model._pool_V is not None:
-        Kp_new, V_new = model._pool_blocks(
-            model._pool_X, L_ext[n_old:, n_old:],
-            rows=slice(n_old, n_old + k),
-            C=L_ext[n_old:, :n_old], V_old=model._pool_V,
+    if model._pool_rows is not None:
+        r = len(model._pool_rows)
+        K_old = model._pool_K[:r, :n_old]
+        K_new = model._cross_cov(
+            model._pool_X[model._pool_rows], slice(n_old, n_old + k)
         )
-        model._pool_K = np.hstack([model._pool_K, Kp_new])
-        model._pool_V = np.vstack([model._pool_V, V_new])
+        W = solve_triangular(
+            L_ext[:n_old, :n_old], L_ext[n_old:, :n_old].T,
+            lower=True, trans="T",
+        )
+        KW = np.matmul(K_old[:, None, :], W)[:, 0, :]
+        rhs = (K_new - KW).T
+        if r == 1:  # (LAPACK solves a lone column another way)
+            rhs = np.hstack([rhs, rhs])
+        V = solve_triangular(L_ext[n_old:, n_old:], rhs, lower=True)[:, :r]
+        model._pool_K = np.hstack([K_old, K_new])
+        model._pool_s = model._pool_s[:r] + np.sum(V * V, axis=0)
     return model
+
+
+def whitened_pool_predict_reference(
+    model, indices, include_noise: bool = False, block: int = 32768
+) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_pool`` from the whole-pool whitened cache.
+
+    How pool prediction worked before the caches became row-local:
+    ``K*`` and ``V = L^-1 K*^T`` are built for every registered row in
+    ``block``-row column blocks (``V`` column-major for one block,
+    row-major for several), and a request gathers its columns.
+    """
+    X, L = model._pool_X, model._L
+    p, n = len(X), len(L)
+    K = np.empty((p, n))
+    V = np.empty((n, p), order="F" if p <= block else "C")
+    for s in range(0, p, block):
+        e = min(s + block, p)
+        Kb = model._cross_cov(X[s:e])
+        K[s:e] = Kb
+        V[:, s:e] = solve_triangular(L, Kb.T, lower=True)
+    idx = pool_indices(indices)
+    V_cols = V[:, idx]
+    mean_z = K[idx] @ model._alpha
+    var_z = model._prior_diag(X[idx]) - np.sum(V_cols * V_cols, axis=0)
+    var_z = np.maximum(var_z, 1e-12)
+    if include_noise:
+        var_z = var_z + model._predict_noise()
+    return (
+        mean_z * model._y_std + model._y_mean,
+        var_z * model._y_std**2,
+    )
 
 
 # ---------------------------------------------------------------------
@@ -531,3 +583,69 @@ def lml_grads_reference(
     return np.array(
         [0.5 * np.sum(inner * dK) for dK in K_grads]
     )
+
+
+def gaussian_log_marginal_reference(
+    K: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``gaussian_log_marginal`` with a finiteness-checked ``alpha``
+    solve."""
+    L, _ = robust_cholesky(K)
+    alpha = cholesky_solve(L, y)
+    lml = float(
+        -0.5 * y @ alpha
+        - 0.5 * log_det_from_cholesky(L)
+        - 0.5 * len(y) * np.log(2.0 * np.pi)
+    )
+    W = np.outer(alpha, alpha)
+    W -= cholesky_inverse(L)
+    W *= 0.5
+    return lml, W, alpha
+
+
+def multisource_objective_reference(model, X, tasks, z):
+    """``MultiSourceTransferGP``'s negative-LML objective before its
+    trims: ``B`` expanded by ``np.ix_`` and the noises added as a
+    diagonal matrix.  Like the model's own objective it sets the
+    model's kernel and Gamma parameters from ``theta``."""
+    kernel = model._kernel
+    n_src = model._n_sources
+    n_kernel = kernel.n_params
+    onehot = np.eye(n_src + 1)[tasks]
+
+    def unpack(theta):
+        kernel.theta = theta[:n_kernel]
+        log_a = theta[n_kernel:n_kernel + n_src]
+        log_b = theta[n_kernel + n_src:n_kernel + 2 * n_src]
+        log_noise = theta[n_kernel + 2 * n_src:]
+        return log_a, log_b, log_noise
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        log_a, log_b, log_noise = unpack(theta)
+        model._log_a, model._log_b = log_a, log_b
+        a = np.exp(log_a)
+        b = np.exp(log_b)
+        coeffs = model._coeffs()
+        B_exp = model._task_matrix(coeffs)[np.ix_(tasks, tasks)]
+        K_base, base_grad = kernel.eval_and_grad(X)
+        noise = np.exp(log_noise)
+        K = K_base * B_exp + np.diag(noise[tasks])
+        lml, W, _ = gaussian_log_marginal_reference(K, z)
+
+        T = onehot.T @ (W * K_base) @ onehot
+        dc = (T @ coeffs + T.T @ coeffs - 2.0 * np.diag(T) * coeffs)
+        dc = dc[:n_src]
+        dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
+        dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
+        W_task_diag = np.bincount(
+            tasks, weights=np.diag(W), minlength=n_src + 1
+        )
+        g = np.concatenate([
+            base_grad(W * B_exp),
+            dc * dlam_da,
+            dc * dlam_db,
+            noise * W_task_diag,
+        ])
+        return -lml, -g
+
+    return objective

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.gp.multisource as multisource_mod
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
+from repro.core.calibration import CalibrationEngine
 from repro.gp import (
     GPRegressor,
     Matern52Kernel,
@@ -390,6 +391,53 @@ class TestFallbackPath:
 # ---------------------------------------------------------------------
 # warm-started hyperparameter refits
 # ---------------------------------------------------------------------
+
+
+class TestEmptyPoolRequests:
+    """An empty request — a plain ``[]`` included, which numpy reads as
+    a float array — returns empty arrays and builds no pool cache."""
+
+    @staticmethod
+    def _engine():
+        rng = np.random.default_rng(4)
+        X_pool, Y_pool = rng.uniform(size=(30, 3)), rng.normal(size=(30, 2))
+        models = [
+            MultiSourceTransferGP(
+                kernel=RBFKernel(np.full(3, 0.4)), optimize=False
+            )
+            for _ in range(2)
+        ]
+        engine = CalibrationEngine(models, PPATunerConfig(), sources=[])
+        engine.register_pool(X_pool)
+        sampled = np.zeros(30, dtype=bool)
+        sampled[:6] = True
+        y_obs = np.where(sampled[:, None], Y_pool, np.nan)
+        engine.calibrate(0, X_pool, sampled, y_obs, list(range(6)))
+        return engine
+
+    @pytest.mark.parametrize(
+        "request_", [[], (), np.array([], dtype=int), np.zeros(30, bool)]
+    )
+    def test_predict_pool(self, request_):
+        model = self._engine().models[0]
+        mean, var = model.predict_pool(request_)
+        assert mean.shape == var.shape == (0,)
+        assert model.pool_cache_rows == 0 and model._pool_K is None
+        mean, var = model.predict_pool([3, 0])
+        assert mean.shape == (2,) and model.pool_cache_rows == 30
+
+    @pytest.mark.parametrize(
+        "request_", [[], (), np.array([], dtype=int), np.zeros(30, bool)]
+    )
+    def test_engine_predict(self, request_):
+        engine = self._engine()
+        mean, std = engine.predict(request_)
+        assert mean.shape == std.shape == (0, 2)
+        assert all(m.pool_cache_rows == 0 for m in engine.models)
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(TypeError):
+            self._engine().predict([1.0, 2.0])
 
 
 class TestWarmStart:

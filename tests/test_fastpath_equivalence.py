@@ -11,11 +11,11 @@ pool prediction caches are locked to reference implementations here:
 - the sweeps hold at scale — inputs spanning several blocks, all-front
   sets, ties, NaN rows — and the survivor-restricted within-block step
   catches a dominator that only its own block holds;
-- pool caches built in small blocks equal the single-shot build bit for
-  bit (border updates to roundoff), and never move seeded trajectories;
-- pool caches grown in place by border updates equal the copy-based
-  growth bit for bit in both memory layouts, and every rebuild releases
-  their buffers;
+- pool caches built, extended and border-updated in small blocks equal
+  the single-shot path bit for bit, and never move seeded trajectories;
+- the cross-covariance cache grown in place by border updates equals
+  copy-based growth bit for bit, with rows dropped and appended in
+  between, and every rebuild releases its buffer;
 - a border update that hits a non-positive-definite Schur complement
   falls back to an exact per-GP refactorization without crashing,
   flagged via ``last_update_fallback``, including when the new row
@@ -495,9 +495,9 @@ class TestSharedFallback:
 
 class TestFloat32Pool:
     def test_blocked_f64_cache_bit_identical(self, monkeypatch):
-        """Blocking only partitions the solve columns: caches built and
-        pool-extended in 17-row blocks equal the single-shot path
-        exactly, and a blocked border update agrees to roundoff."""
+        """Cached values are row-local: caches built, pool-extended and
+        border-updated in 17-row blocks equal the single-shot path
+        exactly."""
         rng = np.random.default_rng(5)
         d = 3
         Xs, Xt = rng.uniform(size=(20, d)), rng.uniform(size=(10, d))
@@ -521,12 +521,9 @@ class TestFloat32Pool:
         one_shot = trajectory()
         monkeypatch.setattr(incremental, "POOL_BLOCK", 17)
         blocked = trajectory()
-        for (m1, v1), (m2, v2) in zip(one_shot[:2], blocked[:2]):
+        for (m1, v1), (m2, v2) in zip(one_shot, blocked):
             np.testing.assert_array_equal(m1, m2)
             np.testing.assert_array_equal(v1, v2)
-        (m1, v1), (m2, v2) = one_shot[2], blocked[2]
-        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_golden_trajectory_unchanged(self, seed, monkeypatch):
@@ -556,7 +553,7 @@ class TestFloat32Pool:
 
 
 # ---------------------------------------------------------------------
-# pool caches grown in place == copy-based growth
+# the cross-covariance cache grown in place == copy-based growth
 # ---------------------------------------------------------------------
 
 
@@ -571,12 +568,13 @@ def _growth_model(rng, d=3):
 class TestInPlacePoolGrowth:
     @pytest.mark.parametrize("pool_block", [None, 17, 120])
     def test_matches_copy_growth(self, pool_block, monkeypatch):
-        """More border updates than the spare capacity holds, with pool
-        extensions in between: every ``predict_pool`` equals the
-        copy-based growth bit for bit.  ``None`` keeps one block
-        (column-major whitened cache), 17 forces several (row-major),
-        and 120 lets the extensions carry the pool across a block
-        boundary, where the copy-based stack turns row-major."""
+        """More border updates than the spare columns hold, with pool
+        extensions and dropped rows in between: every ``predict_pool``
+        equals copy-based growth of a never-shrunk twin bit for bit, the
+        cached ``K*`` equals a fresh cross-covariance of its rows, and
+        the ``K*`` buffer is reallocated only when its spare columns run
+        out.  ``None`` keeps one block, 17 forces several, and 120 lets
+        the extensions carry the cache across a block boundary."""
         if pool_block is not None:
             monkeypatch.setattr(incremental, "POOL_BLOCK", pool_block)
         rng = np.random.default_rng(11)
@@ -586,36 +584,50 @@ class TestInPlacePoolGrowth:
         for model in (fast, ref):
             model.register_pool(pool)
             model.predict_pool(np.arange(len(pool)))
+        keep = np.ones(len(pool), dtype=bool)
         n_updates = 2 * incremental.POOL_SPARE + 5
-        p = len(pool)
-        buffers = []  # every K buffer the in-place growth allocated
+        reallocations = 0
         for step in range(n_updates):
             k = 1 + step % 3
             X_new, y_new = rng.uniform(size=(k, 3)), rng.normal(size=k)
+            before = fast._pool_K
+            room = before.shape[1] - len(fast._L)
             fast.update(X_new, y_new)
             update_copy_reference(ref, X_new, y_new)
             assert not fast.last_update_fallback
-            if not any(b is fast._pool_buffers[0] for b in buffers):
-                buffers.append(fast._pool_buffers[0])
+            if room >= k:
+                assert fast._pool_K is before
+            else:
+                assert fast._pool_K.shape[1] == (
+                    len(fast._L) + incremental.POOL_SPARE
+                )
+                reallocations += 1
             if step in (4, n_updates - 4):
                 X_more = rng.uniform(size=(15, 3))
                 fast.extend_pool(X_more)
                 ref.extend_pool(X_more)
-                p += 15
-            idx = np.arange(p)
+                keep = np.append(keep, np.ones(15, dtype=bool))
+            if step % 5 == 2:
+                kept = np.flatnonzero(keep)
+                keep[rng.choice(kept, size=3, replace=False)] = False
+                fast.keep_pool_rows(keep)
+            idx = rng.permutation(np.flatnonzero(keep))
             for got, want in zip(fast.predict_pool(idx),
                                  ref.predict_pool(idx)):
                 np.testing.assert_array_equal(got, want)
-        # Besides the first update and the two after an extension, full
-        # buffers were reallocated in between.
-        assert len(buffers) > 3
-        np.testing.assert_array_equal(fast._pool_K, ref._pool_K)
-        np.testing.assert_array_equal(fast._pool_V, ref._pool_V)
+            rows = fast._pool_rows
+            np.testing.assert_array_equal(
+                fast._pool_K[:len(rows), :len(fast._L)],
+                fast._cross_cov(fast._pool_X[rows]),
+            )
+        assert reallocations > 2
+        assert fast.pool_cache_rows == keep.sum()
 
     @staticmethod
     def _grown_pair():
-        """Two models in one state: ``fast`` has grown its caches in
-        place, into spare-capacity buffers; ``ref`` by copying."""
+        """Two models in one state: ``fast`` has grown its ``K*`` cache
+        in place, into a buffer with spare columns; ``ref`` by
+        copying."""
         rng = np.random.default_rng(4)
         fast = _growth_model(np.random.default_rng(3))
         ref = _growth_model(np.random.default_rng(3))
@@ -627,14 +639,14 @@ class TestInPlacePoolGrowth:
             X_new, y_new = rng.uniform(size=(2, 3)), rng.normal(size=2)
             fast.update(X_new, y_new)
             update_copy_reference(ref, X_new, y_new)
-        assert fast._pool_buffers is not None
+        assert fast._pool_K.shape[1] > len(fast._L)
         return fast, ref, pool, rng
 
     @staticmethod
     def _check_rebuilt(fast, ref, pool, rng):
-        """The rebuild released the buffers, so the next border updates
+        """The rebuild released the buffer, so the next border updates
         extend the rebuilt caches, not the stale columns."""
-        assert fast._pool_buffers is None and fast._pool_K is None
+        assert fast._pool_K is None and fast.pool_cache_rows == 0
         idx = np.arange(len(pool))
         for _ in range(3):
             for got, want in zip(fast.predict_pool(idx),

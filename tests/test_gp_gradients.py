@@ -2,10 +2,11 @@
 
 Each model's whole marginal-likelihood objective — captured with a spy
 on ``maximize_objective`` — must match finite differences, noise terms
-included.  The kernels' single-contraction gradients must equal the
-list-of-``dK/dtheta`` form they replaced, and the ``cdist`` kernel
-evaluation must equal the ``(n1, n2, d)`` broadcast: bit for bit while
-the distance sum has at most seven terms, to roundoff beyond.
+included, and the transfer GP's trimmed objective must equal the one it
+replaced bit for bit.  The kernels' single-contraction gradients must
+equal the list-of-``dK/dtheta`` form they replaced, and the ``cdist``
+kernel evaluation must equal the ``(n1, n2, d)`` broadcast: bit for bit
+while the distance sum has at most seven terms, to roundoff beyond.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .reference_oracles import (
     ard_eval_with_grads_reference,
     lml_grads_reference,
     multisource_grads_reference,
+    multisource_objective_reference,
     transfer_eval_with_grads_reference,
 )
 
@@ -69,6 +71,12 @@ def _data(d, seed=0):
 
 def _model_objective(name, kernel_cls, d=3):
     """The captured objective and start point of one model's fit."""
+    rng, _, objective, theta0 = _fitted_objective(name, kernel_cls, d)
+    return rng, objective, theta0
+
+
+def _fitted_objective(name, kernel_cls, d=3):
+    """:func:`_model_objective` plus the model it was captured from."""
     rng, Xs1, Xs2, Xt = _data(d)
     kernel = kernel_cls(np.full(d, 0.4))
     sources = {
@@ -78,17 +86,17 @@ def _model_objective(name, kernel_cls, d=3):
     }
     if name == "regressor":
         module = gp_regression_mod
+        model = GPRegressor(kernel=kernel)
 
         def fit():
-            GPRegressor(kernel=kernel).fit(Xt, _f(Xt))
+            model.fit(Xt, _f(Xt))
     else:
         module = multisource_mod
+        model = MultiSourceTransferGP(kernel=kernel)
 
         def fit():
-            MultiSourceTransferGP(kernel=kernel).fit(
-                sources[name], Xt, _f(Xt)
-            )
-    return rng, *_capture_objective(module, fit)
+            model.fit(sources[name], Xt, _f(Xt))
+    return rng, model, *_capture_objective(module, fit)
 
 
 class TestObjectiveGradients:
@@ -112,6 +120,29 @@ class TestObjectiveGradients:
         assert np.isfinite(value) and grad.shape == (n_params,)
         numeric = approx_fprime(theta, lambda t: objective(t)[0], 1e-6)
         np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-4)
+
+
+class TestObjectiveTrims:
+    """The transfer GP's objective expands ``B`` by one flat index, adds
+    the noises to ``K``'s diagonal in place and solves for ``alpha``
+    without a finiteness check; none of that may move a bit."""
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    @pytest.mark.parametrize(
+        "name", ["transfer_no_source", "transfer", "multisource"]
+    )
+    def test_bit_identical_to_untrimmed(self, name, kernel_cls):
+        rng, model, objective, theta0 = _fitted_objective(name, kernel_cls)
+        z = (model._y_raw - model._y_mean) / model._y_std
+        reference = multisource_objective_reference(
+            model, model._X, model._tasks, z
+        )
+        for _ in range(20):
+            theta = theta0 + rng.normal(scale=0.5, size=len(theta0))
+            value, grad = objective(theta)
+            ref_value, ref_grad = reference(theta)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
 
 
 def _assert_close_to_reference(new, ref):

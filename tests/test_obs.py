@@ -136,6 +136,17 @@ class TestEventSchema:
         assert isinstance(back, DecisionSummary)
         assert back.seconds == 0.0 and back.n_live == 9
 
+    def test_calibration_done_without_pool_rows_loads(self):
+        """Traces written before calibrations counted cached rows."""
+        payload = {
+            "type": "calibration_done", "iteration": 2,
+            "path": "incremental", "n_models": 2, "n_new": 1,
+            "n_fallbacks": 0, "reopt": False, "seconds": 0.01,
+        }
+        back = event_from_json(json.loads(json.dumps(payload)))
+        assert isinstance(back, CalibrationDone)
+        assert back.pool_rows == 0 and back.n_new == 1
+
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError, match="unknown trace event"):
             event_from_json({"type": "bogus"})
@@ -365,6 +376,30 @@ class TestReports:
         assert (
             f"decisions: {len(passes)} pass(es), {total:.2f}s total"
             in summarize_trace(path).splitlines()
+        )
+
+    def test_summary_reports_pool_rows(self, synthetic_pool, tmp_path):
+        """Refits drop the pool caches (0 rows); border updates extend
+        only live rows, so the count never exceeds the live set."""
+        path = tmp_path / "run.jsonl"
+        _traced_run(synthetic_pool, path)
+        events = read_trace(path)
+        calib = [e for e in events if isinstance(e, CalibrationDone)]
+        assert all(e.pool_rows == 0 for e in calib if e.path != "incremental")
+        rows = [e.pool_rows for e in calib if e.pool_rows]
+        assert rows and all(0 < r <= 150 for r in rows)
+        starts = {
+            e.iteration: e for e in events if isinstance(e, IterationStart)
+        }
+        for e in calib:
+            if e.pool_rows:
+                assert e.pool_rows <= 150 - starts[e.iteration].n_dropped
+        line = next(
+            ln for ln in summarize_trace(path).splitlines()
+            if ln.startswith("calibration:")
+        )
+        assert line.endswith(
+            f"; pool rows extended {rows[0]} -> {rows[-1]}"
         )
 
     def test_summary_flags_truncation(self, synthetic_pool, tmp_path):

@@ -424,6 +424,80 @@ class TestSnapshotResume:
         assert ref.n_evaluations == got.n_evaluations
         assert ref.history == got.history
 
+    @pytest.mark.parametrize("via", ["memory", "npz"])
+    def test_resume_after_drops_and_reoptimisation(self, via):
+        """Cut once decision passes have dropped rows and after a
+        re-optimisation (``reopt_every=3``) with border updates since.
+        Replay keeps pool caches for ``~dropped_now & ~sampled_then``,
+        fewer rows than the live run extended; the resumed session must
+        still continue bit-identically."""
+        X, Y = random_pool(0, n=80)
+        cfg = PPATunerConfig(max_iterations=15, seed=0, reopt_every=3)
+        ref = PPATuner(cfg).tune(X, PoolOracle(Y))
+
+        session = TuningSession(cfg, X, Y.shape[1])
+        oracle = PoolOracle(Y)
+        while session.iteration < 5:
+            for idx in session.ask():
+                session.tell(
+                    idx,
+                    oracle.evaluate(idx),
+                    n_evaluations=oracle.n_evaluations,
+                )
+        assert session.dropped.any()
+        assert session.engine.stats.n_reopts > Y.shape[1]
+        snap = session.snapshot()
+        if via == "npz":
+            snap = self._roundtrip(snap)
+        del session
+
+        resumed = TuningSession.restore(snap)
+        for model in resumed.engine.models:
+            assert not resumed.dropped[model._pool_rows].any()
+        got = drive(resumed, oracle)
+        assert np.array_equal(ref.pareto_indices, got.pareto_indices)
+        assert np.array_equal(ref.pareto_points, got.pareto_points)
+        assert np.array_equal(
+            ref.evaluated_indices, got.evaluated_indices
+        )
+        assert ref.n_evaluations == got.n_evaluations
+        assert ref.stop_reason == got.stop_reason
+        assert ref.history == got.history
+
+    def test_resume_exact_past_one_blas_panel(self):
+        """A 600-row source archive puts the training set past the size
+        (about 512 rows) up to which a triangular solve over many
+        columns treats them alike.  Replay builds the pool caches while
+        keeping fewer rows than the live run did; whole-block solves
+        must still give every row the live run's bits, so the resumed
+        rectangles equal the uninterrupted run's exactly."""
+        rng = np.random.default_rng(5)
+        X, Y = random_pool(5, n=400)
+        Xs = rng.uniform(size=(600, 3))
+        Ys = rng.uniform(0.5, 2.0, size=(600, 2))
+        cfg = PPATunerConfig(max_iterations=8, seed=5, reopt_every=0)
+
+        def fresh():
+            return TuningSession(cfg, X, 2, sources=[(Xs, Ys)])
+
+        ref = fresh()
+        drive(ref, PoolOracle(Y))
+        session, oracle = fresh(), PoolOracle(Y)
+        while session.iteration < 3:
+            for idx in session.ask():
+                session.tell(
+                    idx, oracle.evaluate(idx),
+                    n_evaluations=oracle.n_evaluations,
+                )
+        assert session.dropped.any()
+        resumed = TuningSession.restore(
+            self._roundtrip(session.snapshot())
+        )
+        drive(resumed, oracle)
+        np.testing.assert_array_equal(resumed.regions.lo, ref.regions.lo)
+        np.testing.assert_array_equal(resumed.regions.hi, ref.regions.hi)
+        assert resumed.history == ref.history
+
     def test_snapshot_of_done_session(self):
         X, Y = random_pool(3)
         cfg = PPATunerConfig(max_iterations=15, seed=3)
