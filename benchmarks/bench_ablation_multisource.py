@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import generate_benchmark
-from repro.gp import GPRegressor, MultiSourceTransferGP
+from repro.gp import MultiSourceTransferGP
 
 from _util import run_once
 
@@ -43,7 +43,7 @@ def test_ablation_multisource_transfer(benchmark):
         def rmse(model_mean):
             return float(np.sqrt(np.mean((model_mean - yq) ** 2)))
 
-        solo = GPRegressor(seed=0).fit(Xt, yt)
+        solo = MultiSourceTransferGP(n_restarts=2, seed=0).fit([], Xt, yt)
         two = MultiSourceTransferGP(seed=0).fit([(Xs, ys)], Xt, yt)
         multi = MultiSourceTransferGP(seed=0).fit(
             [(Xs, ys), (Xs, ys_bad)], Xt, yt

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import generate_benchmark
-from repro.gp import GPRegressor, MultiSourceTransferGP
+from repro.gp import MultiSourceTransferGP
 
 
 def main() -> None:
@@ -54,7 +54,7 @@ def main() -> None:
     multi = MultiSourceTransferGP(seed=0).fit(
         [(Xs, ys_good), (Xs, ys_bad)], Xt, yt
     )
-    solo = GPRegressor(seed=0).fit(Xt, yt)
+    solo = MultiSourceTransferGP(n_restarts=2, seed=0).fit([], Xt, yt)
 
     rmse_multi = float(np.sqrt(np.mean((multi.predict(Xq)[0] - yq) ** 2)))
     rmse_solo = float(np.sqrt(np.mean((solo.predict(Xq)[0] - yq) ** 2)))

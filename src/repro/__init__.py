@@ -46,7 +46,6 @@ __all__ = [
     "FaultPlan",
     "FaultPolicy",
     "FlowOracle",
-    "GPRegressor",
     "GaussianCopula",
     "MetricsRegistry",
     "Mlcad19LcbBayesOpt",
@@ -100,7 +99,6 @@ _EXPORTS = {
     "RemoteTuner": "service",
     "ServiceClient": "service",
     "TuningService": "service",
-    "GPRegressor": "gp",
     "MultiSourceTransferGP": "gp",
     "MetricsRegistry": "obs",
     "NullRecorder": "obs",
@@ -141,7 +139,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         TuningResult,
         TuningSession,
     )
-    from .gp import GPRegressor, MultiSourceTransferGP
+    from .gp import MultiSourceTransferGP
     from .obs import (
         MetricsRegistry,
         NullRecorder,

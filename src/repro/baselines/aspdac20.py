@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import TuningResult
+from ..core.session import validate_init_indices
 from ..ml.boosting import GradientBoostingRegressor
 from .base import Oracle, PoolTuner
 
@@ -114,8 +115,7 @@ class Aspdac20Fist(PoolTuner):
         n_explore = min(n_explore, budget - 1, n)
         if init_indices is not None:
             evaluated = [
-                int(i)
-                for i in self._validate_init_indices(n, init_indices)
+                int(i) for i in validate_init_indices(init_indices, n)
             ]
         else:
             evaluated = []

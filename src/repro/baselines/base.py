@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.oracle import Oracle
 from ..core.result import TuningResult
+from ..core.session import validate_init_indices
 from ..pareto.dominance import pareto_indices
 
 
@@ -52,8 +53,8 @@ class PoolTuner(ABC):
             A :class:`TuningResult`.
 
         Raises:
-            ValueError: If ``init_indices`` contains duplicates /
-                out-of-range entries.
+            ValueError: If ``init_indices`` fail
+                :func:`~repro.core.validate_init_indices`.
         """
         return self._tune(
             X_pool, oracle, list(sources) if sources else [], init_indices
@@ -119,32 +120,6 @@ class PoolTuner(ABC):
         )
 
     @staticmethod
-    def _validate_init_indices(
-        n_pool: int, init_indices: np.ndarray
-    ) -> np.ndarray:
-        """Check explicit initial indices for range and uniqueness.
-
-        Raises:
-            ValueError: Naming the offending indices — a silently
-                clamped or double-evaluated seed corrupts budgets and
-                result bookkeeping far from the call site.
-        """
-        init = np.asarray(init_indices, dtype=int)
-        bad = init[(init < 0) | (init >= n_pool)]
-        if len(bad):
-            raise ValueError(
-                f"init_indices out of range [0, {n_pool}): "
-                f"{sorted(set(int(i) for i in bad))}"
-            )
-        values, counts = np.unique(init, return_counts=True)
-        dups = values[counts > 1]
-        if len(dups):
-            raise ValueError(
-                f"duplicate init_indices: {[int(i) for i in dups]}"
-            )
-        return init
-
-    @staticmethod
     def _initial_indices(
         n_pool: int,
         init_indices: np.ndarray | None,
@@ -153,6 +128,6 @@ class PoolTuner(ABC):
     ) -> np.ndarray:
         """Resolve the initial design (explicit, validated, or random)."""
         if init_indices is not None:
-            return PoolTuner._validate_init_indices(n_pool, init_indices)
+            return validate_init_indices(init_indices, n_pool)
         n_init = min(max(n_init, 2), n_pool)
         return rng.choice(n_pool, size=n_init, replace=False)

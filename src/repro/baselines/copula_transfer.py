@@ -21,6 +21,7 @@ import numpy as np
 
 from ..copula.model import GaussianCopula
 from ..core.result import TuningResult
+from ..core.session import validate_init_indices
 from .base import Oracle, PoolTuner
 
 
@@ -70,7 +71,7 @@ class CopulaTransferTuner(PoolTuner):
 
         # ---- Initialization: copula-ranked seeds when possible. ----
         if init_indices is not None:
-            init = self._validate_init_indices(n, init_indices)
+            init = validate_init_indices(init_indices, n)
         else:
             n_init = min(max(self.n_init, 2), budget - 1, n)
             init = None

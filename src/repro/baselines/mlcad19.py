@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import TuningResult
-from ..gp.gp_regression import GPRegressor
 from ..gp.kernels import make_kernel
+from ..gp.multisource import MultiSourceTransferGP
 from .base import Oracle, PoolTuner
 
 #: Augmented-Chebyshev blend coefficient.
@@ -76,8 +76,9 @@ class Mlcad19LcbBayesOpt(PoolTuner):
         evaluated = list(int(i) for i in init)
         Y = np.vstack([oracle.evaluate(i) for i in evaluated])
 
-        gp = GPRegressor(
+        gp = MultiSourceTransferGP(
             kernel=make_kernel(self.kernel, Xn.shape[1], 0.3),
+            n_restarts=2,
             seed=self.seed,
         )
         iteration = 0
@@ -91,7 +92,7 @@ class Mlcad19LcbBayesOpt(PoolTuner):
             scalar = np.max(Yn * w, axis=1) + _RHO * (Yn @ w)
 
             gp.optimize = (iteration % self.refit_every) == 0
-            gp.fit(Xn[evaluated], scalar)
+            gp.fit([], Xn[evaluated], scalar)
             mask = np.ones(n, dtype=bool)
             mask[evaluated] = False
             candidates = np.nonzero(mask)[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import TuningResult
+from ..core.session import validate_init_indices
 from .base import Oracle, PoolTuner
 
 
@@ -37,7 +38,7 @@ class RandomSearchTuner(PoolTuner):
         n = len(np.atleast_2d(X_pool))
         k = min(self.budget, n)
         if init_indices is not None:
-            init = self._validate_init_indices(n, init_indices)
+            init = validate_init_indices(init_indices, n)
             rest = np.setdiff1d(np.arange(n), init)
             extra = rng.choice(
                 rest, size=max(k - len(init), 0), replace=False

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import TuningResult
-from ..gp.gp_regression import GPRegressor
 from ..gp.kernels import make_kernel
+from ..gp.multisource import MultiSourceTransferGP
 from ..pareto.dominance import non_dominated_mask
 from .base import Oracle, PoolTuner
 
@@ -77,8 +77,9 @@ class Tcad19ActiveLearner(PoolTuner):
         Y = np.vstack([oracle.evaluate(i) for i in evaluated])
 
         models = [
-            GPRegressor(
+            MultiSourceTransferGP(
                 kernel=make_kernel(self.kernel, Xn.shape[1], 0.3),
+                n_restarts=2,
                 seed=self.seed + j,
             )
             for j in range(m)
@@ -93,7 +94,7 @@ class Tcad19ActiveLearner(PoolTuner):
             sigma = np.empty((n, m))
             for j, model in enumerate(models):
                 model.optimize = (iteration % self.refit_every) == 0
-                model.fit(Xn[evaluated], Y[:, j])
+                model.fit([], Xn[evaluated], Y[:, j])
                 mean, var = model.predict(Xn)
                 mu[:, j] = mean
                 sigma[:, j] = np.sqrt(var)

@@ -6,7 +6,12 @@ from .decision import apply_decision_rules
 from .oracle import CallableOracle, FlowOracle, Oracle, PoolOracle
 from .result import IterationRecord, TuningResult
 from .selection import select_batch, select_next
-from .session import EvaluationFailure, TuningSession, drive
+from .session import (
+    EvaluationFailure,
+    TuningSession,
+    drive,
+    validate_init_indices,
+)
 from .tuner import PPATuner, Tuner
 from .uncertainty import UncertaintyRegions, prediction_rectangle
 
@@ -30,4 +35,5 @@ __all__ = [
     "prediction_rectangle",
     "select_batch",
     "select_next",
+    "validate_init_indices",
 ]

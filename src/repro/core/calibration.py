@@ -5,14 +5,13 @@ data that only grows by the freshly evaluated target points.  The engine
 decides, per iteration, between two numerically equivalent paths:
 
 - **Exact path** — a full ``fit`` per metric (kernel re-evaluation +
-  refactorization), used for the initial calibration, on every
+  refactorization), used for the initial calibration and on every
   hyperparameter re-optimization cadence tick (``reopt_every``,
-  warm-started from the previous optimum inside the models), and when
-  :class:`PPATunerConfig.incremental` is off.
+  warm-started from the previous optimum inside the models).
 - **Fast path** — ``update`` per metric: the new evaluations extend the
   cached Cholesky factor via rank-1 border updates and each cached pool
   row's cross-covariance and whitened sum of squares by the new columns
-  only (see :mod:`repro.gp.incremental`).  If an update's Schur
+  only (see :mod:`repro.gp.multisource`).  If an update's Schur
   complement is not positive definite the model falls back to an exact
   refactorization on its own; the engine records the event in
   :attr:`CalibrationStats`.
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gp.incremental import pool_indices
+from ..gp.multisource import pool_indices
 from ..obs.events import CalibrationDone
 from ..obs.recorder import NULL_RECORDER
 from .config import PPATunerConfig
@@ -85,7 +84,7 @@ class CalibrationEngine:
 
         Args:
             models: One fitted-or-fresh transfer GP per QoR metric.
-            config: Loop configuration (cadence and engine switch).
+            config: Loop configuration (the re-optimization cadence).
             sources: Normalized ``(X_k, Y_k)`` archives, ``Y_k`` with
                 one column per metric (empty: no transfer).
             recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`
@@ -108,7 +107,7 @@ class CalibrationEngine:
 
         Adaptive pool refinement grows the candidate table mid-run; the
         prediction caches are extended by the new rows only — never
-        rebuilt (see :meth:`~repro.gp.incremental.IncrementalGPMixin.extend_pool`).
+        rebuilt (see :meth:`~repro.gp.MultiSourceTransferGP.extend_pool`).
         """
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         if X_new.size == 0:
@@ -139,12 +138,10 @@ class CalibrationEngine:
                 predictions ask for; every model keeps pool caches for
                 these rows only (``None`` keeps the current ones).
         """
-        cfg = self.config
-        cadence = cfg.reopt_every
+        cadence = self.config.reopt_every
         reopt = cadence > 0 and (t % cadence) == 0
         fast = (
-            cfg.incremental
-            and self._fitted
+            self._fitted
             and not reopt
             and all(m.is_fitted for m in self.models)
         )
@@ -231,13 +228,12 @@ class CalibrationEngine:
             ))
 
     def predict(
-        self, indices: np.ndarray, include_noise: bool = False
+        self, indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/std per metric at registered pool ``indices``.
 
         Args:
             indices: Integer pool indices (or boolean mask).
-            include_noise: Add observation noise to the variances.
 
         Returns:
             ``(mean, std)`` arrays of shape ``(len(indices), m)``.
@@ -246,7 +242,7 @@ class CalibrationEngine:
         mean = np.empty((len(idx), len(self.models)))
         std = np.empty_like(mean)
         for j, model in enumerate(self.models):
-            mu, var = model.predict_pool(idx, include_noise=include_noise)
+            mu, var = model.predict_pool(idx)
             mean[:, j] = mu
             std[:, j] = np.sqrt(var)
         return mean, std

@@ -49,20 +49,12 @@ class PPATunerConfig:
         reopt_every: Hyperparameter re-optimization cadence of the
             calibration engine: every this many iterations each GP's
             hyperparameters are re-optimized (warm-started from the
-            previous optimum) with an exact refactorization; posteriors
-            are refreshed every iteration.  ``0`` disables
-            re-optimization after the initial fit entirely.
-        incremental: Use the incremental calibration engine — between
-            re-optimizations new evaluations extend the cached Cholesky
-            factor (rank-1 border updates) and the cached pool
-            cross-covariance instead of refitting from scratch.  The
-            posterior is numerically equivalent; set ``False`` to force
-            the exact from-scratch path every iteration.
+            previous optimum) with an exact refactorization; between
+            ticks new evaluations extend each posterior by exact border
+            updates.  ``0`` disables re-optimization after the initial
+            fit entirely.
         n_restarts: Hyperparameter-optimizer restarts.
         transfer: If False, source data is ignored (ablation switch).
-        noise_in_regions: Include the learned observation-noise variance
-            in the uncertainty rectangles (wider, slower, noise-robust
-            decisions); default reasons with epistemic uncertainty only.
         pareto_delta_scale: Multiplier on δ for the Pareto-classification
             rule (Eq. (12)).  Classification errors are repaired by the
             final tool verification while wrong drops are permanent, so
@@ -98,18 +90,14 @@ class PPATunerConfig:
     max_iterations: int = 500
     kernel: str = "rbf"
     reopt_every: int = 10
-    incremental: bool = True
     n_restarts: int = 1
     transfer: bool = True
-    noise_in_regions: bool = False
     pareto_delta_scale: float = 3.0
     seed: int = 0
     init_fraction: float = 0.02
     min_init: int = 5
     fault_policy: FaultPolicy | None = field(default_factory=FaultPolicy)
     warm_start: str = "random"
-
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -148,7 +136,7 @@ class PPATunerConfig:
         silently dropped from snapshots.  Scalars are coerced to the
         Python type of the field's default (numpy scalars included);
         a vector ``delta_rel`` becomes a list and is restored as an
-        array.  ``extra`` must itself be JSON-serializable.
+        array.
         """
         out = {}
         for f in fields(self):
@@ -157,8 +145,6 @@ class PPATunerConfig:
                 value = [float(v) for v in value.ravel()]
             elif isinstance(value, FaultPolicy):
                 value = value.to_json()
-            elif isinstance(value, dict):
-                value = dict(value)
             elif isinstance(f.default, (bool, int, float, str)):
                 value = type(f.default)(value)
             out[f.name] = value

@@ -37,7 +37,7 @@ decides what is worth a verification run, but only mutually
 non-dominated golden rows are reported (the paper's δ-accurate set).
 
 Sessions serialize: :meth:`TuningSession.snapshot` captures the full
-state (masks, regions, observations, RNG, fault counters, pending
+state (masks, regions, observations, fault counters, pending
 asks, and the calibration call log) as arrays plus JSON metadata, and
 :meth:`TuningSession.restore` rebuilds a bit-identical session by
 replaying the logged calibration calls against freshly constructed
@@ -83,10 +83,11 @@ __all__ = [
     "EvaluationFailure",
     "TuningSession",
     "drive",
+    "validate_init_indices",
 ]
 
 #: Snapshot-format version; bump when the serialized layout changes.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _PHASES = ("init", "loop", "verify", "done")
 
@@ -125,6 +126,48 @@ class EvaluationFailure:
         )
 
 
+def validate_init_indices(init_indices, n_pool: int) -> np.ndarray:
+    """Check a caller's explicit initial design against the pool.
+
+    Every tuner runs explicit ``init_indices`` through this check when
+    the run is created, before any tool run: a cast, clamped or repeated
+    seed would spend tool runs on candidates nobody asked for and corrupt
+    the budget far from the call site.
+
+    Args:
+        init_indices: Candidate indices, in evaluation order.
+        n_pool: Number of candidates in the pool.
+
+    Returns:
+        The indices as an ``int`` array.
+
+    Raises:
+        ValueError: Naming ``init_indices`` when they are empty, not
+            integers, out of ``[0, n_pool)`` or repeated.
+    """
+    init = np.asarray(init_indices)
+    if init.ndim != 1 or init.size == 0:
+        raise ValueError("init_indices must be a non-empty list of indices")
+    if init.dtype.kind not in "iu":
+        raise ValueError(
+            f"init_indices must be integers, got {init.dtype} values"
+        )
+    init = init.astype(int)
+    bad = init[(init < 0) | (init >= n_pool)]
+    if len(bad):
+        raise ValueError(
+            f"init_indices out of range [0, {n_pool}): "
+            f"{sorted(set(int(i) for i in bad))}"
+        )
+    values, counts = np.unique(init, return_counts=True)
+    dups = values[counts > 1]
+    if len(dups):
+        raise ValueError(
+            f"duplicate init_indices: {[int(i) for i in dups]}"
+        )
+    return init
+
+
 class TuningSession:
     """Stepwise ask/tell state machine over one candidate pool.
 
@@ -144,8 +187,9 @@ class TuningSession:
             ``sources``).
         Y_source: Single source-task golden objectives.
         sources: Multiple ``(X_k, Y_k)`` historical archives.
-        init_indices: Explicit initial evaluations; sampled from the
-            config seed when omitted.
+        init_indices: Explicit initial evaluations (checked by
+            :func:`validate_init_indices`); sampled from the config seed
+            when omitted.
         recorder: Optional :class:`~repro.obs.recorder.TraceRecorder`;
             the session emits the exact event stream of a closed-loop
             ``PPATuner.tune`` run.
@@ -153,8 +197,8 @@ class TuningSession:
     Raises:
         ValueError: On shape mismatches, NaN/inf in ``X_pool`` or a
             source archive (the message names the array and source
-            index), or conflicting source arguments (same contract as
-            ``PPATuner.tune``).
+            index), invalid ``init_indices``, or conflicting source
+            arguments (same contract as ``PPATuner.tune``).
     """
 
     def __init__(
@@ -211,7 +255,9 @@ class TuningSession:
 
         # ---- Initialization (Algorithm 1 lines 1-2). ----
         rng = np.random.default_rng(cfg.seed)
-        if init_indices is None:
+        if init_indices is not None:
+            init_indices = validate_init_indices(init_indices, n)
+        else:
             n_init = max(cfg.min_init, int(round(n * cfg.init_fraction)))
             n_init = min(n_init, n)
             if cfg.warm_start == "copula" and source_list:
@@ -228,7 +274,6 @@ class TuningSession:
             if init_indices is None:
                 init_indices = rng.choice(n, size=n_init, replace=False)
         self.init_indices = np.asarray(init_indices, dtype=int)
-        self._rng_state = rng.bit_generator.state
 
         self.sampled = np.zeros(n, dtype=bool)
         self.dropped = np.zeros(n, dtype=bool)
@@ -664,9 +709,7 @@ class TuningSession:
             live=active,
         )
         active_ids = np.nonzero(active)[0]
-        mean, std = self.engine.predict(
-            active_ids, include_noise=cfg.noise_in_regions
-        )
+        mean, std = self.engine.predict(active_ids)
         rect_lo, rect_hi = prediction_rectangle(mean, std, cfg.tau)
         self.regions.intersect(active_ids, rect_lo, rect_hi)
 
@@ -986,7 +1029,6 @@ class TuningSession:
             "loop_runs": self._loop_runs,
             "delta_norm": self._delta_norm,
             "elapsed": self._elapsed(),
-            "rng_state": _json_rng_state(self._rng_state),
             "calib_log": [
                 [t, list(new), n] for t, new, n in self._calib_log
             ],
@@ -1066,7 +1108,6 @@ class TuningSession:
         self._prepare_normalization()
 
         self.init_indices = np.asarray(arrays["init_indices"], dtype=int)
-        self._rng_state = _rng_state_from_json(meta["rng_state"])
         # Copy every mutable per-candidate array: an in-memory snapshot
         # holds references, and a restored session must never share
         # state with the donor session (or with a sibling restored from
@@ -1168,7 +1209,6 @@ class TuningSession:
         self._build_models()
         grown = self.n - sum(k for _, k in self._pool_log)
         self._build_engine(NULL_RECORDER, n_pool=grown)
-        cfg = self.config
         growth = list(self._pool_log)
         g = 0
         for t, new, n_order in self._calib_log:
@@ -1189,10 +1229,7 @@ class TuningSession:
             # when the models build their pool caches; building them at
             # the same points keeps every subsequent prediction on the
             # identical floating-point path.
-            self.engine.predict(
-                np.zeros(1, dtype=int),
-                include_noise=cfg.noise_in_regions,
-            )
+            self.engine.predict(np.zeros(1, dtype=int))
         self.engine.recorder = (
             self.recorder if self.recorder else NULL_RECORDER
         )
@@ -1355,15 +1392,6 @@ def _finalize_mask(
         final[sampled_ids[nd_rows]] = True
     final[quarantined] = False
     return final
-
-
-def _json_rng_state(state: dict) -> dict:
-    """``bit_generator.state`` → JSON (big ints are JSON-safe)."""
-    return json.loads(json.dumps(state, default=int))
-
-
-def _rng_state_from_json(payload: dict) -> dict:
-    return payload
 
 
 def _fingerprint(meta: dict, arrays: dict) -> str:

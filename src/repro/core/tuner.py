@@ -38,8 +38,7 @@ from ..obs.recorder import NULL_RECORDER
 from .calibration import CalibrationEngine
 from .config import PPATunerConfig
 from .result import TuningResult
-from .session import TuningSession, _finalize_mask, drive
-from .uncertainty import UncertaintyRegions
+from .session import TuningSession, drive
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gp.multisource import MultiSourceTransferGP
@@ -207,21 +206,3 @@ class PPATuner:
             # or not the drive completed (telemetry reads them).
             self.models_ = session.models
             self.calibration_ = session.engine
-
-    @staticmethod
-    def _finalize(
-        regions: UncertaintyRegions,
-        dropped: np.ndarray,
-        pareto: np.ndarray,
-        y_obs: np.ndarray,
-        sampled: np.ndarray,
-        quarantined: np.ndarray,
-    ) -> np.ndarray:
-        """Final Pareto mask over the pool (verification admission).
-
-        Delegates to the session-layer implementation; kept as a method
-        for API continuity.
-        """
-        return _finalize_mask(
-            regions, dropped, pareto, y_obs, sampled, quarantined
-        )

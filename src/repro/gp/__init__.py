@@ -1,15 +1,14 @@
 """Gaussian-process substrate (from scratch on numpy/scipy).
 
-Standard GP regression (paper Eq. (1)) and the transfer GP of paper
-Section 3.1: :class:`MultiSourceTransferGP` damps the base kernel across
-tasks by the Gamma-integrated factor ``lambda = 2 (1 + a)^-b - 1``
-(Eq. (5)-(7), :func:`transfer_factor`), carries per-task noise and
-predicts by Eq. (8).  With one source archive it is exactly the paper's
-two-task model; it also takes several archives, or none.
+One GP model, the transfer GP of paper Section 3.1:
+:class:`MultiSourceTransferGP` damps the base kernel across tasks by the
+Gamma-integrated factor ``lambda = 2 (1 + a)^-b - 1`` (Eq. (5)-(7),
+:func:`transfer_factor`), carries per-task noise and predicts by
+Eq. (8).  With one source archive it is exactly the paper's two-task
+model; it also takes several archives, or none, which is the standard
+GP regression of Eq. (1).
 """
 
-from .gp_regression import GPRegressor
-from .incremental import IncrementalGPMixin
 from .kernels import Kernel, Matern52Kernel, RBFKernel, make_kernel
 from .likelihood import gaussian_log_marginal, maximize_objective
 from .multisource import MultiSourceTransferGP, transfer_factor
@@ -26,8 +25,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "GPRegressor",
-    "IncrementalGPMixin",
     "Kernel",
     "Matern52Kernel",
     "MultiSourceTransferGP",

@@ -24,8 +24,8 @@ with ``c_target = 1`` and ``c_s = lambda_s``, so
 Each target-source correlation is the paper's two-task factor and
 source-source correlations follow as products.  K=1 is exactly the
 paper's model, ``K~[n, m] = k(x_n, x_m) * lambda`` across the two tasks
-and ``k(x_n, x_m)`` within one; K=0 is plain GP regression on the
-target.
+and ``k(x_n, x_m)`` within one; K=0 is the single-task GP regression of
+Eq. (1), which the single-task baselines use.
 
 Each task also carries its own noise variance — the ``Lambda`` of
 Eq. (8), ``beta_s^-1`` on source rows and ``beta_t^-1`` on target rows.
@@ -37,21 +37,91 @@ gradients.  Prediction at a target-task input follows Eq. (8):
     sigma^2(x) = k(x, x) + beta_t^-1 - k(x, X)^T (K~ + Lambda)^-1 k(x, X)
 
 where ``k(x, X)`` is the transfer covariance (source-``s`` columns
-damped by ``lambda_s``).
+damped by ``lambda_s``).  The model returns the variance without
+``beta_t^-1``: the tuner's uncertainty regions are epistemic.
+
+Incremental calibration.  The tuning loop (Algorithm 1) refits every
+surrogate each iteration on data that only ever *grows* by the freshly
+evaluated target points.  A from-scratch refit re-evaluates the full
+kernel and refactorizes the ``(n_src + n_tgt)`` covariance — O(n^2 d +
+n^3) per metric per iteration.  The model has an exact O(k n^2) fast
+path:
+
+- :meth:`~MultiSourceTransferGP.update` border-extends the cached
+  Cholesky factor with the new target rows
+  (:func:`~repro.gp.linalg.cholesky_append_rows`) and recomputes the
+  standardization constants and ``alpha`` — the posterior is
+  *identical* (to floating-point roundoff) to a from-scratch refit with
+  the same hyperparameters.
+- :meth:`~MultiSourceTransferGP.register_pool` /
+  :meth:`~MultiSourceTransferGP.predict_pool` cache, for each pool row
+  ``x``, its cross-covariance ``k*(x)`` against the training rows and
+  its whitened sum of squares ``s(x) = ||L^-1 k*(x)||^2``, so that
+  ``mu = k*(x) alpha`` and ``sigma^2 = k(x, x) - s(x)``.  A border
+  update by ``k`` rows appends ``k(x, X_new)`` to ``k*(x)`` and adds
+  ``||L22^-1 (k(x, X_new) - k*(x) W)||^2`` to ``s(x)``, with
+  ``W = K^-1 K_c`` from the factor: O(n·k) per row instead of a fresh
+  kernel evaluation plus an O(n^2) triangular solve.
+
+Every cached value is row-local: it is computed from its own row alone,
+by a triangular solve per column, ``cdist``/``exp``, column sums, and
+one ``(1, n) @ (n, k)`` product per row for ``k*(x) W``.  That product
+is stacked on purpose: one BLAS ``gemv`` or ``gemm`` over many rows
+rounds a row differently depending on which other rows share the call.
+So dropping cached rows (:meth:`~MultiSourceTransferGP.keep_pool_rows`),
+their order and the block size :data:`POOL_BLOCK` never change a
+prediction, bit for bit, and the caches can follow the live candidates
+instead of the pool.  :data:`POOL_BLOCK` only bounds the transients of
+each step: one block's cross-covariance and triangular-solve right-hand
+side.  (Past about 512 training rows the BLAS solve may stop treating
+columns alike, and the block size could then move last bits; builds
+solve whole pool blocks, so dropped rows and a replayed session stay
+exact there too — see
+:meth:`~MultiSourceTransferGP._ensure_pool_cache`.)
+
+The cross-covariance cache is a buffer with up to :data:`POOL_SPARE`
+spare training columns, so a border update writes only its new
+columns; a full buffer is reallocated with that much room again.
+Anything that rebuilds the caches (``fit``, the fallback refit,
+``register_pool``) drops them; the next prediction builds them for the
+kept rows.
+
+Numerical safety: the initial fit's escalated jitter is carried onto the
+appended diagonal so the extended factor matches the fitted covariance,
+and whenever the Schur complement of an append is not positive definite
+the model transparently falls back to an exact jittered refactorization
+(``last_update_fallback`` is set so callers can count these).  Because
+hyperparameter refits rebuild everything from scratch anyway, error from
+long append chains cannot accumulate past one re-optimization cadence.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .incremental import IncrementalGPMixin
 from .kernels import Kernel, RBFKernel
 from .likelihood import gaussian_log_marginal, maximize_objective
-from .linalg import cholesky_solve, require_finite, robust_cholesky
+from .linalg import (
+    NotPositiveDefiniteError,
+    cholesky_append_rows,
+    cholesky_solve,
+    require_finite,
+    robust_cholesky,
+)
 
 #: Log-space bounds for Gamma parameters and noise variances.
 _GAMMA_BOUNDS = (-5.0, 4.0)
 _NOISE_BOUNDS = (-12.0, 2.0)
+
+#: Pool rows per step when building or extending the pool caches.  It
+#: bounds each step's transients only: cached values are row-local, so
+#: the block size never changes a prediction.
+POOL_BLOCK = 1024
+
+#: Spare training columns the cross-covariance cache is (re)allocated
+#: with, so that many border-updated points cost no reallocation.
+POOL_SPARE = 16
 
 
 def transfer_factor(a, b):
@@ -76,11 +146,42 @@ def transfer_factor(a, b):
     return 2.0 * (1.0 + a) ** (-b) - 1.0
 
 
-class MultiSourceTransferGP(IncrementalGPMixin):
+def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``L^-1 rhs`` for lower-triangular ``L``, each column alike.
+
+    LAPACK solves a single right-hand side by another routine, which
+    rounds differently, so a lone column is solved beside a copy of
+    itself.
+    """
+    if rhs.shape[1] == 1:
+        return solve_triangular(L, np.hstack([rhs, rhs]), lower=True)[:, :1]
+    return solve_triangular(L, rhs, lower=True)
+
+
+def pool_indices(indices) -> np.ndarray:
+    """Pool row indices as an ``intp`` array.
+
+    A boolean mask selects its true rows; an empty request (a plain
+    ``[]`` included) is an empty index array.
+
+    Raises:
+        TypeError: On non-integer, non-boolean indices.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype == bool:
+        return np.flatnonzero(idx)
+    if idx.size == 0:
+        return np.empty(0, dtype=np.intp)
+    return idx.astype(np.intp, casting="same_kind", copy=False)
+
+
+class MultiSourceTransferGP:
     """Transfer GP over K source tasks and one target task.
 
     One source archive is the paper's two-task model; several archives,
-    or none, go through the same ``sources`` list.
+    or none (plain GP regression), go through the same ``sources`` list.
+    The model also predicts cached pool rows and absorbs new target
+    rows by exact border updates (see the module docstring).
 
     Example:
         >>> model = MultiSourceTransferGP()
@@ -121,13 +222,24 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         self._log_a: np.ndarray | None = None
         self._log_b: np.ndarray | None = None
         self._log_noise: np.ndarray | None = None  # per task, target last
+        self._opt_theta: np.ndarray | None = None
+        # Training data, rows grouped by task (sources first, target
+        # last), and the posterior state built from it.
         self._X: np.ndarray | None = None
         self._tasks: np.ndarray | None = None
+        self._y_raw: np.ndarray | None = None
         self._L: np.ndarray | None = None
+        self._jitter = 0.0
         self._alpha: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
-        self._opt_theta: np.ndarray | None = None
+        #: Whether the last :meth:`update` call had to fall back to an
+        #: exact from-scratch refactorization (jitter escalation).
+        self.last_update_fallback = False
+        self._pool_X: np.ndarray | None = None
+        # Mask of the pool rows the caches hold; ``None`` holds every row.
+        self._pool_keep: np.ndarray | None = None
+        self._invalidate_pool_cache()
 
     # ---- task-correlation helpers -------------------------------------
 
@@ -221,29 +333,16 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             self._log_b = np.full(self._n_sources, log_b0)
             self._log_noise = np.full(self._n_sources + 1, log_n0)
 
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        z = (y - self._y_mean) / self._y_std
-
+        self._X, self._tasks, self._y_raw = X, tasks, y
         if self.optimize and len(X) >= 3:
-            self._optimize_hyperparameters(X, tasks, z)
-
-        K = self._full_kernel(X, tasks) + np.diag(
-            np.exp(self._log_noise)[tasks]
-        )
-        self._L, self._jitter = robust_cholesky(K)
-        self._alpha = cholesky_solve(self._L, z)
-        self._X = X
-        self._tasks = tasks
-        self._y_raw = y.copy()
-        self._invalidate_pool_cache()
+            self._optimize_hyperparameters(self._standardize())
+        self._refit_state()
         return self
-
-    # ---- incremental hooks (see IncrementalGPMixin) -------------------
 
     def _cross_cov(
         self, X_query: np.ndarray, rows: slice | None = None
     ) -> np.ndarray:
+        """Covariance of target-task queries vs training ``rows``."""
         assert self._kernel is not None
         assert self._X is not None and self._tasks is not None
         X_query = np.atleast_2d(X_query)
@@ -254,53 +353,26 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         factors = np.where(tasks2 == self._n_sources, 1.0, factors)
         return self._kernel.eval(X_query, X2) * factors[None, :]
 
-    def _cov_new_block(self, X_new: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None and self._log_noise is not None
-        return self._kernel.eval(X_new) + float(
-            np.exp(self._log_noise[-1])
-        ) * np.eye(len(X_new))
-
-    def _cov_full(self) -> np.ndarray:
-        assert self._X is not None and self._tasks is not None
-        assert self._log_noise is not None
-        return self._full_kernel(self._X, self._tasks) + np.diag(
-            np.exp(self._log_noise)[self._tasks]
-        )
-
-    def _prior_diag(self, X_query: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None
-        return self._kernel.diag(np.atleast_2d(X_query))
-
-    def _predict_noise(self) -> float:
-        assert self._log_noise is not None
-        return float(np.exp(self._log_noise[-1]))
-
-    def _append_data(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
-        assert self._X is not None and self._tasks is not None
-        assert self._y_raw is not None
-        self._X = np.vstack([self._X, X_new])
-        self._tasks = np.concatenate([
-            self._tasks,
-            np.full(len(y_new), self._n_sources, dtype=int),
-        ])
-        self._y_raw = np.concatenate([self._y_raw, y_new])
-
     def _full_kernel(self, X: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+        """Noise-free transfer covariance among training rows."""
         assert self._kernel is not None
         B = self._task_matrix(self._coeffs())
         return self._kernel.eval(X) * B[np.ix_(tasks, tasks)]
 
-    def _optimize_hyperparameters(
-        self, X: np.ndarray, tasks: np.ndarray, z: np.ndarray
-    ) -> None:
+    def _optimize_hyperparameters(self, z: np.ndarray) -> None:
         kernel = self._kernel
         assert kernel is not None
+        X, tasks = self._X, self._tasks
         n_src = self._n_sources
         n_kernel = kernel.n_params
         onehot = np.eye(n_src + 1)[tasks]
         # Flat index of each training pair's entry in the task matrix B.
         pairs = tasks[:, None] * (n_src + 1) + tasks[None, :]
         diag = np.diag_indices(len(tasks))
+        # Each task's rows are contiguous: its noise gradient sums its
+        # block of W's diagonal, pairwise as ndarray.sum does, so one
+        # task's sum is np.trace(W) bit for bit.
+        task_starts = np.flatnonzero(np.diff(tasks)) + 1
 
         def unpack(theta):
             kernel.theta = theta[:n_kernel]
@@ -333,9 +405,9 @@ class MultiSourceTransferGP(IncrementalGPMixin):
             # d lambda / d log b = -2 b log(1+a) (1+a)^(-b), per source.
             dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
             dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-            W_task_diag = np.bincount(
-                tasks, weights=np.diag(W), minlength=n_src + 1
-            )
+            W_task_diag = np.array([
+                block.sum() for block in np.split(np.diag(W), task_starts)
+            ])
             g = np.concatenate([
                 base_grad(W * B_exp),
                 dc * dlam_da,
@@ -368,3 +440,406 @@ class MultiSourceTransferGP(IncrementalGPMixin):
         self._log_b = best[n_kernel + n_src:n_kernel + 2 * n_src].copy()
         self._log_noise = best[n_kernel + 2 * n_src:].copy()
         self._opt_theta = np.asarray(best, dtype=float).copy()
+
+    # ---- prediction --------------------------------------------------
+
+    @property
+    def is_fitted(self) -> bool:
+        """Whether ``fit`` has been called."""
+        return self._alpha is not None
+
+    def predict(self, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at target-task inputs.
+
+        Paper Eq. (8) (Eq. (1) with no source): ``mu = k*^T alpha`` and
+        ``sigma^2 = k(x, x) - v^T v`` with ``v = L^-1 k*``.
+
+        Args:
+            X_new: ``(m, d)`` query inputs.
+
+        Returns:
+            ``(mean, variance)`` arrays of length ``m`` in the original
+            target scale.
+
+        Raises:
+            RuntimeError: If called before ``fit``.
+        """
+        if not self.is_fitted:
+            raise RuntimeError("predict() before fit()")
+        assert self._L is not None and self._alpha is not None
+        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+        K_star = self._cross_cov(X_new)
+        mean_z = K_star @ self._alpha
+        v = np.linalg.solve(self._L, K_star.T)
+        var_z = self._kernel.diag(X_new) - np.sum(v * v, axis=0)
+        var_z = np.maximum(var_z, 1e-12)
+        return (
+            mean_z * self._y_std + self._y_mean,
+            var_z * self._y_std**2,
+        )
+
+    # ---- incremental update ------------------------------------------
+
+    def update(self, X_new: np.ndarray, y_new: np.ndarray):
+        """Absorb new *target-task* observations without refitting.
+
+        Extends the Cholesky factor by a border update and refreshes the
+        standardization constants and ``alpha``; hyperparameters are
+        left untouched.  The result is numerically equivalent to calling
+        ``fit`` on the concatenated data with ``optimize=False``.
+
+        Args:
+            X_new: ``(k, d)`` new target inputs.
+            y_new: Length-``k`` new target observations (original
+                scale).
+
+        Returns:
+            ``self``.
+
+        Raises:
+            RuntimeError: If called before ``fit``.
+            ValueError: On shape mismatch or NaN/inf values.
+        """
+        if not self.is_fitted:
+            raise RuntimeError("update() before fit()")
+        assert self._X is not None and self._L is not None
+        assert self._y_raw is not None and self._tasks is not None
+        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+        y_new = np.asarray(y_new, dtype=float).ravel()
+        if len(X_new) != len(y_new):
+            raise ValueError("X_new and y_new misaligned")
+        require_finite("X_new", X_new)
+        require_finite("y_new", y_new)
+        self.last_update_fallback = False
+        if len(y_new) == 0:
+            return self
+        if X_new.shape[1] != self._X.shape[1]:
+            raise ValueError("dimensionality mismatch")
+
+        n_old = len(self._L)
+        k = len(y_new)
+        K_cross = self._cross_cov(X_new).T  # (n_old, k)
+        K_block = self._kernel.eval(X_new) + float(
+            np.exp(self._log_noise[-1])
+        ) * np.eye(k)
+        if self._jitter:
+            K_block = K_block + self._jitter * np.eye(k)
+        try:
+            L_ext = cholesky_append_rows(self._L, K_cross, K_block)
+        except NotPositiveDefiniteError:
+            L_ext = None
+        self._X = np.vstack([self._X, X_new])
+        self._tasks = np.concatenate([
+            self._tasks, np.full(k, self._n_sources, dtype=int),
+        ])
+        self._y_raw = np.concatenate([self._y_raw, y_new])
+        if L_ext is None:
+            # Jitter escalation: rebuild the exact factorization so the
+            # posterior never silently drifts.
+            self._refit_state()
+            self.last_update_fallback = True
+            return self
+
+        self._L = L_ext
+        self._alpha = cholesky_solve(L_ext, self._standardize())
+        if self._pool_rows is not None:
+            self._extend_pool_columns(L_ext, n_old)
+        return self
+
+    def _standardize(self) -> np.ndarray:
+        """Refresh the standardization constants from the raw targets.
+
+        Returns:
+            The standardized targets ``z``.
+        """
+        assert self._y_raw is not None
+        y = self._y_raw
+        self._y_mean = float(y.mean())
+        self._y_std = float(y.std()) or 1.0
+        return (y - self._y_mean) / self._y_std
+
+    def _refit_state(self) -> None:
+        """Exact posterior from the current data and hyperparameters."""
+        assert self._X is not None and self._tasks is not None
+        K = self._full_kernel(self._X, self._tasks) + np.diag(
+            np.exp(self._log_noise)[self._tasks]
+        )
+        self._L, self._jitter = robust_cholesky(K)
+        self._alpha = cholesky_solve(self._L, self._standardize())
+        self._invalidate_pool_cache()
+
+    # ---- cached pool prediction --------------------------------------
+
+    def register_pool(self, X_pool: np.ndarray) -> None:
+        """Attach a fixed candidate pool for cached prediction.
+
+        Every row is kept until :meth:`keep_pool_rows` says otherwise.
+
+        Args:
+            X_pool: ``(p, d)`` target-task candidate features; rows are
+                addressed by index in :meth:`predict_pool`.
+        """
+        self._pool_X = np.atleast_2d(np.asarray(X_pool, dtype=float))
+        self._pool_keep = None
+        self._invalidate_pool_cache()
+
+    def extend_pool(self, X_new: np.ndarray) -> None:
+        """Append candidate rows to the registered pool (append path).
+
+        The adaptive-refinement counterpart of :meth:`update`: where
+        ``update`` extends the caches by new *training* columns, this
+        extends them by new, kept *pool* rows.  Only the appended rows'
+        cross-covariance and whitened sums are computed — the existing
+        caches are never rebuilt, so growing the pool costs O(k·n²)
+        instead of O(p·n²).
+
+        Args:
+            X_new: ``(k, d)`` new target-task candidate features,
+                appended after the existing pool rows (indices continue
+                from ``len(pool)``).
+
+        Raises:
+            RuntimeError: If no pool is registered.
+            ValueError: On dimensionality mismatch.
+        """
+        if self._pool_X is None:
+            raise RuntimeError("extend_pool() before register_pool()")
+        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+        if X_new.size == 0:
+            return
+        if X_new.shape[1] != self._pool_X.shape[1]:
+            raise ValueError("dimensionality mismatch")
+        p, k = len(self._pool_X), len(X_new)
+        self._pool_X = np.vstack([self._pool_X, X_new])
+        if self._pool_keep is not None:
+            self._pool_keep = np.concatenate(
+                [self._pool_keep, np.ones(k, dtype=bool)]
+            )
+        if self._pool_rows is None:
+            return  # built lazily, with the new rows, on first use
+        new_rows = np.arange(p, p + k)
+        K_new, s_new = self._pool_blocks(new_rows)
+        r, n = len(self._pool_rows), len(self._L)
+        K = np.empty((r + k, self._pool_K.shape[1]))
+        K[:r, :n] = self._pool_K[:r, :n]
+        K[r:, :n] = K_new
+        self._pool_K = K
+        self._pool_s = np.concatenate([self._pool_s[:r], s_new])
+        self._pool_rows = np.concatenate([self._pool_rows, new_rows])
+        self._pool_slot = np.concatenate(
+            [self._pool_slot, np.arange(r, r + k)]
+        )
+
+    def keep_pool_rows(self, keep: np.ndarray) -> None:
+        """Hold pool caches for the rows of mask ``keep`` only.
+
+        Cached rows outside ``keep`` are dropped now, and the next build
+        caches exactly ``keep``.  Cached values are row-local, so
+        predictions of kept rows do not change, bit for bit.  A row
+        outside ``keep`` can still be predicted: it is computed fresh
+        and not cached.
+
+        Args:
+            keep: Boolean mask over the registered pool.
+
+        Raises:
+            RuntimeError: If no pool is registered.
+            ValueError: If ``keep`` is not a mask of the pool's length.
+        """
+        if self._pool_X is None:
+            raise RuntimeError("keep_pool_rows() before register_pool()")
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self._pool_X),):
+            raise ValueError("keep must be a boolean mask over the pool")
+        self._pool_keep = keep.copy()
+        if self._pool_rows is None:
+            return
+        live = keep[self._pool_rows]
+        if live.all():
+            return
+        # Fill the dead rows' slots with the last survivors: O(n) per
+        # moved row, and the order of slots never matters.  The buffer's
+        # unused tail goes at its next reallocation.
+        dead = np.flatnonzero(~live)
+        self._pool_slot[self._pool_rows[dead]] = -1
+        r_new = len(live) - len(dead)
+        holes = dead[dead < r_new]
+        movers = r_new + np.flatnonzero(live[r_new:])
+        self._pool_K[holes] = self._pool_K[movers]
+        self._pool_s[holes] = self._pool_s[movers]
+        self._pool_rows[holes] = self._pool_rows[movers]
+        self._pool_slot[self._pool_rows[holes]] = holes
+        self._pool_s = self._pool_s[:r_new]
+        self._pool_rows = self._pool_rows[:r_new]
+
+    @property
+    def pool_cache_rows(self) -> int:
+        """Pool rows the caches hold (0 while they are not built)."""
+        return 0 if self._pool_rows is None else len(self._pool_rows)
+
+    def _pool_blocks(
+        self, rows: np.ndarray, keep: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cross-covariance ``k*`` and whitened sum of squares ``s`` of
+        pool ``rows`` from scratch, :data:`POOL_BLOCK` rows at a time.
+
+        With a mask ``keep`` over ``rows``, only the kept rows are
+        returned, but each block holding one is solved whole, so every
+        row meets the same triangular-solve call whatever is kept (see
+        :meth:`_ensure_pool_cache`).
+
+        Returns:
+            ``K`` of shape ``(len(out), len(L))`` and ``s`` of length
+            ``len(out)``, where ``out`` is ``rows`` or its kept part.
+        """
+        assert self._pool_X is not None and self._L is not None
+        n_out = len(rows) if keep is None else int(keep.sum())
+        K = np.empty((n_out, len(self._L)))
+        s = np.empty(n_out)
+        i = 0
+        for a in range(0, len(rows), POOL_BLOCK):
+            b = min(a + POOL_BLOCK, len(rows))
+            kept = slice(None) if keep is None else keep[a:b]
+            if keep is not None and not kept.any():
+                continue
+            Kb = self._cross_cov(self._pool_X[rows[a:b]])
+            V = _solve_lower(self._L, Kb.T)
+            sb = np.sum(V * V, axis=0)[kept]
+            K[i:i + len(sb)] = Kb[kept]
+            s[i:i + len(sb)] = sb
+            i += len(sb)
+        return K, s
+
+    def _extend_pool_columns(self, L_ext: np.ndarray, n_old: int) -> None:
+        """Border-update the caches by the training rows ``n_old:``.
+
+        Appends ``k(x, X_new)`` to every cached ``k*(x)`` and adds
+        ``||L22^-1 (k(x, X_new) - k*(x) W)||^2`` to ``s(x)``, where
+        ``W = K^-1 K_c`` comes from the factor's new rows.  ``k*(x) W``
+        is computed row by row (see the module docstring), so each
+        row's result depends on that row alone.
+        """
+        n = len(L_ext)
+        W = solve_triangular(
+            L_ext[:n_old, :n_old], L_ext[n_old:, :n_old].T,
+            lower=True, trans="T",
+        )
+        L22 = L_ext[n_old:, n_old:]
+        r = len(self._pool_rows)
+        K = self._pool_K
+        if K.shape[1] < n:
+            K = np.empty((r, n + POOL_SPARE))
+            K[:, :n_old] = self._pool_K[:r, :n_old]
+            self._pool_K = K
+        for a in range(0, r, POOL_BLOCK):
+            b = min(a + POOL_BLOCK, r)
+            K_old = K[a:b, :n_old]
+            K_new = self._cross_cov(
+                self._pool_X[self._pool_rows[a:b]], slice(n_old, n)
+            )
+            # One (1, n) @ (n, k) product per row, never one gemv over
+            # many rows.
+            KW = np.matmul(K_old[:, None, :], W)[:, 0, :]
+            V = _solve_lower(L22, (K_new - KW).T)
+            self._pool_s[a:b] += np.sum(V * V, axis=0)
+            K[a:b, n_old:n] = K_new
+
+    def _invalidate_pool_cache(self) -> None:
+        # Pool row of each cache slot; ``None`` until the caches are
+        # built.
+        self._pool_rows = None
+        # Cache slot of each pool row, ``-1`` for rows without one.
+        self._pool_slot = None
+        # Buffer whose ``[:len(_pool_rows), :len(_L)]`` block holds
+        # ``k*`` of the cached rows, slot by slot.
+        self._pool_K = None
+        # Whitened sum of squares ``s`` of each cache slot.
+        self._pool_s = None
+
+    def _ensure_pool_cache(self) -> None:
+        """Build the caches for the kept pool rows.
+
+        The build solves every pool block that holds a kept row whole,
+        not just its kept rows.  A triangular solve need not treat its
+        columns alike once the training set outgrows one BLAS blocking
+        panel: with OpenBLAS 0.3.31 they were alike at 520 training
+        rows, but at 610 some columns' last bits depended on the other
+        columns of the call (a random well-conditioned factor; GP
+        covariances have not shown it).  Solving whole blocks gives a
+        kept row the same call whatever else is kept, so a replayed
+        session stays bit-identical at any training-set size.
+        """
+        if self._pool_rows is not None:
+            return
+        assert self._pool_X is not None
+        p = len(self._pool_X)
+        keep = self._pool_keep
+        rows = np.arange(p) if keep is None else np.flatnonzero(keep)
+        self._pool_K, self._pool_s = self._pool_blocks(np.arange(p), keep)
+        self._pool_rows = rows
+        self._pool_slot = np.full(p, -1, dtype=np.intp)
+        self._pool_slot[rows] = np.arange(len(rows))
+
+    def predict_pool(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean/variance at registered pool rows ``indices``.
+
+        Numerically equivalent to ``predict(X_pool[indices])`` but served
+        from the cached cross-covariance and whitened sums: after each
+        incremental update only the new columns are computed, so a
+        cached row costs O(n) rather than a fresh kernel evaluation plus
+        an O(n^2) solve.  Rows outside the kept set are computed fresh
+        and not cached.  An empty request builds nothing.
+
+        Args:
+            indices: Integer row indices (or boolean mask) into the
+                registered pool, in any order.
+
+        Returns:
+            ``(mean, variance)`` in the original target scale.
+
+        Raises:
+            RuntimeError: If the model is unfitted or no pool is
+                registered.
+        """
+        if not self.is_fitted:
+            raise RuntimeError("predict_pool() before fit()")
+        if self._pool_X is None:
+            raise RuntimeError("predict_pool() before register_pool()")
+        assert self._L is not None and self._alpha is not None
+        idx = pool_indices(indices)
+        if len(idx) == 0:
+            return np.empty(0), np.empty(0)
+        self._ensure_pool_cache()
+        n, r = len(self._L), len(self._pool_rows)
+        slots = self._pool_slot[idx]
+        cached = slots >= 0
+        if len(idx) == r and np.array_equal(slots, np.arange(r)):
+            # The whole cache in slot order: read it without a copy.
+            K, s = self._pool_K[:r, :n], self._pool_s
+        elif cached.all():
+            K = self._pool_K[slots, :n]
+            s = self._pool_s[slots]
+        else:
+            K = np.empty((len(idx), n))
+            s = np.empty(len(idx))
+            hit = slots[cached]
+            K[cached] = self._pool_K[hit, :n]
+            s[cached] = self._pool_s[hit]
+            K[~cached], s[~cached] = self._pool_blocks(idx[~cached])
+        mean_z = K @ self._alpha
+        var_z = np.maximum(self._kernel.diag(self._pool_X[idx]) - s, 1e-12)
+        return (
+            mean_z * self._y_std + self._y_mean,
+            var_z * self._y_std**2,
+        )
+
+
+__all__ = [
+    "POOL_BLOCK",
+    "POOL_SPARE",
+    "MultiSourceTransferGP",
+    "pool_indices",
+    "transfer_factor",
+]

@@ -131,7 +131,8 @@ class ServiceClient:
                 for Xs, Ys in sources
             ]
         if init_indices is not None:
-            payload["init_indices"] = [int(i) for i in init_indices]
+            # Uncast: the server rejects non-integer indices.
+            payload["init_indices"] = np.asarray(init_indices).tolist()
         if max_evaluations is not None:
             payload["max_evaluations"] = int(max_evaluations)
         if warm_start is not None:

@@ -186,7 +186,6 @@ class TuningService:
             ]
         X_source = payload.get("X_source")
         Y_source = payload.get("Y_source")
-        init_indices = payload.get("init_indices")
         traced = bool(payload.get("trace"))
         sink = JsonlSink(self.store.trace_path(sid)) if traced else None
         recorder = TraceRecorder(sinks=[sink]) if sink else None
@@ -203,10 +202,7 @@ class TuningService:
                 if Y_source is not None else None
             ),
             sources=sources,
-            init_indices=(
-                np.asarray(init_indices, dtype=int)
-                if init_indices is not None else None
-            ),
+            init_indices=payload.get("init_indices"),
             recorder=recorder,
         )
         budget = payload.get("max_evaluations")

@@ -18,6 +18,21 @@ from repro.space.sampling import latin_hypercube
 TINY_MAC = MacSpec(width=4, lanes=1, acc_bits=10, name="mac_tiny")
 
 
+@pytest.fixture(
+    params=[
+        ([], "init_indices must be a non-empty"),
+        ([-1, 2, 3], r"init_indices out of range .*\[-1\]"),
+        ([1.7, 2, 3], "init_indices must be integers"),
+        ([0, 0, 1], r"duplicate init_indices: \[0\]"),
+    ],
+    ids=["empty", "negative", "fractional", "repeated"],
+)
+def bad_init_indices(request):
+    """A malformed explicit initial design and the message (a regex)
+    every tuner must reject it with when the run is created."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def library() -> CellLibrary:
     """The default synthetic 7 nm library."""

@@ -9,16 +9,17 @@ compare against: the per-point reference sweeps, the blocked sweep that
 compared every block against itself in full, and scalar double loops
 straight off the paper's Eq. (10)-(12) definitions — slow, but
 obviously correct.  It also keeps two forms of the GP pool caches of
-:class:`~repro.gp.incremental.IncrementalGPMixin`: growth by copying,
-which the in-place growth must match bit for bit, and the whole-pool
-whitened cache ``V = L^-1 K*^T`` the row-local caches replaced, which
-they must match bit for bit until the first border update.
+:class:`~repro.gp.MultiSourceTransferGP`: growth by copying, which the
+in-place growth must match bit for bit, and the whole-pool whitened
+cache ``V = L^-1 K*^T`` the row-local caches replaced, which they must
+match bit for bit until the first border update.
 
 The GP section keeps the kernels' ``(n1, n2, d)`` broadcast and the
 list-of-``dK/dtheta`` marginal-likelihood gradient that the ``cdist``
 evaluation and the single-contraction gradients of :mod:`repro.gp`
-replaced, and ``MultiSourceTransferGP``'s marginal-likelihood
-objective as it was before its trims;
+replaced, ``MultiSourceTransferGP``'s marginal-likelihood objective as
+it was before its trims, and the objective of the single-task GP
+regressor the no-source model replaced;
 ``tests/test_gp_gradients.py`` compares against them.  It
 also writes out the paper's two-task transfer GP densely — the Eq. (7)
 covariance and the Eq. (8) posterior — which the one-source
@@ -35,7 +36,8 @@ from scipy.linalg import solve_triangular
 
 from repro.core.uncertainty import UncertaintyRegions
 from repro.gp import Matern52Kernel, RBFKernel
-from repro.gp.incremental import pool_indices
+from repro.gp.likelihood import gaussian_log_marginal
+from repro.gp.multisource import pool_indices
 from repro.gp.linalg import (
     cholesky_append_rows,
     cholesky_inverse,
@@ -51,6 +53,7 @@ __all__ = [
     "lml_grads_reference",
     "multisource_grads_reference",
     "multisource_objective_reference",
+    "regressor_objective_reference",
     "transfer_eval_with_grads_reference",
     "transfer_posterior_reference",
     "decide_reference",
@@ -323,7 +326,7 @@ def intersect_scalar(
 
 
 def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
-    """``IncrementalGPMixin.update`` growing the pool caches by copying.
+    """``MultiSourceTransferGP.update`` growing the pool caches by copying.
 
     The same border-update arithmetic over all cached rows at once,
     with no spare capacity: every call rebuilds the cross-covariance
@@ -335,13 +338,17 @@ def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
     y_new = np.asarray(y_new, dtype=float).ravel()
     n_old, k = len(model._L), len(y_new)
     K_cross = model._cross_cov(X_new).T
-    K_block = model._cov_new_block(X_new)
+    K_block = model._kernel.eval(X_new) + float(
+        np.exp(model._log_noise[-1])
+    ) * np.eye(k)
     if model._jitter:
         K_block = K_block + model._jitter * np.eye(k)
     L_ext = cholesky_append_rows(model._L, K_cross, K_block)
-    model._append_data(X_new, y_new)
+    model._X = np.vstack([model._X, X_new])
+    model._tasks = np.append(model._tasks, np.full(k, model._n_sources))
+    model._y_raw = np.concatenate([model._y_raw, y_new])
     model._L = L_ext
-    model._restandardize()
+    model._alpha = cholesky_solve(L_ext, model._standardize())
     if model._pool_rows is not None:
         r = len(model._pool_rows)
         K_old = model._pool_K[:r, :n_old]
@@ -363,7 +370,7 @@ def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
 
 
 def whitened_pool_predict_reference(
-    model, indices, include_noise: bool = False, block: int = 32768
+    model, indices, block: int = 32768
 ) -> tuple[np.ndarray, np.ndarray]:
     """``predict_pool`` from the whole-pool whitened cache.
 
@@ -384,10 +391,8 @@ def whitened_pool_predict_reference(
     idx = pool_indices(indices)
     V_cols = V[:, idx]
     mean_z = K[idx] @ model._alpha
-    var_z = model._prior_diag(X[idx]) - np.sum(V_cols * V_cols, axis=0)
+    var_z = model._kernel.diag(X[idx]) - np.sum(V_cols * V_cols, axis=0)
     var_z = np.maximum(var_z, 1e-12)
-    if include_noise:
-        var_z = var_z + model._predict_noise()
     return (
         mean_z * model._y_std + model._y_mean,
         var_z * model._y_std**2,
@@ -491,15 +496,13 @@ def transfer_posterior_reference(
     Xt: np.ndarray,
     yt: np.ndarray,
     Xq: np.ndarray,
-    include_noise: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paper's two-task posterior (Eq. (8)) at target queries ``Xq``.
 
     Source and target rows are stacked and standardized jointly; the
     Eq. (7) covariance plus the per-task noise ``Lambda`` is solved
-    densely (no Cholesky, no caches).  Returns the mean and variance in
-    the original scale, with ``noise_target`` added to the variance when
-    ``include_noise``.
+    densely (no Cholesky, no caches).  Returns the mean and the
+    epistemic variance (without ``noise_target``) in the original scale.
     """
     X = np.vstack([Xs, Xt])
     y = np.concatenate([ys, yt])
@@ -516,8 +519,6 @@ def transfer_posterior_reference(
         K_star * np.linalg.solve(K, K_star.T).T, axis=1
     )
     var = np.maximum(var, 1e-12)
-    if include_noise:
-        var = var + noise_target
     return mean * y_std + y_mean, var * y_std**2
 
 
@@ -606,8 +607,10 @@ def gaussian_log_marginal_reference(
 def multisource_objective_reference(model, X, tasks, z):
     """``MultiSourceTransferGP``'s negative-LML objective before its
     trims: ``B`` expanded by ``np.ix_`` and the noises added as a
-    diagonal matrix.  Like the model's own objective it sets the
-    model's kernel and Gamma parameters from ``theta``."""
+    diagonal matrix.  Each task's noise gradient sums its block of
+    ``W``'s diagonal with ``ndarray.sum``, as the model does.  Like the
+    model's own objective it sets the model's kernel and Gamma
+    parameters from ``theta``."""
     kernel = model._kernel
     n_src = model._n_sources
     n_kernel = kernel.n_params
@@ -637,15 +640,35 @@ def multisource_objective_reference(model, X, tasks, z):
         dc = dc[:n_src]
         dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
         dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-        W_task_diag = np.bincount(
-            tasks, weights=np.diag(W), minlength=n_src + 1
-        )
+        W_task_diag = np.array([
+            np.diag(W)[tasks == k].sum() for k in range(n_src + 1)
+        ])
         g = np.concatenate([
             base_grad(W * B_exp),
             dc * dlam_da,
             dc * dlam_db,
             noise * W_task_diag,
         ])
+        return -lml, -g
+
+    return objective
+
+
+def regressor_objective_reference(kernel, X, z):
+    """The negative-LML objective of the single-task GP regressor
+    (paper Eq. (1)) the no-source ``MultiSourceTransferGP`` replaced:
+    ``theta`` is the kernel's log-hyperparameters then the log noise,
+    the noise is added as ``noise * I`` and its gradient is
+    ``noise * trace(W)``.  It sets ``kernel.theta`` from ``theta``."""
+    n = len(X)
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        kernel.theta = theta[:-1]
+        noise = float(np.exp(theta[-1]))
+        K, grad = kernel.eval_and_grad(X)
+        K = K + noise * np.eye(n)
+        lml, W, _ = gaussian_log_marginal(K, z)
+        g = np.append(grad(W), noise * np.trace(W))
         return -lml, -g
 
     return objective

@@ -8,22 +8,25 @@ update falls back to the exact jittered refactorization.  With one
 source archive the transfer GP must also be the paper's two-task model:
 its posterior matches a dense Eq. (7)-(8) reference within 1e-10.  The
 golden-trajectory test then locks the whole loop: `PPATuner.tune` with
-the engine on selects the same evaluation indices and the same final
-Pareto set as the from-scratch path (guards Eq. (9)-(13) behavior).
+the engine's fast path selects the same evaluation indices and the same
+final Pareto set as an engine that refits from scratch every iteration
+(guards Eq. (9)-(13) behavior).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.session as session_mod
 import repro.gp.multisource as multisource_mod
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.core.calibration import CalibrationEngine
 from repro.gp import (
-    GPRegressor,
     Matern52Kernel,
     MultiSourceTransferGP,
     NotPositiveDefiniteError,
@@ -205,19 +208,17 @@ class TestPosteriorEquivalence:
         model.register_pool(pool)
 
         def check(n_t):
-            for flag in (False, True):
-                ref = transfer_posterior_reference(
-                    kernel, a, b, noise_s, noise, Xs, ys,
-                    Xt[:n_t], yt[:n_t], pool, include_noise=flag,
-                )
-                for got in (
-                    model.predict(pool, include_noise=flag),
-                    model.predict_pool(np.arange(12), include_noise=flag),
-                ):
-                    for g, r in zip(got, ref):
-                        np.testing.assert_allclose(
-                            g, r, rtol=1e-10, atol=1e-10
-                        )
+            ref = transfer_posterior_reference(
+                kernel, a, b, noise_s, noise, Xs, ys,
+                Xt[:n_t], yt[:n_t], pool,
+            )
+            for got in (
+                model.predict(pool), model.predict_pool(np.arange(12))
+            ):
+                for g, r in zip(got, ref):
+                    np.testing.assert_allclose(
+                        g, r, rtol=1e-10, atol=1e-10
+                    )
 
         check(n_t0)
         model.update(Xt[n_t0:], yt[n_t0:])
@@ -226,6 +227,7 @@ class TestPosteriorEquivalence:
     @given(calibration_cases())
     @moderate
     def test_gp_regressor(self, case):
+        """No source archive: single-task GP regression (Eq. (1))."""
         seed, d, kname, ls, var, noise, _, n_t0, n_app, n_b = case
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(n_t0 + n_app, d))
@@ -233,18 +235,18 @@ class TestPosteriorEquivalence:
         Xq = rng.uniform(size=(10, d))
 
         def make():
-            return GPRegressor(
-                _make_kernel(kname, d, ls, var),
-                noise_variance=noise, optimize=False,
+            return MultiSourceTransferGP(
+                kernel=_make_kernel(kname, d, ls, var),
+                noise=noise, optimize=False,
             )
 
-        inc = make().fit(X[:n_t0], y[:n_t0])
+        inc = make().fit([], X[:n_t0], y[:n_t0])
         app = np.arange(n_t0, n_t0 + n_app)
         batches = _split_batches(rng, n_app, n_b)
         for batch in batches:
             inc.update(X[app[batch]], y[app[batch]])
         order = np.concatenate([np.arange(n_t0)] + [app[b] for b in batches])
-        ref = make().fit(X[order], y[order])
+        ref = make().fit([], X[order], y[order])
         mi, vi = inc.predict(Xq)
         mr, vr = ref.predict(Xq)
         np.testing.assert_allclose(mi, mr, atol=TOL)
@@ -300,10 +302,10 @@ class TestPosteriorEquivalence:
         model.register_pool(pool)
         # Build the cache, then grow incrementally: the extended cache
         # must keep matching the direct (uncached) predict.
-        for flag in (False, True):
+        for _ in range(2):
             idx = rng.choice(15, size=8, replace=False)
-            mp, vp = model.predict_pool(idx, include_noise=flag)
-            md, vd = model.predict(pool[idx], include_noise=flag)
+            mp, vp = model.predict_pool(idx)
+            md, vd = model.predict(pool[idx])
             np.testing.assert_allclose(mp, md, atol=TOL)
             np.testing.assert_allclose(vp, vd, atol=TOL)
             model.update(Xt[n_t0:], yt[n_t0:])
@@ -337,12 +339,10 @@ class TestFallbackPath:
         y_new = rng.normal(size=2)
         Xq = rng.uniform(size=(9, 3))
 
-        import repro.gp.incremental as incremental
-
         def boom(*args, **kwargs):
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(incremental, "cholesky_append_rows", boom)
+        monkeypatch.setattr(multisource_mod, "cholesky_append_rows", boom)
         model.register_pool(Xq)
         model.predict_pool(np.arange(9))  # warm the cache pre-fallback
         model.update(X_new, y_new)
@@ -473,14 +473,31 @@ class TestWarmStart:
 # ---------------------------------------------------------------------
 
 
+class _RefitEngine(CalibrationEngine):
+    """The exact path on every calibration: a full ``fit`` per metric,
+    never an ``update``."""
+
+    def calibrate(self, *args, **kwargs):
+        self._fitted = False
+        super().calibrate(*args, **kwargs)
+
+
+@contextmanager
+def _calibration(incremental):
+    """Sessions built inside use the engine's fast path, or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not incremental:
+            mp.setattr(session_mod, "CalibrationEngine", _RefitEngine)
+        yield
+
+
 class TestGoldenTrajectory:
     def _run(self, synthetic_pool, incremental, **kw):
         X, Y, Xs, Ys = synthetic_pool
-        cfg = PPATunerConfig(
-            max_iterations=40, seed=3, incremental=incremental, **kw
-        )
+        cfg = PPATunerConfig(max_iterations=40, seed=3, **kw)
         tuner = PPATuner(cfg)
-        result = tuner.tune(X, PoolOracle(Y), Xs, Ys)
+        with _calibration(incremental):
+            result = tuner.tune(X, PoolOracle(Y), Xs, Ys)
         return tuner, result
 
     def test_same_indices_and_pareto_set(self, synthetic_pool):
@@ -505,12 +522,11 @@ class TestGoldenTrajectory:
         sources = [(Xs[:60], Ys[:60]), (Xs[60:], Ys[60:])]
 
         def run(incremental):
-            cfg = PPATunerConfig(
-                max_iterations=25, seed=3, incremental=incremental
-            )
-            return PPATuner(cfg).tune(
-                X, PoolOracle(Y), sources=sources
-            )
+            cfg = PPATunerConfig(max_iterations=25, seed=3)
+            with _calibration(incremental):
+                return PPATuner(cfg).tune(
+                    X, PoolOracle(Y), sources=sources
+                )
 
         fast, slow_ = run(True), run(False)
         np.testing.assert_array_equal(

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.gp.incremental as incremental
+import repro.gp.multisource as multisource
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.core.calibration import CalibrationEngine
 from repro.core.decision import _DOM_BLOCK, _dominated_by_any, apply_decision_rules
@@ -471,7 +471,7 @@ class TestSharedFallback:
         def boom(*args, **kwargs):
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(incremental, "cholesky_append_rows", boom)
+        monkeypatch.setattr(multisource, "cholesky_append_rows", boom)
         sampled[[6, 7]] = True
         y_obs[[6, 7]] = Y_pool[[6, 7]]
         eng.calibrate(1, X_pool, sampled, y_obs, [6, 7])
@@ -519,7 +519,7 @@ class TestFloat32Pool:
             return out
 
         one_shot = trajectory()
-        monkeypatch.setattr(incremental, "POOL_BLOCK", 17)
+        monkeypatch.setattr(multisource, "POOL_BLOCK", 17)
         blocked = trajectory()
         for (m1, v1), (m2, v2) in zip(one_shot, blocked):
             np.testing.assert_array_equal(m1, m2)
@@ -539,7 +539,7 @@ class TestFloat32Pool:
             return PPATuner(cfg).tune(X, PoolOracle(Y))
 
         ref = run()
-        monkeypatch.setattr(incremental, "POOL_BLOCK", 16)
+        monkeypatch.setattr(multisource, "POOL_BLOCK", 16)
         fast = run()
         np.testing.assert_array_equal(
             ref.evaluated_indices, fast.evaluated_indices
@@ -576,7 +576,7 @@ class TestInPlacePoolGrowth:
         out.  ``None`` keeps one block, 17 forces several, and 120 lets
         the extensions carry the cache across a block boundary."""
         if pool_block is not None:
-            monkeypatch.setattr(incremental, "POOL_BLOCK", pool_block)
+            monkeypatch.setattr(multisource, "POOL_BLOCK", pool_block)
         rng = np.random.default_rng(11)
         pool = rng.uniform(size=(100, 3))
         fast = _growth_model(np.random.default_rng(3))
@@ -585,7 +585,7 @@ class TestInPlacePoolGrowth:
             model.register_pool(pool)
             model.predict_pool(np.arange(len(pool)))
         keep = np.ones(len(pool), dtype=bool)
-        n_updates = 2 * incremental.POOL_SPARE + 5
+        n_updates = 2 * multisource.POOL_SPARE + 5
         reallocations = 0
         for step in range(n_updates):
             k = 1 + step % 3
@@ -599,7 +599,7 @@ class TestInPlacePoolGrowth:
                 assert fast._pool_K is before
             else:
                 assert fast._pool_K.shape[1] == (
-                    len(fast._L) + incremental.POOL_SPARE
+                    len(fast._L) + multisource.POOL_SPARE
                 )
                 reallocations += 1
             if step in (4, n_updates - 4):
@@ -674,12 +674,18 @@ class TestInPlacePoolGrowth:
             raise NotPositiveDefiniteError("forced")
 
         X_new, y_new = rng.uniform(size=(2, 3)), rng.normal(size=2)
-        monkeypatch.setattr(incremental, "cholesky_append_rows", boom)
+        monkeypatch.setattr(multisource, "cholesky_append_rows", boom)
         fast.update(X_new, y_new)
         monkeypatch.undo()
         assert fast.last_update_fallback
-        ref._append_data(X_new, y_new)
-        ref._refit_state()
+        # The exact refit the fallback performs: same rows, same order.
+        src = ref._tasks == 0
+        ref.optimize = False
+        ref.fit(
+            [(ref._X[src], ref._y_raw[src])],
+            np.vstack([ref._X[~src], X_new]),
+            np.concatenate([ref._y_raw[~src], y_new]),
+        )
         self._check_rebuilt(fast, ref, pool, rng)
 
     def test_register_pool_releases_buffers(self):

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import approx_fprime
 
 from repro.gp import (
-    GPRegressor,
     Matern52Kernel,
+    MultiSourceTransferGP,
     NotPositiveDefiniteError,
     RBFKernel,
     cholesky_solve,
@@ -182,11 +182,30 @@ class TestMaximizeObjective:
         assert best[1] == 4.0
 
 
+def _regressor(**kwargs):
+    """Single-task GP regression (Eq. (1)): the transfer GP as the
+    baselines build it, fitted with no source archive."""
+    return MultiSourceTransferGP(n_restarts=2, **kwargs)
+
+
+def _lml(gp):
+    """Log marginal likelihood of a fitted model on its training data."""
+    L, alpha = gp._L, gp._alpha
+    z = L @ (L.T @ alpha)  # z = K alpha
+    return float(
+        -0.5 * z @ alpha
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * len(z) * np.log(2 * np.pi)
+    )
+
+
 class TestGPRegressor:
+    """Single-task GP regression: the one GP model with no source."""
+
     def test_interpolates_training_data(self):
         X = rng.uniform(size=(20, 2))
         y = np.cos(4 * X[:, 0]) + X[:, 1]
-        gp = GPRegressor(noise_variance=1e-5).fit(X, y)
+        gp = _regressor(noise=1e-5).fit([], X, y)
         mean, var = gp.predict(X)
         assert np.abs(mean - y).max() < 0.05
         assert var.max() < 0.05
@@ -194,32 +213,24 @@ class TestGPRegressor:
     def test_uncertainty_grows_off_data(self):
         X = rng.uniform(size=(15, 2)) * 0.3
         y = X.sum(axis=1)
-        gp = GPRegressor().fit(X, y)
+        gp = _regressor().fit([], X, y)
         _, var_near = gp.predict(X[:3])
         _, var_far = gp.predict(np.full((1, 2), 0.95))
         assert var_far[0] > var_near.max()
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            GPRegressor().predict(np.zeros((1, 2)))
+            _regressor().predict(np.zeros((1, 2)))
 
     def test_misaligned_raises(self):
         with pytest.raises(ValueError):
-            GPRegressor().fit(np.zeros((3, 2)), np.zeros(4))
-
-    def test_include_noise_adds_variance(self):
-        X = rng.uniform(size=(10, 2))
-        y = X.sum(axis=1) + rng.normal(scale=0.1, size=10)
-        gp = GPRegressor().fit(X, y)
-        _, v0 = gp.predict(X[:2], include_noise=False)
-        _, v1 = gp.predict(X[:2], include_noise=True)
-        assert np.all(v1 > v0)
+            _regressor().fit([], np.zeros((3, 2)), np.zeros(4))
 
     def test_target_scale_invariance(self):
         X = rng.uniform(size=(15, 2))
         y = np.sin(3 * X[:, 0])
-        gp1 = GPRegressor(seed=0).fit(X, y)
-        gp2 = GPRegressor(seed=0).fit(X, 1000.0 * y + 5.0)
+        gp1 = _regressor(seed=0).fit([], X, y)
+        gp2 = _regressor(seed=0).fit([], X, 1000.0 * y + 5.0)
         m1, _ = gp1.predict(X[:4])
         m2, _ = gp2.predict(X[:4])
         assert np.allclose(m2, 1000.0 * m1 + 5.0, rtol=1e-3, atol=1e-2)
@@ -227,21 +238,18 @@ class TestGPRegressor:
     def test_optimize_improves_lml(self):
         X = rng.uniform(size=(25, 2))
         y = np.sin(6 * X[:, 0])
-        fixed = GPRegressor(optimize=False).fit(X, y)
-        tuned = GPRegressor(optimize=True, seed=0).fit(X, y)
-        assert (
-            tuned.log_marginal_likelihood()
-            >= fixed.log_marginal_likelihood() - 1e-6
-        )
+        fixed = _regressor(optimize=False).fit([], X, y)
+        tuned = _regressor(optimize=True, seed=0).fit([], X, y)
+        assert _lml(tuned) >= _lml(fixed) - 1e-6
 
     def test_constant_targets_handled(self):
         X = rng.uniform(size=(8, 2))
-        gp = GPRegressor().fit(X, np.full(8, 3.0))
+        gp = _regressor().fit([], X, np.full(8, 3.0))
         mean, _ = gp.predict(X[:2])
         assert np.allclose(mean, 3.0, atol=1e-6)
 
     def test_default_kernel_sized_at_fit(self):
         X = rng.uniform(size=(10, 5))
-        gp = GPRegressor().fit(X, X.sum(axis=1))
-        assert gp.kernel is not None
-        assert gp.kernel.dim == 5  # type: ignore[attr-defined]
+        gp = _regressor().fit([], X, X.sum(axis=1))
+        assert gp._kernel is not None
+        assert gp._kernel.dim == 5  # type: ignore[attr-defined]

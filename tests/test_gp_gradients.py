@@ -3,7 +3,9 @@
 Each model's whole marginal-likelihood objective — captured with a spy
 on ``maximize_objective`` — must match finite differences, noise terms
 included, and the transfer GP's trimmed objective must equal the one it
-replaced bit for bit.  The kernels' single-contraction gradients must
+replaced bit for bit.  With no source archive that objective must also
+equal, bit for bit, the single-task GP regression objective whose model
+it replaced.  The kernels' single-contraction gradients must
 equal the list-of-``dK/dtheta`` form they replaced, and the ``cdist``
 kernel evaluation must equal the ``(n1, n2, d)`` broadcast: bit for bit
 while the distance sum has at most seven terms, to roundoff beyond.
@@ -15,10 +17,8 @@ import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
 
-import repro.gp.gp_regression as gp_regression_mod
 import repro.gp.multisource as multisource_mod
 from repro.gp import (
-    GPRegressor,
     Matern52Kernel,
     MultiSourceTransferGP,
     RBFKernel,
@@ -32,6 +32,7 @@ from .reference_oracles import (
     lml_grads_reference,
     multisource_grads_reference,
     multisource_objective_reference,
+    regressor_objective_reference,
     transfer_eval_with_grads_reference,
 )
 
@@ -70,7 +71,17 @@ def _data(d, seed=0):
 
 
 def _model_objective(name, kernel_cls, d=3):
-    """The captured objective and start point of one model's fit."""
+    """The captured objective and start point of one model's fit;
+    ``"regressor"`` is the replaced single-task objective on the target
+    data, from the start point that model used."""
+    if name == "regressor":
+        rng, _, _, Xt = _data(d)
+        kernel = kernel_cls(np.full(d, 0.4))
+        y = _f(Xt)
+        objective = regressor_objective_reference(
+            kernel, Xt, (y - y.mean()) / y.std()
+        )
+        return rng, objective, np.append(kernel.theta, np.log(1e-2))
     rng, _, objective, theta0 = _fitted_objective(name, kernel_cls, d)
     return rng, objective, theta0
 
@@ -84,19 +95,12 @@ def _fitted_objective(name, kernel_cls, d=3):
         "transfer_no_source": [],
         "multisource": [(Xs1, _f(Xs1)), (Xs2, -_f(Xs2))],
     }
-    if name == "regressor":
-        module = gp_regression_mod
-        model = GPRegressor(kernel=kernel)
+    model = MultiSourceTransferGP(kernel=kernel)
 
-        def fit():
-            model.fit(Xt, _f(Xt))
-    else:
-        module = multisource_mod
-        model = MultiSourceTransferGP(kernel=kernel)
+    def fit():
+        model.fit(sources[name], Xt, _f(Xt))
 
-        def fit():
-            model.fit(sources[name], Xt, _f(Xt))
-    return rng, model, *_capture_objective(module, fit)
+    return rng, model, *_capture_objective(multisource_mod, fit)
 
 
 class TestObjectiveGradients:
@@ -136,6 +140,29 @@ class TestObjectiveTrims:
         z = (model._y_raw - model._y_mean) / model._y_std
         reference = multisource_objective_reference(
             model, model._X, model._tasks, z
+        )
+        for _ in range(20):
+            theta = theta0 + rng.normal(scale=0.5, size=len(theta0))
+            value, grad = objective(theta)
+            ref_value, ref_grad = reference(theta)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+
+class TestNoSourceIsRegression:
+    """With no source archive the transfer GP is the single-task GP
+    regression of Eq. (1): its objective equals the regressor's, value
+    and gradient, bit for bit — the noise gradient's per-task sum is
+    ``np.trace`` for one task."""
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS)
+    def test_bit_identical_to_regressor_objective(self, kernel_cls):
+        rng, model, objective, theta0 = _fitted_objective(
+            "transfer_no_source", kernel_cls
+        )
+        z = (model._y_raw - model._y_mean) / model._y_std
+        reference = regressor_objective_reference(
+            kernel_cls(np.ones(3)), model._X, z
         )
         for _ in range(20):
             theta = theta0 + rng.normal(scale=0.5, size=len(theta0))

@@ -1,6 +1,6 @@
 """Row-locality of the GP pool caches, as a state machine.
 
-:class:`~repro.gp.incremental.IncrementalGPMixin` caches, for each kept
+:class:`~repro.gp.MultiSourceTransferGP` caches, for each kept
 pool row, the cross-covariance ``k*`` and the whitened sum of squares
 ``s``, and every cached value depends on its own row alone.  This
 machine drives one model through any interleaving of border updates,
@@ -33,7 +33,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-import repro.gp.incremental as incremental
+import repro.gp.multisource as multisource
 from repro.gp import MultiSourceTransferGP, NotPositiveDefiniteError, RBFKernel
 
 from .reference_oracles import whitened_pool_predict_reference
@@ -44,12 +44,12 @@ D = 3
 @contextmanager
 def pool_block(rows: int):
     """Run with ``POOL_BLOCK = rows``."""
-    saved = incremental.POOL_BLOCK
-    incremental.POOL_BLOCK = rows
+    saved = multisource.POOL_BLOCK
+    multisource.POOL_BLOCK = rows
     try:
         yield
     finally:
-        incremental.POOL_BLOCK = saved
+        multisource.POOL_BLOCK = saved
 
 
 @contextmanager
@@ -60,12 +60,12 @@ def forced_fallback():
     def boom(*args, **kwargs):
         raise NotPositiveDefiniteError("forced")
 
-    saved = incremental.cholesky_append_rows
-    incremental.cholesky_append_rows = boom
+    saved = multisource.cholesky_append_rows
+    multisource.cholesky_append_rows = boom
     try:
         yield
     finally:
-        incremental.cholesky_append_rows = saved
+        multisource.cholesky_append_rows = saved
 
 
 def _refit(model) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
-from repro.core.session import _fingerprint
+from repro.core.session import SNAPSHOT_VERSION, _fingerprint
 from repro.obs import replay_trace
 from repro.pareto import non_dominated_mask
 from repro.reliability import FaultInjectingOracle, FaultPlan, FaultPolicy
@@ -161,13 +161,13 @@ class TestRestartSurvival:
         assert ref.stop_reason == got.stop_reason
         assert ref.history == got.history
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION])
     def test_old_layout_snapshot_dropped_on_recovery(
         self, tmp_path, caplog, version
     ):
         """A snapshot whose config carries the knobs removed in snapshot
         version 2 is dropped with a warning and the service starts —
-        whether it says version 1 or claims the current version."""
+        whether it says an older version or claims the current one."""
         X, Y = random_pool(0)
         session = TuningSession(
             PPATunerConfig(max_iterations=5, seed=0), X, Y.shape[1]
@@ -300,6 +300,21 @@ class TestProtocolErrors:
             )
         assert exc.value.status == 400
         assert where in str(exc.value)
+        assert server.service.store.list_ids() == []
+
+    def test_bad_init_indices_is_400(self, http, bad_init_indices):
+        """Rejected at creation, uncast: nothing is stored and no
+        candidate is handed out."""
+        server, client = http
+        X, Y = random_pool(0)
+        init, _ = bad_init_indices
+        with pytest.raises(ServiceError) as exc:
+            client.create_session(
+                PPATunerConfig(max_iterations=5, seed=0), X, Y.shape[1],
+                init_indices=init,
+            )
+        assert exc.value.status == 400
+        assert "init_indices" in str(exc.value)
         assert server.service.store.list_ids() == []
 
     def test_malformed_json_is_400(self, http):

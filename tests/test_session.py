@@ -29,6 +29,7 @@ from repro.core import (
     drive,
 )
 from repro.core.result import IterationRecord, TuningResult
+from repro.core.session import _fingerprint
 from repro.obs import MemorySink, TraceRecorder
 from repro.pareto import dominates, non_dominated_mask
 from repro.reliability import (
@@ -382,9 +383,9 @@ class TestSnapshotResume:
         and updated in 16-row blocks, incremental border updates only
         (``reopt_every=0``) and vectorized decisions.  The replayed
         session must continue bit-identically."""
-        import repro.gp.incremental as incremental
+        import repro.gp.multisource as multisource
 
-        monkeypatch.setattr(incremental, "POOL_BLOCK", 16)
+        monkeypatch.setattr(multisource, "POOL_BLOCK", 16)
         X, Y = random_pool(7)
         cfg = PPATunerConfig(max_iterations=15, seed=7, reopt_every=0)
         ref = PPATuner(cfg).tune(X, PoolOracle(Y))
@@ -523,6 +524,25 @@ class TestSnapshotResume:
         with pytest.raises(ValueError, match="fingerprint"):
             TuningSession.restore(snap)
 
+    def test_version_2_snapshot_rejected_on_its_version(self):
+        """A version-2 snapshot, whose config still has ``incremental``,
+        ``noise_in_regions`` and ``extra`` and whose meta has an RNG
+        state, fails on its version, before its config is read."""
+        X, Y = random_pool(3)
+        snap = TuningSession(
+            PPATunerConfig(max_iterations=15, seed=3), X, Y.shape[1]
+        ).snapshot()
+        meta = snap["meta"]
+        meta["version"] = 2
+        meta["config"].update(
+            incremental=True, noise_in_regions=False, extra={}
+        )
+        meta["rng_state"] = {"bit_generator": "PCG64"}
+        del meta["fingerprint"]
+        meta["fingerprint"] = _fingerprint(meta, snap["arrays"])
+        with pytest.raises(ValueError, match="snapshot version 2 != 3"):
+            TuningSession.restore(snap)
+
 
 # ---------------------------------------------------------------------------
 # non-finite input
@@ -599,7 +619,7 @@ class TestJsonRoundTrips:
     def test_config_to_json_covers_every_field(self):
         cfg = PPATunerConfig(
             seed=np.int64(3), tau=np.float64(4.0), q=np.int32(2),
-            incremental=np.bool_(False),
+            transfer=np.bool_(False),
         )
         payload = cfg.to_json()
         assert list(payload) == [
@@ -608,7 +628,7 @@ class TestJsonRoundTrips:
         assert type(payload["seed"]) is int
         assert type(payload["tau"]) is float
         assert type(payload["q"]) is int
-        assert type(payload["incremental"]) is bool
+        assert type(payload["transfer"]) is bool
         json.dumps(payload)  # numpy scalars coerced
         assert PPATunerConfig.from_json(payload) == cfg
 

@@ -127,6 +127,27 @@ class TestInitIndicesValidation:
                 X, PoolOracle(Y), init_indices=np.array([0, 500])
             )
 
+    @pytest.mark.parametrize("entry", ["session", "tune", "baseline"])
+    def test_bad_init_rejected_at_creation(
+        self, entry, bad_init_indices, synthetic_pool
+    ):
+        """The session, ``PPATuner.tune`` and the baselines share one
+        check, which fails before any tool run."""
+        X, Y, _, _ = synthetic_pool
+        init, message = bad_init_indices
+        oracle = PoolOracle(Y)
+        cfg = PPATunerConfig(max_iterations=5, seed=0)
+        with pytest.raises(ValueError, match=message):
+            if entry == "session":
+                TuningSession(cfg, X, Y.shape[1], init_indices=init)
+            elif entry == "tune":
+                PPATuner(cfg).tune(X, oracle, init_indices=init)
+            else:
+                Mlcad19LcbBayesOpt(budget=10).tune(
+                    X, oracle, init_indices=init
+                )
+        assert oracle.n_evaluations == 0
+
 
 # ---------------------------------------------------------------------------
 # Method registry
