@@ -81,7 +81,7 @@ def run_tune(n_pool: int, iters: int, policy: FaultPolicy | None):
     tuner = PPATuner(config)
     oracle = PoolOracle(Y)
     start = time.perf_counter()
-    result = tuner.tune(X, oracle, X_source=Xs, Y_source=Ys)
+    result = tuner.tune(X, oracle, sources=[(Xs, Ys)])
     return time.perf_counter() - start, result
 
 

@@ -7,8 +7,9 @@ shape as production, not an in-thread shortcut:
 1. **Remote identity** — :class:`~repro.service.RemoteTuner` against
    the live server must return the bit-identical result (Pareto
    indices, evaluated set, history, stop reason) of an in-process
-   :meth:`PPATuner.tune` on the same pool, config and seed.  The
-   service adds transport, never behavior.
+   :meth:`PPATuner.tune` on the same pool, config and seed, at q=1 and
+   at q=4 (where the shared driver's batch path runs).  The service
+   adds transport, never behavior.
 
 2. **Kill/restart survival** — a session is fed part-way, the server
    is killed with SIGKILL (no shutdown hook runs), a new server
@@ -34,6 +35,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.pareto import non_dominated_mask
@@ -102,10 +104,10 @@ class ServerProcess:
                 self.proc.wait(timeout=10)
 
 
-def remote_identity(n_pool: int, iters: int) -> dict:
-    """Gate 1: remote run bit-identical to in-process."""
+def remote_identity(n_pool: int, iters: int, q: int = 1) -> dict:
+    """Gate 1: remote run bit-identical to in-process (``q`` per round)."""
     X, Y = make_pool(n_pool)
-    cfg = PPATunerConfig(max_iterations=iters, seed=2)
+    cfg = PPATunerConfig(max_iterations=iters, seed=2, q=q)
     ref = PPATuner(cfg).tune(X, PoolOracle(Y))
 
     with tempfile.TemporaryDirectory() as store:
@@ -188,13 +190,14 @@ def restart_survival(n_pool: int, iters: int, cut: int = 9) -> dict:
     return {"cut": cut, "n_evaluations": ref.n_evaluations}
 
 
-def test_remote_identity(benchmark):
+@pytest.mark.parametrize("q", [1, 4])
+def test_remote_identity(benchmark, q):
     res = benchmark.pedantic(
-        lambda: remote_identity(**FULL),
+        lambda: remote_identity(**FULL, q=q),
         rounds=1, iterations=1, warmup_rounds=0,
     )
-    print(f"\nremote identity: {res['n_evaluations']} evaluations, "
-          f"front of {res['front']}, bit-identical")
+    print(f"\nremote identity at q={q}: {res['n_evaluations']} "
+          f"evaluations, front of {res['front']}, bit-identical")
 
 
 def test_restart_survival(benchmark):
@@ -217,9 +220,12 @@ def main() -> int:
 
     params = SMOKE if args.smoke else FULL
 
-    identity = remote_identity(**params)
-    print(f"remote identity OK: {identity['n_evaluations']} evaluations, "
-          f"front of {identity['front']}, bit-identical to in-process")
+    identity = {}
+    for q in (1, 4):
+        identity[f"q{q}"] = res = remote_identity(**params, q=q)
+        print(f"remote identity OK at q={q}: {res['n_evaluations']} "
+              f"evaluations, front of {res['front']}, bit-identical to "
+              "in-process")
     survival = restart_survival(**params)
     print(f"restart survival OK: SIGKILL after {survival['cut']} tells, "
           f"recovered and finished bit-identically")

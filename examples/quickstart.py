@@ -41,8 +41,7 @@ def main() -> None:
     result = tuner.tune(
         target.X,
         oracle,
-        X_source=source.X[src_idx],
-        Y_source=source.objectives(names)[src_idx],
+        sources=[(source.X[src_idx], source.objectives(names)[src_idx])],
     )
 
     golden = target.golden_front(names)

@@ -53,6 +53,7 @@ import hashlib
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ __all__ = [
     "EvaluationFailure",
     "TuningSession",
     "drive",
+    "tuning_oracle",
     "validate_init_indices",
 ]
 
@@ -183,10 +185,9 @@ class TuningSession:
         config: Loop hyperparameters (see :class:`PPATunerConfig`).
         X_pool: ``(n, d)`` raw feature matrix of the target pool.
         n_objectives: QoR metric count the teller will report.
-        X_source: Single source-task features (mutually exclusive with
-            ``sources``).
-        Y_source: Single source-task golden objectives.
-        sources: Multiple ``(X_k, Y_k)`` historical archives.
+        sources: Historical ``(X_k, Y_k)`` archives (the source dataset
+            ``D^S``); one is the paper's setting, none tunes without
+            transfer.
         init_indices: Explicit initial evaluations (checked by
             :func:`validate_init_indices`); sampled from the config seed
             when omitted.
@@ -197,8 +198,8 @@ class TuningSession:
     Raises:
         ValueError: On shape mismatches, NaN/inf in ``X_pool`` or a
             source archive (the message names the array and source
-            index), invalid ``init_indices``, or conflicting source
-            arguments (same contract as ``PPATuner.tune``).
+            index), or invalid ``init_indices`` (same contract as
+            ``PPATuner.tune``).
     """
 
     def __init__(
@@ -206,8 +207,6 @@ class TuningSession:
         config: PPATunerConfig,
         X_pool: np.ndarray,
         n_objectives: int,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         init_indices: np.ndarray | None = None,
         recorder=None,
@@ -225,19 +224,9 @@ class TuningSession:
         self.n = n
         self.m = m
 
-        if sources is not None and X_source is not None:
-            raise ValueError(
-                "pass either X_source/Y_source or sources, not both"
-            )
-        if sources is None:
-            sources = (
-                [(X_source, Y_source)]
-                if X_source is not None and Y_source is not None
-                else []
-            )
         source_list: list[tuple[np.ndarray, np.ndarray]] = []
         if cfg.transfer:
-            for k, (Xs, Ys) in enumerate(sources):
+            for k, (Xs, Ys) in enumerate(sources or []):
                 Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
                 Ys = np.atleast_2d(np.asarray(Ys, dtype=float))
                 if len(Xs) == 0:
@@ -318,20 +307,11 @@ class TuningSession:
 
     def _prepare_normalization(self) -> None:
         """Joint unit-cube normalization of pool + source features."""
-        use_source = bool(self.source_list)
-        X_source = (
-            np.vstack([Xs for Xs, _ in self.source_list])
-            if use_source else np.empty((0, self.X_pool.shape[1]))
+        stacked = np.vstack(
+            [self.X_pool] + [Xs for Xs, _ in self.source_list]
         )
-        Y_source = (
-            np.vstack([Ys for _, Ys in self.source_list])
-            if use_source else np.empty((0, self.m))
-        )
-        stacked = np.vstack([self.X_pool, X_source])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
-        self.use_source = use_source
-        self.Y_source = Y_source
         # Refined candidates are clipped into [lo, hi], so the joint
         # normalization is invariant under pool growth — a restored
         # grown pool reproduces these exact constants.
@@ -523,22 +503,18 @@ class TuningSession:
         self._pending.pop(0)
 
         if values is not None:
-            value = np.asarray(values, dtype=float).ravel()
-            if value.shape != (self.m,):
-                raise ValueError(
-                    f"expected {self.m} objective values, "
-                    f"got {value.shape}"
-                )
+            # ``tell`` checked the shape; a restored buffered tell comes
+            # from a fingerprinted snapshot of such a vector.
             fresh = not self.sampled[index]
             if self._phase in ("init", "loop"):
-                self.y_obs[index] = value
+                self.y_obs[index] = values
                 self.sampled[index] = True
-                if np.all(np.isfinite(value)):
-                    self.regions.collapse(index, value)
+                if np.all(np.isfinite(values)):
+                    self.regions.collapse(index, values)
                 else:
                     # Partial QoR report: pin the observed metrics,
                     # keep the missing metrics' interval open.
-                    self.regions.collapse_partial(index, value)
+                    self.regions.collapse_partial(index, values)
                 if fresh:
                     self._eval_order.append(index)
                 if self._phase == "loop":
@@ -547,7 +523,7 @@ class TuningSession:
                     self._n_evaluations += 1
             else:  # verify
                 self._verify_kept.append(index)
-                self._verify_rows.append(value)
+                self._verify_rows.append(values)
             if n_evaluations is not None:
                 # Counts are monotone; buffered out-of-order tells can
                 # apply a stale (earlier-completed) count last, so the
@@ -621,9 +597,9 @@ class TuningSession:
         cfg = self.config
         m = self.m
         # Absolute δ from the observed objective ranges (Eq. (11)/(12)).
-        seen = (
-            np.vstack([self.Y_source, self.y_obs[self.sampled]])
-            if self.use_source else self.y_obs[self.sampled]
+        seen = np.vstack(
+            [Ys for _, Ys in self.source_list]
+            + [self.y_obs[self.sampled]]
         )
         if seen.size == 0:
             obj_range = np.ones(m)
@@ -1235,15 +1211,54 @@ class TuningSession:
         )
 
 
-def drive(
-    session: TuningSession,
-    oracle,
-    policy=None,
-) -> TuningResult:
-    """Run a session to completion against an in-process oracle.
+@contextmanager
+def tuning_oracle(oracle, n_pool: int, config: PPATunerConfig, recorder):
+    """The oracle a tuner's :func:`drive` evaluates through.
 
-    The closed-loop driver ``PPATuner.tune`` is built on: ask, evaluate,
-    tell, repeat.  Permanent failures are fed back as
+    Checks that the oracle covers the ``n_pool``-row pool, adopts
+    ``recorder`` into an oracle that has no recorder of its own (so tool
+    evaluations join the run's stream), and wraps a
+    :class:`~repro.reliability.ResilientOracle` when
+    ``config.fault_policy`` is set.  On exit the caller's oracle gets
+    back its exact ``recorder`` value — it may have been ``None`` or
+    another falsy sentinel, which must not stay upgraded to the lent
+    recorder.
+
+    Raises:
+        ValueError: If the pool and the oracle differ in size.
+    """
+    # Imported here, not at module top: resilient pulls in the obs
+    # package, which imports back into core (replay -> result).
+    from ..reliability.resilient import ResilientOracle
+
+    if n_pool != oracle.n_candidates:
+        raise ValueError("pool and oracle size mismatch")
+    original = getattr(oracle, "recorder", None)
+    adopted = bool(recorder) and hasattr(oracle, "recorder") and not original
+    if adopted:
+        oracle.recorder = recorder
+    try:
+        policy = config.fault_policy
+        if policy is not None and not isinstance(oracle, ResilientOracle):
+            yield ResilientOracle(
+                oracle, policy=policy, seed=config.seed,
+                recorder=recorder if recorder else None,
+            )
+        else:
+            yield oracle
+    finally:
+        if adopted:
+            oracle.recorder = original
+
+
+def drive(session, oracle, policy=None) -> TuningResult:
+    """Run a session to completion: ask, evaluate, tell, repeat.
+
+    The one closed loop both tuners run.  ``session`` is a
+    :class:`TuningSession` or anything offering what the loop reads —
+    ``ask()``, ``tell(...)``, ``result()``, ``n``, ``X_pool`` and
+    ``config`` (:class:`~repro.service.RemoteTuner` drives a service
+    session this way).  Permanent failures are fed back as
     :class:`EvaluationFailure` (or re-raised when the policy says so).
 
     With ``config.q > 1``, multi-candidate loop batches are dispatched
@@ -1259,7 +1274,7 @@ def drive(
         session: The session to drive.
         oracle: Any :class:`~repro.core.oracle.Oracle`; wrap it in a
             :class:`~repro.reliability.ResilientOracle` first for
-            retry/breaker behavior.
+            retry/breaker behavior (see :func:`tuning_oracle`).
         policy: The governing
             :class:`~repro.reliability.FaultPolicy`; ``None`` (or
             ``on_permanent_failure="raise"``) propagates failures.

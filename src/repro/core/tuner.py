@@ -8,10 +8,12 @@ QoR metric on all source data plus the target evaluations so far,
 (4) sends the largest-uncertainty live candidate(s) to the tool.
 
 The loop itself lives in :class:`~repro.core.session.TuningSession`, an
-ask/tell state machine; :meth:`PPATuner.tune` is its closed-loop driver —
-it wires the resilience layer around the oracle, adopts the trace
-recorder, and feeds evaluations back until the session completes.  Both
-surfaces produce identical results and event streams for the same seed.
+ask/tell state machine; :meth:`PPATuner.tune` runs it through
+:func:`~repro.core.session.drive` — after
+:func:`~repro.core.session.tuning_oracle` has wired the resilience layer
+around the oracle and adopted the trace recorder — until the session
+completes.  Both surfaces produce identical results and event streams
+for the same seed.
 With ``config.q > 1`` the driver dispatches each pending batch through
 ``Oracle.evaluate_batch`` — concurrent under oracles that advertise
 ``supports_parallel_batch`` (the paper's parallel tool licenses) — and
@@ -38,7 +40,7 @@ from ..obs.recorder import NULL_RECORDER
 from .calibration import CalibrationEngine
 from .config import PPATunerConfig
 from .result import TuningResult
-from .session import TuningSession, drive
+from .session import TuningSession, drive, tuning_oracle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..gp.multisource import MultiSourceTransferGP
@@ -78,7 +80,7 @@ class PPATuner:
 
     Example:
         >>> tuner = PPATuner(PPATunerConfig(max_iterations=100))
-        >>> result = tuner.tune(X_pool, oracle, X_src, Y_src)  # doctest: +SKIP
+        >>> result = tuner.tune(X, oracle, sources=[(Xs, Ys)])  # doctest: +SKIP
     """
 
     #: Method name under the :class:`Tuner` protocol (matches the
@@ -108,10 +110,9 @@ class PPATuner:
         self,
         X_pool: np.ndarray,
         oracle: "Oracle",
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
-        init_indices: np.ndarray | None = None,
+        *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        init_indices: np.ndarray | None = None,
     ) -> TuningResult:
         """Run Algorithm 1 over the candidate pool.
 
@@ -121,88 +122,40 @@ class PPATuner:
             oracle: Evaluation oracle over the same pool (row order must
                 match); anything satisfying the
                 :class:`~repro.core.oracle.Oracle` protocol.
-            X_source: ``(N, d)`` source-task features (the historical
-                dataset ``D^S``); omit to tune without transfer.
-            Y_source: ``(N, m)`` source-task golden objectives.
+            sources: Historical tasks (the source dataset ``D^S``) as
+                ``(X_k, Y_k)`` pairs of ``(N_k, d)`` features and
+                ``(N_k, m)`` golden objectives; omit to tune without
+                transfer.  More than one is an extension beyond the
+                paper's single source: the
+                :class:`MultiSourceTransferGP` surrogates learn a
+                similarity per archive.
             init_indices: Explicit initial target evaluations ``D^T``;
                 sampled randomly per the config when omitted.
-            sources: Historical tasks as ``(X_k, Y_k)`` pairs — more
-                than one is an extension beyond the paper's single
-                source; the :class:`MultiSourceTransferGP` surrogates
-                learn a similarity per archive.  Mutually exclusive
-                with ``X_source``/``Y_source``.
 
         Returns:
             A :class:`TuningResult`.
 
         Raises:
-            ValueError: On shape mismatches or conflicting source
-                arguments.
+            ValueError: On shape mismatches, NaN/inf inputs or invalid
+                ``init_indices`` (all before any tool run).
         """
-        rec = self.recorder
-        # If the oracle has no recorder of its own, adopt it into this
-        # run's trace so tool evaluations land in the same stream.
-        adopted = (
-            rec
-            and hasattr(oracle, "recorder")
-            and not getattr(oracle, "recorder")
-        )
-        original_recorder = getattr(oracle, "recorder", None)
-        if adopted:
-            oracle.recorder = rec
-        try:
-            return self._tune(
-                X_pool, oracle, X_source, Y_source, init_indices, sources
-            )
-        finally:
-            if adopted:
-                # Restore the caller's exact attribute value — it may
-                # have been None or another falsy sentinel, which must
-                # not be upgraded to NULL_RECORDER behind their back.
-                oracle.recorder = original_recorder
-
-    def _tune(
-        self,
-        X_pool: np.ndarray,
-        oracle: "Oracle",
-        X_source: np.ndarray | None,
-        Y_source: np.ndarray | None,
-        init_indices: np.ndarray | None,
-        sources: list[tuple[np.ndarray, np.ndarray]] | None,
-    ) -> TuningResult:
         cfg = self.config
-        rec = self.recorder
         X_pool = np.atleast_2d(np.asarray(X_pool, dtype=float))
-        if len(X_pool) != oracle.n_candidates:
-            raise ValueError("pool and oracle size mismatch")
-
-        # ---- Resilience layer. ----
-        # Imported here, not at module top: resilient pulls in the obs
-        # package, which imports back into core (replay -> result).
-        from ..reliability.resilient import ResilientOracle
-
-        policy = cfg.fault_policy
-        if policy is not None and not isinstance(oracle, ResilientOracle):
-            oracle = ResilientOracle(
-                oracle, policy=policy, seed=cfg.seed,
-                recorder=rec if rec else None,
+        with tuning_oracle(oracle, len(X_pool), cfg, self.recorder) as oracle:
+            session = TuningSession(
+                cfg,
+                X_pool,
+                oracle.n_objectives,
+                sources=sources,
+                init_indices=init_indices,
+                recorder=self.recorder,
             )
-
-        session = TuningSession(
-            cfg,
-            X_pool,
-            oracle.n_objectives,
-            X_source=X_source,
-            Y_source=Y_source,
-            sources=sources,
-            init_indices=init_indices,
-            recorder=rec,
-        )
-        self.session_ = session
-        try:
-            return drive(session, oracle, policy)
-        finally:
-            # The fitted surrogates and engine stay inspectable whether
-            # or not the drive completed (telemetry reads them).
-            self.models_ = session.models
-            self.calibration_ = session.engine
+            self.session_ = session
+            try:
+                return drive(session, oracle, cfg.fault_policy)
+            finally:
+                # The fitted surrogates and engine stay inspectable
+                # whether or not the drive completed (telemetry reads
+                # them).
+                self.models_ = session.models
+                self.calibration_ = session.engine

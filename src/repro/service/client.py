@@ -3,16 +3,17 @@
 :class:`ServiceClient` is a thin JSON-over-HTTP wrapper (stdlib
 ``urllib``, no dependencies) around the service endpoints.
 
-:class:`RemoteTuner` is the client-side oracle adapter: it mirrors
-:meth:`PPATuner.tune <repro.core.tuner.PPATuner.tune>` but the loop's
-brain lives on the server — the client only evaluates what the service
-asks for and tells the outcomes back.  The oracle (and the resilience
-layer around it) stays fully client-side; trace events the oracle emits
-(tool evaluations, retries, breaker transitions) are captured locally
-and forwarded with each ``tell`` so the server-side trace is complete.
-Because the server session runs the same state machine with the same
-seeds, a remote run's Pareto indices are identical to an in-process
-``PPATuner.tune`` on the same inputs.
+:class:`RemoteTuner` mirrors :meth:`PPATuner.tune
+<repro.core.tuner.PPATuner.tune>` but the loop's brain lives on the
+server: it runs the same :func:`~repro.core.session.drive` loop over the
+service session, so the client only evaluates what the service asks for
+and tells the outcomes back — one ``tell_batch`` per round.  The oracle
+(and the resilience layer around it) stays fully client-side; trace
+events the oracle emits (tool evaluations, retries, breaker transitions)
+are captured locally and forwarded with each tell so the server-side
+trace is complete.  Because the server session runs the same state
+machine with the same seeds, a remote run's Pareto indices are
+identical to an in-process ``PPATuner.tune`` on the same inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..core.config import PPATunerConfig
 from ..core.result import TuningResult
+from ..core.session import drive, tuning_oracle
 from ..obs.recorder import TraceRecorder
 from ..obs.sinks import MemorySink
 
@@ -90,20 +92,12 @@ class ServiceClient:
         X_pool: np.ndarray,
         n_objectives: int,
         session_id: str | None = None,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
         init_indices: np.ndarray | None = None,
         max_evaluations: int | None = None,
-        warm_start: str | None = None,
         trace: bool = False,
     ) -> str:
-        """Create a server-side session; returns its id.
-
-        ``warm_start`` (``"random"``/``"copula"``) overrides the
-        config's initialization mode — the cold-start path for a new
-        session created with source archives but little target data.
-        """
+        """Create a server-side session; returns its id."""
         if isinstance(config, PPATunerConfig):
             config = config.to_json()
         payload: dict = {
@@ -114,14 +108,6 @@ class ServiceClient:
         }
         if session_id is not None:
             payload["session_id"] = session_id
-        if X_source is not None:
-            payload["X_source"] = np.asarray(
-                X_source, dtype=float
-            ).tolist()
-        if Y_source is not None:
-            payload["Y_source"] = np.asarray(
-                Y_source, dtype=float
-            ).tolist()
         if sources is not None:
             payload["sources"] = [
                 [
@@ -135,8 +121,6 @@ class ServiceClient:
             payload["init_indices"] = np.asarray(init_indices).tolist()
         if max_evaluations is not None:
             payload["max_evaluations"] = int(max_evaluations)
-        if warm_start is not None:
-            payload["warm_start"] = str(warm_start)
         return self._request("POST", "/sessions", payload)["session_id"]
 
     def ask(self, session_id: str) -> dict:
@@ -153,19 +137,9 @@ class ServiceClient:
         events: list[dict] | None = None,
     ) -> dict:
         """Report one evaluation outcome (or failure) to the session."""
-        payload: dict = {"index": int(index)}
-        if values is not None:
-            payload["values"] = [
-                float(v) for v in np.asarray(values, dtype=float).ravel()
-            ]
-        if failure is not None:
-            payload["failure"] = failure
-        if n_evaluations is not None:
-            payload["n_evaluations"] = int(n_evaluations)
-        if events:
-            payload["events"] = events
         return self._request(
-            "POST", f"/sessions/{session_id}/tell", payload
+            "POST", f"/sessions/{session_id}/tell",
+            _tell_entry(index, values, failure, n_evaluations, events),
         )
 
     def tell_batch(self, session_id: str, tells: list[dict]) -> dict:
@@ -218,6 +192,28 @@ class ServiceClient:
         self._request("DELETE", f"/sessions/{session_id}")
 
 
+def _tell_entry(
+    index: int,
+    values: np.ndarray | None = None,
+    failure: dict | None = None,
+    n_evaluations: int | None = None,
+    events: list[dict] | None = None,
+) -> dict:
+    """One ``/tell`` payload (or ``tell_batch`` entry)."""
+    entry: dict = {"index": int(index)}
+    if values is not None:
+        entry["values"] = [
+            float(v) for v in np.asarray(values, dtype=float).ravel()
+        ]
+    if failure is not None:
+        entry["failure"] = failure
+    if n_evaluations is not None:
+        entry["n_evaluations"] = int(n_evaluations)
+    if events:
+        entry["events"] = events
+    return entry
+
+
 class RemoteTuner:
     """Drive a remote tuning session with a local oracle.
 
@@ -226,16 +222,16 @@ class RemoteTuner:
         >>> tuner = RemoteTuner(client, cfg)           # doctest: +SKIP
         >>> result = tuner.tune(X_pool, oracle)        # doctest: +SKIP
 
+    The oracle's trace events are forwarded with each tell (keeping the
+    server trace complete) whenever the oracle has no recorder of its
+    own.
+
     Args:
         client: The service connection.
         config: Loop hyperparameters, serialized to the server.
         max_evaluations: Optional per-session loop budget enforced
             server-side.
         trace: Record a server-side JSONL trace of the session.
-        forward_events: Capture the local oracle's trace events and
-            forward them with each ``tell`` (keeps the server trace
-            complete).  Disabled automatically when the oracle carries
-            its own recorder.
     """
 
     #: :class:`~repro.core.Tuner` protocol name (it drives the same
@@ -248,174 +244,95 @@ class RemoteTuner:
         config: PPATunerConfig | None = None,
         max_evaluations: int | None = None,
         trace: bool = False,
-        forward_events: bool = True,
     ) -> None:
         self.client = client
         self.config = config or PPATunerConfig()
         self.max_evaluations = max_evaluations
         self.trace = trace
-        self.forward_events = forward_events
         self.session_id: str | None = None
 
     def tune(
         self,
         X_pool: np.ndarray,
         oracle,
-        X_source: np.ndarray | None = None,
-        Y_source: np.ndarray | None = None,
-        init_indices: np.ndarray | None = None,
+        *,
         sources: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        init_indices: np.ndarray | None = None,
     ) -> TuningResult:
         """Run one remote session to completion (same surface as
         :meth:`PPATuner.tune`)."""
-        from ..reliability.errors import (
-            CircuitOpenError,
-            PermanentEvaluationError,
-        )
-        from ..reliability.resilient import ResilientOracle
-
         cfg = self.config
         X_pool = np.atleast_2d(np.asarray(X_pool, dtype=float))
-        if len(X_pool) != oracle.n_candidates:
-            raise ValueError("pool and oracle size mismatch")
-
-        # Capture the oracle's event stream locally so it can be
-        # forwarded; adopt only when the oracle has no recorder.
-        capture: MemorySink | None = None
-        adopted = (
-            self.forward_events
-            and hasattr(oracle, "recorder")
-            and not getattr(oracle, "recorder")
-        )
-        original_recorder = getattr(oracle, "recorder", None)
-        capture_recorder = None
-        if adopted:
-            capture = MemorySink()
-            capture_recorder = TraceRecorder(sinks=[capture])
-            oracle.recorder = capture_recorder
-
-        policy = cfg.fault_policy
-        if policy is not None and not isinstance(
-            oracle, ResilientOracle
-        ):
-            oracle = ResilientOracle(
-                oracle, policy=policy, seed=cfg.seed,
-                recorder=capture_recorder,
-            )
-
-        def drain() -> list[dict]:
-            if capture is None:
-                return []
-            events = [ev.to_json() for ev in capture._events]
-            capture._events.clear()
-            return events
-
-        try:
+        capture = MemorySink()
+        recorder = TraceRecorder(sinks=[capture])
+        with tuning_oracle(oracle, len(X_pool), cfg, recorder) as oracle:
             sid = self.client.create_session(
-                cfg, X_pool, oracle.n_objectives,
-                X_source=X_source, Y_source=Y_source, sources=sources,
+                cfg, X_pool, oracle.n_objectives, sources=sources,
                 init_indices=init_indices,
                 max_evaluations=self.max_evaluations, trace=self.trace,
             )
             self.session_id = sid
-            while True:
-                reply = self.client.ask(sid)
-                pending = reply["pending"]
-                if not pending:
-                    break
-                n_pool = int(reply.get("n_pool", oracle.n_candidates))
-                if n_pool > oracle.n_candidates:
-                    # Server-side refinement grew the pool; pull the new
-                    # rows and teach the local oracle about them.
-                    extend = getattr(oracle, "extend", None)
-                    if extend is None:
-                        raise RuntimeError(
-                            f"{type(oracle).__name__} cannot evaluate "
-                            "refined candidates; use an extendable "
-                            "oracle or pool_refine_every=0"
-                        )
-                    rows = self.client.pool(
-                        sid, start=oracle.n_candidates
-                    )["X_pool"]
-                    extend(np.asarray(rows, dtype=float))
-                if len(pending) > 1 and cfg.q > 1:
-                    if self._tell_pending_batch(sid, oracle, pending, drain):
-                        continue
-                for idx in pending:
-                    idx = int(idx)
-                    try:
-                        value = np.asarray(
-                            oracle.evaluate(idx), dtype=float
-                        ).ravel()
-                    except PermanentEvaluationError as exc:
-                        if (
-                            policy is None
-                            or policy.on_permanent_failure == "raise"
-                        ):
-                            raise
-                        self.client.tell(
-                            sid, idx,
-                            failure={
-                                "error": type(exc).__name__,
-                                "attempts": exc.attempts,
-                                "circuit_open": isinstance(
-                                    exc, CircuitOpenError
-                                ),
-                            },
-                            n_evaluations=oracle.n_evaluations,
-                            events=drain(),
-                        )
-                        continue
-                    self.client.tell(
-                        sid, idx, values=value,
-                        n_evaluations=oracle.n_evaluations,
-                        events=drain(),
-                    )
-            return self.client.result(sid)
-        finally:
-            self._cleanup(oracle, adopted, original_recorder)
+            session = _RemoteSession(self.client, sid, cfg, X_pool, capture)
+            return drive(session, oracle, cfg.fault_policy)
 
-    def _tell_pending_batch(
-        self, sid: str, oracle, pending: list[int], drain
-    ) -> bool:
-        """Evaluate a pending batch concurrently and tell it in one shot.
 
-        Returns False when the oracle's batch path errors — the caller
-        then falls back to the serial per-point loop, whose retry and
-        failure-reporting semantics are unchanged.
-        """
-        idx = [int(i) for i in pending]
-        try:
-            rows = np.atleast_2d(np.asarray(
-                oracle.evaluate_batch(idx), dtype=float
-            ))
-        except Exception:
-            return False
-        if rows.shape[0] != len(idx):
-            return False
-        n_eval = oracle.n_evaluations
-        events = drain()
-        tells = []
-        for k, (i, row) in enumerate(zip(idx, rows)):
-            entry: dict = {
-                "index": i,
-                "values": [float(v) for v in row.ravel()],
-                "n_evaluations": int(n_eval),
-            }
-            if k == 0 and events:
-                entry["events"] = events
-            tells.append(entry)
-        self.client.tell_batch(sid, tells)
-        return True
+class _RemoteSession:
+    """What :func:`~repro.core.session.drive` reads of a session, over
+    one service session.
 
-    def _cleanup(self, oracle, adopted, original_recorder) -> None:
-        from ..reliability.resilient import ResilientOracle
+    Each tell is queued with the oracle events captured since the
+    previous one; the queue goes out as one ``tell_batch`` before the
+    next ``ask`` or ``result``.  The server applies the entries in order
+    and emits each entry's events before its tell, so the server trace
+    keeps the in-process order.
+    """
 
-        if adopted:
-            # Restore the caller's exact attribute value (which may
-            # be None or another falsy sentinel).
-            oracle_attr = (
-                oracle.inner
-                if isinstance(oracle, ResilientOracle) else oracle
-            )
-            oracle_attr.recorder = original_recorder
+    def __init__(
+        self,
+        client: ServiceClient,
+        session_id: str,
+        config: PPATunerConfig,
+        X_pool: np.ndarray,
+        capture: MemorySink,
+    ) -> None:
+        self.client = client
+        self.session_id = session_id
+        self.config = config
+        self.X_pool = X_pool
+        self._capture = capture
+        self._tells: list[dict] = []
+
+    @property
+    def n(self) -> int:
+        """Candidate pool size as of the last ask."""
+        return len(self.X_pool)
+
+    def _send_tells(self) -> None:
+        if self._tells:
+            self.client.tell_batch(self.session_id, self._tells)
+            self._tells = []
+
+    def ask(self) -> list[int]:
+        self._send_tells()
+        reply = self.client.ask(self.session_id)
+        if reply["n_pool"] > self.n:
+            # Server-side refinement grew the pool: fetch the new rows
+            # so the driver can hand them to the oracle.
+            rows = self.client.pool(self.session_id, start=self.n)
+            self.X_pool = np.vstack([
+                self.X_pool, np.asarray(rows["X_pool"], dtype=float)
+            ])
+        return reply["pending"]
+
+    def tell(self, index, values=None, failure=None, n_evaluations=None):
+        events = [ev.to_json() for ev in self._capture.events]
+        self._capture._events.clear()
+        self._tells.append(_tell_entry(
+            index, values,
+            None if failure is None else failure.to_json(),
+            n_evaluations, events,
+        ))
+
+    def result(self) -> TuningResult:
+        self._send_tells()
+        return self.client.result(self.session_id)

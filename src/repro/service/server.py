@@ -34,7 +34,6 @@ trace events their oracle emits (tool evaluations, retries) with each
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import threading
@@ -53,6 +52,12 @@ from .store import SessionStore, validate_session_id
 __all__ = ["TuningService", "TuningServiceHTTP", "serve"]
 
 log = logging.getLogger(__name__)
+
+#: Keys a ``POST /sessions`` payload may carry.
+_SESSION_KEYS = frozenset({
+    "session_id", "config", "X_pool", "n_objectives", "sources",
+    "init_indices", "max_evaluations", "trace",
+})
 
 
 class _Managed:
@@ -142,16 +147,20 @@ class TuningService:
 
         Payload keys: ``session_id`` (optional; generated otherwise),
         ``config`` (a :meth:`PPATunerConfig.to_json` dict), ``X_pool``,
-        ``n_objectives``, optional ``X_source``/``Y_source`` or
-        ``sources``, ``init_indices``, ``max_evaluations`` (loop-phase
-        tool-run budget), ``warm_start`` (``"random"``/``"copula"``;
-        overrides the config so a cold-starting client can request
-        copula-seeded initialization without rebuilding its config) and
-        ``trace`` (record a server-side JSONL trace).
+        ``n_objectives``, optional ``sources`` (``[[X_k, Y_k], ...]``),
+        ``init_indices``, ``max_evaluations`` (loop-phase tool-run
+        budget) and ``trace`` (record a server-side JSONL trace).
 
         Returns:
             ``{"session_id": ..., "status": {...}}``.
+
+        Raises:
+            ValueError: On any other key (a misspelt or retired key
+                must not silently drop an input) or invalid input.
         """
+        unknown = sorted(set(payload) - _SESSION_KEYS)
+        if unknown:
+            raise ValueError(f"unknown session key(s): {unknown}")
         sid = payload.get("session_id")
         if sid is None:
             with self._registry_lock:
@@ -168,11 +177,6 @@ class TuningService:
             cfg_payload if isinstance(cfg_payload, PPATunerConfig)
             else PPATunerConfig.from_json(cfg_payload)
         )
-        warm_start = payload.get("warm_start")
-        if warm_start is not None:
-            config = dataclasses.replace(
-                config, warm_start=str(warm_start)
-            )
         X_pool = np.asarray(payload["X_pool"], dtype=float)
         n_objectives = int(payload["n_objectives"])
         sources = payload.get("sources")
@@ -184,8 +188,6 @@ class TuningService:
                 )
                 for Xs, Ys in sources
             ]
-        X_source = payload.get("X_source")
-        Y_source = payload.get("Y_source")
         traced = bool(payload.get("trace"))
         sink = JsonlSink(self.store.trace_path(sid)) if traced else None
         recorder = TraceRecorder(sinks=[sink]) if sink else None
@@ -193,14 +195,6 @@ class TuningService:
             config,
             X_pool,
             n_objectives,
-            X_source=(
-                np.asarray(X_source, dtype=float)
-                if X_source is not None else None
-            ),
-            Y_source=(
-                np.asarray(Y_source, dtype=float)
-                if Y_source is not None else None
-            ),
             sources=sources,
             init_indices=payload.get("init_indices"),
             recorder=recorder,
@@ -277,27 +271,9 @@ class TuningService:
         """
         managed = self._managed(session_id)
         with managed.lock:
-            session = managed.session
-            recorder = session.recorder
-            if recorder:
-                for event in payload.get("events") or []:
-                    recorder.emit(event_from_json(event))
-            failure = payload.get("failure")
-            values = payload.get("values")
-            session.tell(
-                int(payload["index"]),
-                values=(
-                    np.asarray(values, dtype=float)
-                    if values is not None else None
-                ),
-                failure=(
-                    EvaluationFailure.from_json(failure)
-                    if failure is not None else None
-                ),
-                n_evaluations=payload.get("n_evaluations"),
-            )
+            _tell(managed.session, payload)
             self._persist(session_id, managed)
-            return {"status": session.status()}
+            return {"status": managed.session.status()}
 
     def tell_batch(self, session_id: str, payload: dict) -> dict:
         """Feed several evaluation outcomes under one session lock.
@@ -313,28 +289,10 @@ class TuningService:
         managed = self._managed(session_id)
         tells = payload.get("tells") or []
         with managed.lock:
-            session = managed.session
-            recorder = session.recorder
             for entry in tells:
-                if recorder:
-                    for event in entry.get("events") or []:
-                        recorder.emit(event_from_json(event))
-                failure = entry.get("failure")
-                values = entry.get("values")
-                session.tell(
-                    int(entry["index"]),
-                    values=(
-                        np.asarray(values, dtype=float)
-                        if values is not None else None
-                    ),
-                    failure=(
-                        EvaluationFailure.from_json(failure)
-                        if failure is not None else None
-                    ),
-                    n_evaluations=entry.get("n_evaluations"),
-                )
+                _tell(managed.session, entry)
             self._persist(session_id, managed)
-            return {"told": len(tells), "status": session.status()}
+            return {"told": len(tells), "status": managed.session.status()}
 
     def pool(self, session_id: str, start: int = 0) -> dict:
         """Candidate-pool rows from index ``start`` on.
@@ -404,6 +362,26 @@ class TuningService:
             status["session_id"] = sid
             out.append(status)
         return out
+
+
+def _tell(session: TuningSession, entry: dict) -> None:
+    """Apply one tell payload: re-emit the client's oracle events into
+    the session trace, then decode and tell the outcome."""
+    recorder = session.recorder
+    if recorder:
+        for event in entry.get("events") or []:
+            recorder.emit(event_from_json(event))
+    values = entry.get("values")
+    failure = entry.get("failure")
+    session.tell(
+        int(entry["index"]),
+        values=None if values is None else np.asarray(values, dtype=float),
+        failure=(
+            None if failure is None
+            else EvaluationFailure.from_json(failure)
+        ),
+        n_evaluations=entry.get("n_evaluations"),
+    )
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -68,7 +68,7 @@ class TestOracleProtocol:
         oracle = _DuckOracle(Y)
         result = PPATuner(
             PPATunerConfig(max_iterations=4, seed=0)
-        ).tune(X, oracle, X_source=Xs, Y_source=Ys)
+        ).tune(X, oracle, sources=[(Xs, Ys)])
         assert len(result.pareto_indices) > 0
         assert oracle.n_evaluations > 0
 

@@ -497,7 +497,7 @@ class TestGoldenTrajectory:
         cfg = PPATunerConfig(max_iterations=40, seed=3, **kw)
         tuner = PPATuner(cfg)
         with _calibration(incremental):
-            result = tuner.tune(X, PoolOracle(Y), Xs, Ys)
+            result = tuner.tune(X, PoolOracle(Y), sources=[(Xs, Ys)])
         return tuner, result
 
     def test_same_indices_and_pareto_set(self, synthetic_pool):

@@ -258,7 +258,7 @@ def _traced_run(synthetic_pool, path, seed=3, iters=8):
     tuner = PPATuner(
         PPATunerConfig(max_iterations=iters, seed=seed), recorder=rec,
     )
-    result = tuner.tune(X, PoolOracle(Y), X_source=Xs, Y_source=Ys)
+    result = tuner.tune(X, PoolOracle(Y), sources=[(Xs, Ys)])
     rec.close()
     return result, rec
 
@@ -317,7 +317,7 @@ class TestReplay:
         oracle = PoolOracle(Y)
         PPATuner(
             PPATunerConfig(max_iterations=4, seed=0), recorder=rec,
-        ).tune(X, oracle, X_source=Xs, Y_source=Ys)
+        ).tune(X, oracle, sources=[(Xs, Ys)])
         # The tuner lends its recorder to the oracle for the run only.
         assert not oracle.recorder
         census = rec.metrics.snapshot()["counters"]
@@ -330,7 +330,7 @@ class TestReplay:
         oracle = PoolOracle(Y)
         result = PPATuner(
             PPATunerConfig(max_iterations=4, seed=0),
-        ).tune(X, oracle, X_source=Xs, Y_source=Ys)
+        ).tune(X, oracle, sources=[(Xs, Ys)])
         assert result.n_iterations >= 1
         assert not oracle.recorder
 

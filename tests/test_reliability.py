@@ -523,7 +523,7 @@ def tuned(Y_pool, synthetic_pool, *, plan=None, policy=..., recorder=None,
              else PPATuner(cfg, recorder=recorder))
     init = np.array([3, 10, 20, 30, 40])
     return tuner.tune(
-        X, oracle, X_source=Xs, Y_source=Ys, init_indices=init.copy()
+        X, oracle, sources=[(Xs, Ys)], init_indices=init.copy()
     )
 
 

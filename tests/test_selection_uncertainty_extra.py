@@ -83,7 +83,7 @@ class TestHistoryBookkeeping:
         oracle = PoolOracle(Y)
         result = PPATuner(
             PPATunerConfig(max_iterations=25, seed=2)
-        ).tune(X, oracle, Xs, Ys)
+        ).tune(X, oracle, sources=[(Xs, Ys)])
         return result, len(X)
 
     def test_counts_partition_pool(self, run):

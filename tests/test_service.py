@@ -17,9 +17,14 @@ import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
 from repro.core.session import SNAPSHOT_VERSION, _fingerprint
-from repro.obs import replay_trace
+from repro.obs import TraceRecorder, replay_trace
 from repro.pareto import non_dominated_mask
-from repro.reliability import FaultInjectingOracle, FaultPlan, FaultPolicy
+from repro.reliability import (
+    FaultInjectingOracle,
+    FaultPlan,
+    FaultPolicy,
+    ResilientOracle,
+)
 from repro.service import (
     RemoteTuner,
     ServiceClient,
@@ -91,6 +96,34 @@ class TestRemoteIdentity:
         )
         assert ref.n_failed_evaluations == got.n_failed_evaluations
         assert non_dominated_mask(got.pareto_points).all()
+
+    def test_caller_resilient_oracle_keeps_its_recorder(self, http):
+        """A remote run lends its event capture to a caller-built
+        ResilientOracle and hands the recorder back: a later traced
+        in-process run on that oracle records one tool evaluation per
+        call."""
+        _, client = http
+        X, Y = random_pool(1, n=60)
+        cfg = PPATunerConfig(max_iterations=3, seed=1)
+
+        class CountingOracle(PoolOracle):
+            calls = 0
+
+            def evaluate(self, index):
+                self.calls += 1
+                return super().evaluate(index)
+
+        inner = CountingOracle(Y)
+        oracle = ResilientOracle(inner, policy=cfg.fault_policy)
+        before = oracle.recorder
+        RemoteTuner(client, config=cfg).tune(X, oracle)
+        assert oracle.recorder is before
+
+        calls = inner.calls
+        rec = TraceRecorder()
+        PPATuner(cfg, recorder=rec).tune(X, oracle)
+        n_tool = sum(ev.type == "tool_evaluation" for ev in rec.events)
+        assert n_tool == inner.calls - calls > 0
 
     def test_server_side_trace_replays_to_result(self, http, tmp_path):
         server, client = http
@@ -315,6 +348,24 @@ class TestProtocolErrors:
             )
         assert exc.value.status == 400
         assert "init_indices" in str(exc.value)
+        assert server.service.store.list_ids() == []
+
+    @pytest.mark.parametrize("key", ["X_source", "warm_start"])
+    def test_unknown_session_key_is_400(self, http, key):
+        """A key the service does not read (here a retired one) fails
+        loudly instead of silently dropping an input."""
+        server, client = http
+        X, Y = random_pool(0)
+        payload = {
+            "config": PPATunerConfig(max_iterations=5, seed=0).to_json(),
+            "X_pool": X.tolist(),
+            "n_objectives": Y.shape[1],
+            key: X[:5].tolist() if key == "X_source" else "copula",
+        }
+        with pytest.raises(ServiceError) as exc:
+            client._request("POST", "/sessions", payload)
+        assert exc.value.status == 400
+        assert key in str(exc.value)
         assert server.service.store.list_ids() == []
 
     def test_malformed_json_is_400(self, http):

@@ -568,7 +568,7 @@ class TestNonFiniteInput:
             )
         oracle = PoolOracle(Y)
         with pytest.raises(ValueError, match=f"source 0 {which}"):
-            PPATuner(cfg).tune(X, oracle, X_source=Xs, Y_source=Ys)
+            PPATuner(cfg).tune(X, oracle, sources=[(Xs, Ys)])
         assert oracle.n_evaluations == 0
 
     def test_nonfinite_pool_rejected(self):

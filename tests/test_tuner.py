@@ -14,7 +14,7 @@ def tuned(synthetic_pool):
     X, Y, Xs, Ys = synthetic_pool
     oracle = PoolOracle(Y)
     tuner = PPATuner(PPATunerConfig(max_iterations=80, seed=3))
-    result = tuner.tune(X, oracle, Xs, Ys)
+    result = tuner.tune(X, oracle, sources=[(Xs, Ys)])
     return tuner, result, X, Y
 
 
@@ -66,7 +66,7 @@ class TestTransferBehavior:
             cfg = PPATunerConfig(
                 max_iterations=80, seed=3, transfer=transfer
             )
-            res = PPATuner(cfg).tune(X, oracle, Xs, Ys)
+            res = PPATuner(cfg).tune(X, oracle, sources=[(Xs, Ys)])
             err = hypervolume_error(
                 pareto_front(res.pareto_points), golden
             )
@@ -98,12 +98,14 @@ class TestValidation:
     def test_source_misaligned(self, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
         with pytest.raises(ValueError, match="misaligned"):
-            PPATuner().tune(X, PoolOracle(Y), Xs[:5], Ys)
+            PPATuner().tune(X, PoolOracle(Y), sources=[(Xs[:5], Ys)])
 
     def test_source_objective_mismatch(self, synthetic_pool):
         X, Y, Xs, Ys = synthetic_pool
         with pytest.raises(ValueError, match="objectives"):
-            PPATuner().tune(X, PoolOracle(Y), Xs, Ys[:, :1])
+            PPATuner().tune(
+                X, PoolOracle(Y), sources=[(Xs, Ys[:, :1])]
+            )
 
     def test_explicit_init_indices_used(self, synthetic_pool):
         X, Y, _, _ = synthetic_pool
@@ -124,7 +126,7 @@ class TestBatchMode:
             cfg = PPATunerConfig(
                 max_iterations=100, seed=3, q=batch
             )
-            return PPATuner(cfg).tune(X, oracle, Xs, Ys)
+            return PPATuner(cfg).tune(X, oracle, sources=[(Xs, Ys)])
 
         single = run(1)
         quad = run(4)
@@ -134,7 +136,7 @@ class TestBatchMode:
         X, Y, Xs, Ys = synthetic_pool
         oracle = PoolOracle(Y)
         cfg = PPATunerConfig(max_iterations=10, seed=3, q=4)
-        result = PPATuner(cfg).tune(X, oracle, Xs, Ys)
+        result = PPATuner(cfg).tune(X, oracle, sources=[(Xs, Ys)])
         for h in result.history[:-1]:
             assert len(h.selected) <= 4
 

@@ -52,20 +52,9 @@ class TestMultiSourceTuning:
             )
 
         err_multi = run(sources=sources)
-        err_single = run(
-            X_source=sources[0][0], Y_source=sources[0][1]
-        )
+        err_single = run(sources=sources[:1])
         # The irrelevant archive must not break tuning.
         assert err_multi <= err_single + 0.1
-
-    def test_conflicting_args_rejected(self, multi_pool):
-        X, Y, sources = multi_pool
-        with pytest.raises(ValueError, match="not both"):
-            PPATuner().tune(
-                X, PoolOracle(Y),
-                X_source=sources[0][0], Y_source=sources[0][1],
-                sources=sources,
-            )
 
     def test_empty_sources_means_no_transfer(self, multi_pool):
         X, Y, _ = multi_pool

@@ -5,6 +5,7 @@ fingerprint/memo stability, snapshot round trips).
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -65,6 +66,18 @@ class TestTunerProtocol:
     def test_remote_tuner_conforms(self):
         client = ServiceClient("http://localhost:1")
         assert isinstance(RemoteTuner(client), Tuner)
+
+    @pytest.mark.parametrize("cls", BASELINES + [PPATuner, RemoteTuner])
+    def test_tune_takes_the_protocol_parameters(self, cls):
+        """Every tuner's ``tune`` has exactly the protocol's parameters:
+        source data has the one spelling ``sources=``."""
+        def parameters(fn):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(fn).parameters.values()
+            ]
+
+        assert parameters(cls.tune) == parameters(Tuner.tune)
 
     def test_duck_typed_object_conforms(self):
         class MyTuner:
