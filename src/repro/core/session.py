@@ -458,30 +458,8 @@ class TuningSession:
                 told), a missing/conflicting outcome, or a malformed
                 QoR vector.
         """
-        if self._phase == "done":
-            raise RuntimeError("session is done; nothing to tell")
-        if not self._pending:
-            raise RuntimeError("tell() without an outstanding ask()")
-        index = int(index)
-        if (values is None) == (failure is None):
-            raise ValueError("tell exactly one of values or failure")
-        if values is not None:
-            values = np.asarray(values, dtype=float).ravel()
-            if values.shape != (self.m,):
-                raise ValueError(
-                    f"expected {self.m} objective values, "
-                    f"got {values.shape}"
-                )
+        [(index, values)] = self.check_tells([(index, values, failure)])
         if index != self._pending[0]:
-            if index not in self._pending:
-                raise ValueError(
-                    f"out-of-order tell: expected one of pending "
-                    f"candidate(s) {self._pending}, got {index}"
-                )
-            if index in self._told:
-                raise ValueError(
-                    f"duplicate tell for candidate {index}"
-                )
             # Out-of-order within the batch: buffer; applied in ask
             # order once the head outcome arrives.
             self._told[index] = (values, failure, n_evaluations)
@@ -491,6 +469,50 @@ class TuningSession:
             head = self._pending[0]
             v, f, ne = self._told.pop(head)
             self._apply_tell(head, v, f, ne)
+
+    def check_tells(self, tells) -> list:
+        """Check tells as :meth:`tell` would take them in turn, applying
+        none, so a caller can apply a batch all or nothing.
+
+        Args:
+            tells: ``(index, values, failure)`` per tell, in order.
+
+        Returns:
+            ``(index, values)`` per tell, as an ``int`` and a flat float
+            array (or ``None``).
+
+        Raises:
+            RuntimeError: As :meth:`tell` does.
+            ValueError: As :meth:`tell` does for the first bad tell; an
+                index told earlier in ``tells`` counts as told.
+        """
+        checked = []
+        told = set(self._told)
+        for index, values, failure in tells:
+            if self._phase == "done":
+                raise RuntimeError("session is done; nothing to tell")
+            if not self._pending:
+                raise RuntimeError("tell() without an outstanding ask()")
+            index = int(index)
+            if (values is None) == (failure is None):
+                raise ValueError("tell exactly one of values or failure")
+            if values is not None:
+                values = np.asarray(values, dtype=float).ravel()
+                if values.shape != (self.m,):
+                    raise ValueError(
+                        f"expected {self.m} objective values, "
+                        f"got {values.shape}"
+                    )
+            if index not in self._pending:
+                raise ValueError(
+                    f"out-of-order tell: expected one of pending "
+                    f"candidate(s) {self._pending}, got {index}"
+                )
+            if index in told:
+                raise ValueError(f"duplicate tell for candidate {index}")
+            told.add(index)
+            checked.append((index, values))
+        return checked
 
     def _apply_tell(
         self,

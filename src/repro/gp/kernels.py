@@ -157,7 +157,8 @@ class _ArdKernel(Kernel):
 
     @abstractmethod
     def _profile(self, r2: np.ndarray) -> np.ndarray:
-        """Covariance at scaled squared distances ``r2``."""
+        """Covariance at scaled squared distances ``r2`` (which it may
+        overwrite)."""
 
     @abstractmethod
     def _profile_and_slope(
@@ -176,9 +177,12 @@ class _ArdKernel(Kernel):
         K, slope = self._profile_and_slope(cdist(S, S, "sqeuclidean"))
 
         def grad(W: np.ndarray) -> np.ndarray:
-            # d(r2_ab)/d(log ls_j) = -2 (S_aj - S_bj)^2; dK/d(log var) = K.
+            # d(r2_ab)/d(log ls_j) = -2 (S_aj - S_bj)^2; dK/d(log var) = K,
+            # which is the slope itself for the RBF.
+            M = W * slope
             return np.append(
-                _sq_diff_contraction(W * slope, S), np.sum(W * K)
+                _sq_diff_contraction(M, S),
+                np.sum(M) if slope is K else np.sum(W * K),
             )
 
         return K, grad
@@ -191,7 +195,11 @@ class RBFKernel(_ArdKernel):
     """
 
     def _profile(self, r2: np.ndarray) -> np.ndarray:
-        return self.variance * np.exp(-0.5 * r2)
+        # In place: r2 is always a fresh cdist output.
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= self.variance
+        return r2
 
     def _profile_and_slope(
         self, r2: np.ndarray

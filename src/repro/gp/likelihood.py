@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .linalg import (
-    cholesky_inverse,
+    cholesky_inverse_lower,
     log_det_from_cholesky,
     robust_cholesky,
 )
@@ -53,8 +53,13 @@ def gaussian_log_marginal(
         - 0.5 * log_det_from_cholesky(L)
         - 0.5 * len(y) * np.log(2.0 * np.pi)
     )
+    # W in one buffer: dpotri gives K^-1's lower triangle over L's zero
+    # upper one, so subtract it, then its strict part transposed.
+    inv = cholesky_inverse_lower(L)
     W = np.outer(alpha, alpha)
-    W -= cholesky_inverse(L)
+    W -= inv
+    np.fill_diagonal(inv, 0.0)
+    W -= inv.T
     W *= 0.5
     return lml, W, alpha
 

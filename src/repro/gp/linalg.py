@@ -45,12 +45,11 @@ def robust_cholesky(
             ``_MAX_TRIES`` jitter escalations.
     """
     matrix = np.asarray(matrix, dtype=float)
-    scale = float(np.mean(np.diag(matrix))) or 1.0
     try:
         return np.linalg.cholesky(matrix), 0.0
     except np.linalg.LinAlgError:
         pass
-    current = jitter * scale
+    current = jitter * (float(np.mean(np.diag(matrix))) or 1.0)
     for _ in range(_MAX_TRIES):
         try:
             L = np.linalg.cholesky(
@@ -69,16 +68,25 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve((L, True), b)
 
 
+def cholesky_inverse_lower(L: np.ndarray) -> np.ndarray:
+    """Lower triangle of ``(L @ L.T)^-1`` via LAPACK ``dpotri``.
+
+    ``L`` must be zero above the diagonal, as :func:`robust_cholesky`
+    returns it; the result keeps those zeros.
+    """
+    inv, info = lapack.dpotri(L, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
+    return inv
+
+
 def cholesky_inverse(L: np.ndarray) -> np.ndarray:
     """``(L @ L.T)^-1`` from a lower factor ``L`` via LAPACK ``dpotri``.
 
     ``L`` must be zero above the diagonal, as :func:`robust_cholesky`
     returns it.  About twice as fast as ``cholesky_solve(L, I)``.
     """
-    inv, info = lapack.dpotri(L, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotri failed (info={info})")
-    # dpotri fills the lower triangle and keeps L's zero upper one.
+    inv = cholesky_inverse_lower(L)
     full = inv + inv.T
     full[np.diag_indices_from(full)] *= 0.5
     return full
@@ -253,6 +261,7 @@ __all__ = [
     "cholesky_append_row",
     "cholesky_append_rows",
     "cholesky_inverse",
+    "cholesky_inverse_lower",
     "cholesky_rank1_downdate",
     "cholesky_rank1_update",
     "cholesky_solve",

@@ -77,12 +77,20 @@ side.  (Past about 512 training rows the BLAS solve may stop treating
 columns alike, and the block size could then move last bits; builds
 solve whole pool blocks, so dropped rows and a replayed session stay
 exact there too — see
-:meth:`~MultiSourceTransferGP._ensure_pool_cache`.)
+:meth:`~MultiSourceTransferGP._build_pool_cache`.)
 
-The cross-covariance cache is a buffer with up to :data:`POOL_SPARE`
-spare training columns, so a border update writes only its new
-columns; a full buffer is reallocated with that much room again.
-Anything that rebuilds the caches (``fit``, the fallback refit,
+The build that the first prediction after a fit triggers keeps only
+``s``: each pool block's cross-covariance serves that block's solve and
+the means of the requested rows, and is then dropped, so no
+``(pool, n)`` array is ever held.  ``k*`` is cached at the next border
+update, for the rows still kept, by the call that computes the new
+columns; predictions before it recompute ``k*`` of the requested rows.
+Means are ``gemv`` products over fixed request-order chunks of
+:data:`_MEAN_CHUNK` rows, which round as one ``gemv`` over the whole
+request does.  The cross-covariance cache is a buffer with up to
+:data:`POOL_SPARE` spare training columns, so a border update writes
+only its new columns; a full buffer is reallocated with that much room
+again.  Anything that rebuilds the caches (``fit``, the fallback refit,
 ``register_pool``) drops them; the next prediction builds them for the
 kept rows.
 
@@ -123,6 +131,14 @@ POOL_BLOCK = 1024
 #: with, so that many border-updated points cost no reallocation.
 POOL_SPARE = 16
 
+#: Request rows per ``gemv`` while the caches hold no ``k*``.  OpenBLAS
+#: (0.3.31) takes a ``gemv``'s rows four at a time and rounds the last
+#: ``len % 4`` rows another way, so chunks whose length is a multiple of
+#: four round every row as one ``gemv`` over the whole request does
+#: (with one BLAS thread; ``tests/test_fastpath_equivalence.py`` pins
+#: it).  It is not :data:`POOL_BLOCK`, which may be any size.
+_MEAN_CHUNK = 1024
+
 
 def transfer_factor(a, b):
     """The integrated cross-task damping ``lambda`` of Eq. (7).
@@ -156,6 +172,31 @@ def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape[1] == 1:
         return solve_triangular(L, np.hstack([rhs, rhs]), lower=True)[:, :1]
     return solve_triangular(L, rhs, lower=True)
+
+
+class _ChunkedMean:
+    """``k* alpha`` of a request's rows, one ``gemv`` per
+    :data:`_MEAN_CHUNK` rows, as their ``k*`` arrive in request order."""
+
+    def __init__(self, alpha: np.ndarray, count: int) -> None:
+        self.alpha = alpha
+        self.mean = np.empty(count)
+        self._buf = np.empty((min(_MEAN_CHUNK, count), len(alpha)))
+        self._done = self._held = 0
+
+    def add(self, K: np.ndarray) -> None:
+        """Take the next ``len(K)`` rows' ``k*``."""
+        while len(K):
+            take = min(len(self._buf) - self._held, len(K))
+            self._buf[self._held:self._held + take] = K[:take]
+            self._held += take
+            K = K[take:]
+            end = self._done + self._held
+            if self._held == len(self._buf) or end == len(self.mean):
+                self.mean[self._done:end] = (
+                    self._buf[:self._held] @ self.alpha
+                )
+                self._done, self._held = end, 0
 
 
 def pool_indices(indices) -> np.ndarray:
@@ -366,13 +407,23 @@ class MultiSourceTransferGP:
         n_src = self._n_sources
         n_kernel = kernel.n_params
         onehot = np.eye(n_src + 1)[tasks]
-        # Flat index of each training pair's entry in the task matrix B.
-        pairs = tasks[:, None] * (n_src + 1) + tasks[None, :]
         diag = np.diag_indices(len(tasks))
         # Each task's rows are contiguous: its noise gradient sums its
         # block of W's diagonal, pairwise as ndarray.sum does, so one
         # task's sum is np.trace(W) bit for bit.
         task_starts = np.flatnonzero(np.diff(tasks)) + 1
+        spans = [
+            slice(a, b) for a, b in zip(
+                np.r_[0, task_starts], np.r_[task_starts, len(tasks)]
+            )
+        ]
+
+        def scale_by_tasks(M: np.ndarray, B: np.ndarray) -> None:
+            """``M *= B[tasks, tasks]`` in place; B's diagonal is 1."""
+            for i, rows in enumerate(spans):
+                for j, cols in enumerate(spans):
+                    if i != j:
+                        M[rows, cols] *= B[i, j]
 
         def unpack(theta):
             kernel.theta = theta[:n_kernel]
@@ -387,11 +438,12 @@ class MultiSourceTransferGP:
             a = np.exp(log_a)
             b = np.exp(log_b)
             coeffs = self._coeffs()
-            B_exp = self._task_matrix(coeffs).ravel().take(pairs)
+            B = self._task_matrix(coeffs)
             K_base, base_grad = kernel.eval_and_grad(X)
             noise = np.exp(log_noise)
-            # A new array: base_grad may close over K_base.
-            K = K_base * B_exp
+            # A copy: base_grad may close over K_base.
+            K = K_base.copy()
+            scale_by_tasks(K, B)
             K[diag] += noise[tasks]
             lml, W, _ = gaussian_log_marginal(K, z)
 
@@ -408,8 +460,9 @@ class MultiSourceTransferGP:
             W_task_diag = np.array([
                 block.sum() for block in np.split(np.diag(W), task_starts)
             ])
+            scale_by_tasks(W, B)
             g = np.concatenate([
-                base_grad(W * B_exp),
+                base_grad(W),
                 dc * dlam_da,
                 dc * dlam_db,
                 noise * W_task_diag,
@@ -620,10 +673,11 @@ class MultiSourceTransferGP:
         new_rows = np.arange(p, p + k)
         K_new, s_new = self._pool_blocks(new_rows)
         r, n = len(self._pool_rows), len(self._L)
-        K = np.empty((r + k, self._pool_K.shape[1]))
-        K[:r, :n] = self._pool_K[:r, :n]
-        K[r:, :n] = K_new
-        self._pool_K = K
+        if self._pool_K is not None:
+            K = np.empty((r + k, self._pool_K.shape[1]))
+            K[:r, :n] = self._pool_K[:r, :n]
+            K[r:, :n] = K_new
+            self._pool_K = K
         self._pool_s = np.concatenate([self._pool_s[:r], s_new])
         self._pool_rows = np.concatenate([self._pool_rows, new_rows])
         self._pool_slot = np.concatenate(
@@ -665,7 +719,8 @@ class MultiSourceTransferGP:
         r_new = len(live) - len(dead)
         holes = dead[dead < r_new]
         movers = r_new + np.flatnonzero(live[r_new:])
-        self._pool_K[holes] = self._pool_K[movers]
+        if self._pool_K is not None:
+            self._pool_K[holes] = self._pool_K[movers]
         self._pool_s[holes] = self._pool_s[movers]
         self._pool_rows[holes] = self._pool_rows[movers]
         self._pool_slot[self._pool_rows[holes]] = holes
@@ -677,37 +732,22 @@ class MultiSourceTransferGP:
         """Pool rows the caches hold (0 while they are not built)."""
         return 0 if self._pool_rows is None else len(self._pool_rows)
 
-    def _pool_blocks(
-        self, rows: np.ndarray, keep: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _pool_blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cross-covariance ``k*`` and whitened sum of squares ``s`` of
         pool ``rows`` from scratch, :data:`POOL_BLOCK` rows at a time.
 
-        With a mask ``keep`` over ``rows``, only the kept rows are
-        returned, but each block holding one is solved whole, so every
-        row meets the same triangular-solve call whatever is kept (see
-        :meth:`_ensure_pool_cache`).
-
         Returns:
-            ``K`` of shape ``(len(out), len(L))`` and ``s`` of length
-            ``len(out)``, where ``out`` is ``rows`` or its kept part.
+            ``K`` of shape ``(len(rows), len(L))`` and ``s`` of length
+            ``len(rows)``.
         """
         assert self._pool_X is not None and self._L is not None
-        n_out = len(rows) if keep is None else int(keep.sum())
-        K = np.empty((n_out, len(self._L)))
-        s = np.empty(n_out)
-        i = 0
+        K = np.empty((len(rows), len(self._L)))
+        s = np.empty(len(rows))
         for a in range(0, len(rows), POOL_BLOCK):
             b = min(a + POOL_BLOCK, len(rows))
-            kept = slice(None) if keep is None else keep[a:b]
-            if keep is not None and not kept.any():
-                continue
-            Kb = self._cross_cov(self._pool_X[rows[a:b]])
-            V = _solve_lower(self._L, Kb.T)
-            sb = np.sum(V * V, axis=0)[kept]
-            K[i:i + len(sb)] = Kb[kept]
-            s[i:i + len(sb)] = sb
-            i += len(sb)
+            K[a:b] = self._cross_cov(self._pool_X[rows[a:b]])
+            V = _solve_lower(self._L, K[a:b].T)
+            s[a:b] = np.sum(V * V, axis=0)
         return K, s
 
     def _extend_pool_columns(self, L_ext: np.ndarray, n_old: int) -> None:
@@ -717,7 +757,9 @@ class MultiSourceTransferGP:
         ``||L22^-1 (k(x, X_new) - k*(x) W)||^2`` to ``s(x)``, where
         ``W = K^-1 K_c`` comes from the factor's new rows.  ``k*(x) W``
         is computed row by row (see the module docstring), so each
-        row's result depends on that row alone.
+        row's result depends on that row alone.  After a build, which
+        keeps only ``s``, the call that computes the new columns
+        computes the old ones too, and ``k*`` is cached from then on.
         """
         n = len(L_ext)
         W = solve_triangular(
@@ -727,22 +769,22 @@ class MultiSourceTransferGP:
         L22 = L_ext[n_old:, n_old:]
         r = len(self._pool_rows)
         K = self._pool_K
-        if K.shape[1] < n:
+        cols = slice(0 if K is None else n_old, n)
+        if K is None or K.shape[1] < n:
             K = np.empty((r, n + POOL_SPARE))
-            K[:, :n_old] = self._pool_K[:r, :n_old]
+            if cols.start:
+                K[:, :n_old] = self._pool_K[:r, :n_old]
             self._pool_K = K
         for a in range(0, r, POOL_BLOCK):
             b = min(a + POOL_BLOCK, r)
-            K_old = K[a:b, :n_old]
-            K_new = self._cross_cov(
-                self._pool_X[self._pool_rows[a:b]], slice(n_old, n)
+            K[a:b, cols] = self._cross_cov(
+                self._pool_X[self._pool_rows[a:b]], cols
             )
             # One (1, n) @ (n, k) product per row, never one gemv over
             # many rows.
-            KW = np.matmul(K_old[:, None, :], W)[:, 0, :]
-            V = _solve_lower(L22, (K_new - KW).T)
+            KW = np.matmul(K[a:b, None, :n_old], W)[:, 0, :]
+            V = _solve_lower(L22, (K[a:b, n_old:n] - KW).T)
             self._pool_s[a:b] += np.sum(V * V, axis=0)
-            K[a:b, n_old:n] = K_new
 
     def _invalidate_pool_cache(self) -> None:
         # Pool row of each cache slot; ``None`` until the caches are
@@ -751,13 +793,18 @@ class MultiSourceTransferGP:
         # Cache slot of each pool row, ``-1`` for rows without one.
         self._pool_slot = None
         # Buffer whose ``[:len(_pool_rows), :len(_L)]`` block holds
-        # ``k*`` of the cached rows, slot by slot.
+        # ``k*`` of the cached rows, slot by slot; ``None`` from a build
+        # to the next border update.
         self._pool_K = None
         # Whitened sum of squares ``s`` of each cache slot.
         self._pool_s = None
 
-    def _ensure_pool_cache(self) -> None:
-        """Build the caches for the kept pool rows.
+    def _build_pool_cache(self, idx: np.ndarray) -> np.ndarray | None:
+        """Build the caches of the kept pool rows: ``s`` only.
+
+        Each pool block's cross-covariance serves the block's triangular
+        solve and, when the request ``idx`` is ascending and kept, the
+        means of its rows in the block; no ``(pool, n)`` array is held.
 
         The build solves every pool block that holds a kept row whole,
         not just its kept rows.  A triangular solve need not treat its
@@ -768,17 +815,42 @@ class MultiSourceTransferGP:
         covariances have not shown it).  Solving whole blocks gives a
         kept row the same call whatever else is kept, so a replayed
         session stays bit-identical at any training-set size.
+
+        Returns:
+            The standardized means ``k* alpha`` of ``idx``, or ``None``
+            when ``idx`` is not ascending or holds a row not kept.
         """
-        if self._pool_rows is not None:
-            return
         assert self._pool_X is not None
         p = len(self._pool_X)
         keep = self._pool_keep
-        rows = np.arange(p) if keep is None else np.flatnonzero(keep)
-        self._pool_K, self._pool_s = self._pool_blocks(np.arange(p), keep)
+        if keep is None:
+            keep = np.ones(p, dtype=bool)
+        fused = (
+            idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1]))
+            and bool(keep[idx].all())
+        )
+        means = _ChunkedMean(self._alpha, len(idx)) if fused else None
+        rows = np.flatnonzero(keep)
+        s = np.empty(len(rows))
+        i = 0
+        for a in range(0, p, POOL_BLOCK):
+            b = min(a + POOL_BLOCK, p)
+            kept = keep[a:b]
+            if not kept.any():
+                continue
+            Kb = self._cross_cov(self._pool_X[a:b])
+            V = _solve_lower(self._L, Kb.T)
+            sb = np.sum(V * V, axis=0)[kept]
+            s[i:i + len(sb)] = sb
+            i += len(sb)
+            if means is not None:
+                lo, hi = np.searchsorted(idx, (a, b))
+                means.add(Kb[idx[lo:hi] - a])
+        self._pool_s = s
         self._pool_rows = rows
         self._pool_slot = np.full(p, -1, dtype=np.intp)
         self._pool_slot[rows] = np.arange(len(rows))
+        return None if means is None else means.mean
 
     def predict_pool(
         self, indices: np.ndarray
@@ -786,11 +858,12 @@ class MultiSourceTransferGP:
         """Posterior mean/variance at registered pool rows ``indices``.
 
         Numerically equivalent to ``predict(X_pool[indices])`` but served
-        from the cached cross-covariance and whitened sums: after each
-        incremental update only the new columns are computed, so a
-        cached row costs O(n) rather than a fresh kernel evaluation plus
-        an O(n^2) solve.  Rows outside the kept set are computed fresh
-        and not cached.  An empty request builds nothing.
+        from the cached whitened sums (and, once a border update has
+        cached it, the cross-covariance): after each incremental update
+        only the new columns are computed, so a cached row costs O(n)
+        rather than a fresh kernel evaluation plus an O(n^2) solve.
+        Rows outside the kept set are computed fresh and not cached.
+        An empty request builds nothing.
 
         Args:
             indices: Integer row indices (or boolean mask) into the
@@ -811,24 +884,34 @@ class MultiSourceTransferGP:
         idx = pool_indices(indices)
         if len(idx) == 0:
             return np.empty(0), np.empty(0)
-        self._ensure_pool_cache()
+        mean_z = None
+        if self._pool_rows is None:
+            mean_z = self._build_pool_cache(idx)
         n, r = len(self._L), len(self._pool_rows)
         slots = self._pool_slot[idx]
         cached = slots >= 0
-        if len(idx) == r and np.array_equal(slots, np.arange(r)):
+        s = np.empty(len(idx))
+        s[cached] = self._pool_s[slots[cached]]
+        if not cached.all():
+            K_fresh, s[~cached] = self._pool_blocks(idx[~cached])
+        K = self._pool_K
+        if K is None:
+            if mean_z is None:
+                mean_z = np.concatenate([
+                    self._cross_cov(self._pool_X[idx[c:c + _MEAN_CHUNK]])
+                    @ self._alpha
+                    for c in range(0, len(idx), _MEAN_CHUNK)
+                ])
+        elif len(idx) == r and np.array_equal(slots, np.arange(r)):
             # The whole cache in slot order: read it without a copy.
-            K, s = self._pool_K[:r, :n], self._pool_s
+            mean_z = K[:r, :n] @ self._alpha
         elif cached.all():
-            K = self._pool_K[slots, :n]
-            s = self._pool_s[slots]
+            mean_z = K[slots, :n] @ self._alpha
         else:
-            K = np.empty((len(idx), n))
-            s = np.empty(len(idx))
-            hit = slots[cached]
-            K[cached] = self._pool_K[hit, :n]
-            s[cached] = self._pool_s[hit]
-            K[~cached], s[~cached] = self._pool_blocks(idx[~cached])
-        mean_z = K @ self._alpha
+            K_req = np.empty((len(idx), n))
+            K_req[cached] = K[slots[cached], :n]
+            K_req[~cached] = K_fresh
+            mean_z = K_req @ self._alpha
         var_z = np.maximum(self._kernel.diag(self._pool_X[idx]) - s, 1e-12)
         return (
             mean_z * self._y_std + self._y_mean,

@@ -271,7 +271,7 @@ class TuningService:
         """
         managed = self._managed(session_id)
         with managed.lock:
-            _tell(managed.session, payload)
+            _tell_all(managed.session, [payload])
             self._persist(session_id, managed)
             return {"status": managed.session.status()}
 
@@ -281,7 +281,8 @@ class TuningService:
         Payload: ``{"tells": [<tell payload>, ...]}`` — each entry has
         the same shape :meth:`tell` accepts.  Outcomes may arrive in any
         order within a pending batch; the session buffers out-of-order
-        members and applies everything in ask order.  One snapshot is
+        members and applies everything in ask order.  The batch applies
+        all or nothing: one bad entry rejects it whole.  One snapshot is
         written after the whole batch, so a crash between members can
         lose at most one batch of tells (the client's next ask re-issues
         the still-pending candidates).
@@ -289,8 +290,7 @@ class TuningService:
         managed = self._managed(session_id)
         tells = payload.get("tells") or []
         with managed.lock:
-            for entry in tells:
-                _tell(managed.session, entry)
+            _tell_all(managed.session, tells)
             self._persist(session_id, managed)
             return {"told": len(tells), "status": managed.session.status()}
 
@@ -364,24 +364,45 @@ class TuningService:
         return out
 
 
-def _tell(session: TuningSession, entry: dict) -> None:
-    """Apply one tell payload: re-emit the client's oracle events into
-    the session trace, then decode and tell the outcome."""
+def _tell_all(session: TuningSession, entries: list[dict]) -> None:
+    """Apply tell payloads all or nothing.
+
+    Every entry is decoded and checked (:meth:`TuningSession.check_tells`)
+    before any outcome is told or any of the client's oracle events is
+    re-emitted into the session trace, so a rejected request leaves the
+    session, its trace and its stored snapshot as they were.
+    """
     recorder = session.recorder
-    if recorder:
-        for event in entry.get("events") or []:
-            recorder.emit(event_from_json(event))
-    values = entry.get("values")
-    failure = entry.get("failure")
-    session.tell(
-        int(entry["index"]),
-        values=None if values is None else np.asarray(values, dtype=float),
-        failure=(
-            None if failure is None
-            else EvaluationFailure.from_json(failure)
-        ),
-        n_evaluations=entry.get("n_evaluations"),
-    )
+    decoded = []
+    for entry in entries:
+        try:
+            values = entry.get("values")
+            failure = entry.get("failure")
+            n_evaluations = entry.get("n_evaluations")
+            decoded.append((
+                int(entry["index"]),
+                None if values is None else np.asarray(values, dtype=float),
+                (
+                    None if failure is None
+                    else EvaluationFailure.from_json(failure)
+                ),
+                None if n_evaluations is None else int(n_evaluations),
+                [
+                    event_from_json(event)
+                    for event in entry.get("events") or []
+                ] if recorder else [],
+            ))
+        except (KeyError, TypeError, AttributeError) as exc:
+            # A KeyError would read as an unknown session (404).
+            raise ValueError(f"malformed tell entry: {exc!r}") from exc
+    session.check_tells([entry[:3] for entry in decoded])
+    for index, values, failure, n_evaluations, events in decoded:
+        for event in events:
+            recorder.emit(event)
+        session.tell(
+            index, values=values, failure=failure,
+            n_evaluations=n_evaluations,
+        )
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -331,8 +331,10 @@ def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
     The same border-update arithmetic over all cached rows at once,
     with no spare capacity: every call rebuilds the cross-covariance
     cache one training column larger with ``np.hstack`` and the
-    whitened sums as a new array.  No validation and no fallback — the
-    callers feed well-conditioned points.
+    whitened sums as a new array (after a build, which keeps only the
+    whitened sums, the cross-covariance is computed first).  No
+    validation and no fallback — the callers feed well-conditioned
+    points.
     """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     y_new = np.asarray(y_new, dtype=float).ravel()
@@ -351,7 +353,12 @@ def update_copy_reference(model, X_new: np.ndarray, y_new: np.ndarray):
     model._alpha = cholesky_solve(L_ext, model._standardize())
     if model._pool_rows is not None:
         r = len(model._pool_rows)
-        K_old = model._pool_K[:r, :n_old]
+        if model._pool_K is None:  # a build keeps s only
+            K_old = model._cross_cov(
+                model._pool_X[model._pool_rows], slice(0, n_old)
+            )
+        else:
+            K_old = model._pool_K[:r, :n_old]
         K_new = model._cross_cov(
             model._pool_X[model._pool_rows], slice(n_old, n_old + k)
         )

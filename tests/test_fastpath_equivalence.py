@@ -16,6 +16,10 @@ pool prediction caches are locked to reference implementations here:
 - the cross-covariance cache grown in place by border updates equals
   copy-based growth bit for bit, with rows dropped and appended in
   between, and every rebuild releases its buffer;
+- a build holds only the whitened sums, the cross-covariance is cached
+  at the first border update for the kept rows, and means over fixed
+  request-order chunks equal one ``gemv`` over the request (the BLAS
+  rounding this rests on is pinned);
 - a border update that hits a non-positive-definite Schur complement
   falls back to an exact per-GP refactorization without crashing,
   flagged via ``last_update_fallback``, including when the new row
@@ -572,9 +576,11 @@ class TestInPlacePoolGrowth:
         extensions and dropped rows in between: every ``predict_pool``
         equals copy-based growth of a never-shrunk twin bit for bit, the
         cached ``K*`` equals a fresh cross-covariance of its rows, and
-        the ``K*`` buffer is reallocated only when its spare columns run
-        out.  ``None`` keeps one block, 17 forces several, and 120 lets
-        the extensions carry the cache across a block boundary."""
+        the ``K*`` buffer is allocated by the first update after the
+        build (which keeps no ``K*``) and reallocated only when its
+        spare columns run out.  ``None`` keeps one block, 17 forces
+        several, and 120 lets the extensions carry the cache across a
+        block boundary."""
         if pool_block is not None:
             monkeypatch.setattr(multisource, "POOL_BLOCK", pool_block)
         rng = np.random.default_rng(11)
@@ -591,7 +597,7 @@ class TestInPlacePoolGrowth:
             k = 1 + step % 3
             X_new, y_new = rng.uniform(size=(k, 3)), rng.normal(size=k)
             before = fast._pool_K
-            room = before.shape[1] - len(fast._L)
+            room = -1 if before is None else before.shape[1] - len(fast._L)
             fast.update(X_new, y_new)
             update_copy_reference(ref, X_new, y_new)
             assert not fast.last_update_fallback
@@ -694,3 +700,85 @@ class TestInPlacePoolGrowth:
         for model in (fast, ref):
             model.register_pool(other)
         self._check_rebuilt(fast, ref, other, rng)
+
+
+# ---------------------------------------------------------------------
+# the build holds only s, and its means round as one gemv
+# ---------------------------------------------------------------------
+
+
+class TestSumsOnlyBuild:
+    # 44 x 205 stays below OpenBLAS's threading threshold for gemv
+    # (m * n < 9216), so every call runs on one thread whatever the
+    # machine; 44 is no multiple of 8, 16 or 32, so chunks end in tails.
+    ROWS, COLS = 44, 205
+
+    def _gemv_case(self):
+        rng = np.random.default_rng(0)
+        return (
+            rng.normal(size=(self.ROWS, self.COLS)),
+            rng.normal(size=self.COLS),
+        )
+
+    def test_gemv_rounds_rows_in_fours(self):
+        """The BLAS fact the chunked means rest on: request-order chunks
+        whose length is a multiple of four round every row as one
+        ``gemv`` over the whole request does; other chunk lengths put
+        rows in a call's tail, which rounds another way.  A BLAS that
+        breaks the first half breaks bit-identical pool means."""
+        K, alpha = self._gemv_case()
+        whole = K @ alpha
+
+        def chunked(c):
+            return np.concatenate([
+                K[a:a + c] @ alpha for a in range(0, len(K), c)
+            ])
+
+        for c in (4, 8, 16, 32, 64, multisource._MEAN_CHUNK):
+            np.testing.assert_array_equal(chunked(c), whole, err_msg=str(c))
+        for c in (1, 2, 3, 7, 17):
+            assert (chunked(c) != whole).any(), c
+
+    def test_chunked_mean_matches_one_gemv(self, monkeypatch):
+        """Rows fed in pieces of any size (as pool blocks yield them)
+        give the means of one ``gemv`` over the request."""
+        monkeypatch.setattr(multisource, "_MEAN_CHUNK", 8)
+        K, alpha = self._gemv_case()
+        means = multisource._ChunkedMean(alpha, len(K))
+        for a, b in [(0, 17), (17, 20), (20, 20), (20, 29), (29, 44)]:
+            means.add(K[a:b])
+        np.testing.assert_array_equal(means.mean, K @ alpha)
+
+    def test_build_holds_no_pool_by_n_array(self):
+        """After a build the model holds O(pool) bytes, not a
+        ``(pool, n)`` cross-covariance; ``k*`` is cached at the first
+        border update, for the rows still kept."""
+        import tracemalloc
+
+        rng = np.random.default_rng(2)
+        p, n, d = 20_000, 160, 3
+        model = MultiSourceTransferGP(
+            kernel=RBFKernel(np.full(d, 0.4)), optimize=False
+        ).fit([], rng.uniform(size=(n, d)), rng.normal(size=n))
+        model.register_pool(rng.uniform(size=(p, d)))
+        keep = rng.random(p) < 0.1
+        X_new, y_new = rng.uniform(size=(1, d)), rng.normal(size=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mean, var = model.predict_pool(np.arange(p))
+            built = tracemalloc.get_traced_memory()[0] - base
+            del mean, var
+            model.keep_pool_rows(keep)
+            model.update(X_new, y_new)
+            updated = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # s, the slot maps and the returned mean and variance: a few
+        # floats per pool row (a (pool, n) array would be n of them).
+        assert built < 8 * p * 8, built
+        # The k* buffer of the kept rows, with its spare columns, plus
+        # the same few floats per pool row.
+        cache = keep.sum() * (n + 1 + multisource.POOL_SPARE) * 8
+        assert model._pool_K.nbytes == cache
+        assert cache < updated < cache + 8 * p * 8, (updated, cache)

@@ -7,8 +7,10 @@ machine drives one model through any interleaving of border updates,
 pool extensions, dropped rows, re-optimising fits, forced fallbacks and
 new pools, beside two twins that receive the same calls: one never
 drops a row, the other builds and extends its caches in 7-row blocks.
-After every step the kept rows, requested in a random order, must
-predict
+One rule uses caches that hold only ``s`` (after a build, before the
+first border update caches ``k*``): kept rows requested in pool order,
+twice, then a pool extension.  After every step the kept rows,
+requested in a random order, must predict
 
 - bit for bit as both twins do;
 - as the dense ``predict`` does, to 1e-8;
@@ -68,10 +70,11 @@ def forced_fallback():
         multisource.cholesky_append_rows = saved
 
 
-def _refit(model) -> None:
-    """Re-optimise the hyperparameters on the model's own data."""
+def _refit(model, optimize: bool = True) -> None:
+    """Refit on the model's own data, re-optimising the hyperparameters
+    unless ``optimize`` is false; either way the caches are dropped."""
     source = model._tasks == 0
-    model.optimize = True
+    model.optimize = optimize
     model.fit(
         [(model._X[source], model._y_raw[source])],
         model._X[~source], model._y_raw[~source],
@@ -151,9 +154,24 @@ class PoolCacheMachine(RuleBasedStateMachine):
     def register_pool(self, n_pool):
         self._register(n_pool)
 
+    @rule(k=st.integers(1, 9))
+    def use_sums_only_caches(self, k):
+        """A rebuild, then uses of caches that hold only ``s``: the kept
+        rows in pool order (as the session asks for them) twice — the
+        build serves the first request's means, the second recomputes
+        ``k*`` — and a pool extension, all before any border update."""
+        self._each(lambda m: _refit(m, optimize=False))
+        self.fresh = True
+        for _ in range(2):
+            self._check_kept(np.flatnonzero(self.keep))
+        assert self.model._pool_K is None
+        self.extend_pool(k)
+
     @invariant()
     def kept_rows_are_row_local(self):
-        idx = self.rng.permutation(np.flatnonzero(self.keep))
+        self._check_kept(self.rng.permutation(np.flatnonzero(self.keep)))
+
+    def _check_kept(self, idx):
         got = self.model.predict_pool(idx)
         full = self.full.predict_pool(idx)
         with pool_block(7):

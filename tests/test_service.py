@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
 from repro.core.session import SNAPSHOT_VERSION, _fingerprint
-from repro.obs import TraceRecorder, replay_trace
+from repro.obs import TraceRecorder, read_trace, replay_trace
 from repro.pareto import non_dominated_mask
 from repro.reliability import (
     FaultInjectingOracle,
@@ -414,6 +414,80 @@ class TestStoreValidation:
         restored = TuningSession.restore(snapshot)
         assert restored.phase == session.phase
         assert list(store.list_ids()) == ["one"]
+
+
+class TestAllOrNothingTells:
+    """A rejected tell request applies nothing: not in the live
+    session, not in its trace, not in the stored snapshot."""
+
+    @staticmethod
+    def _service(root, trace=False):
+        X, Y = random_pool(1, n=40)
+        service = TuningService(store=SessionStore(root))
+        sid = service.create_session({
+            "session_id": "job",
+            "config": PPATunerConfig(seed=1, q=4).to_json(),
+            "X_pool": X.tolist(),
+            "n_objectives": Y.shape[1],
+            "trace": trace,
+        })["session_id"]
+        pending = service.ask(sid)["pending"]
+        tells = [
+            {"index": i, "values": Y[i].tolist()} for i in pending
+        ]
+        return service, sid, tells
+
+    @pytest.mark.parametrize("fault", ["one value", "no index"])
+    def test_rejected_batch_applies_no_entry(self, tmp_path, fault):
+        service, sid, tells = self._service(tmp_path / "store")
+        n_pending = service.status(sid)["n_pending"]
+        if fault == "one value":
+            second = dict(tells[1], values=tells[1]["values"][:1])
+            message = "objective values"
+        else:  # a KeyError here used to answer 404, "unknown session"
+            second = {"values": tells[1]["values"]}
+            message = "malformed tell entry"
+        with pytest.raises(ValueError, match=message):
+            service.tell_batch(sid, {"tells": [tells[0], second]})
+        assert service.status(sid)["n_pending"] == n_pending
+        reopened = TuningService(store=SessionStore(tmp_path / "store"))
+        assert reopened.status(sid)["n_pending"] == n_pending
+        out = service.tell_batch(sid, {"tells": tells})
+        assert out["told"] == len(tells)
+        assert out["status"]["n_pending"] == 0
+
+    @pytest.mark.parametrize("repeat", [0, 1])
+    def test_repeated_index_rejects_the_batch(self, tmp_path, repeat):
+        service, sid, tells = self._service(tmp_path / "store")
+        n_pending = service.status(sid)["n_pending"]
+        with pytest.raises(ValueError, match="duplicate tell"):
+            service.tell_batch(sid, {"tells": tells + [tells[repeat]]})
+        assert service.status(sid)["n_pending"] == n_pending
+
+    def test_rejected_tell_leaves_no_events_in_trace(self, tmp_path):
+        service, sid, tells = self._service(tmp_path / "store", trace=True)
+        event = {
+            "type": "tool_evaluation", "index": tells[0]["index"],
+            "seconds": 0.0, "cached": False, "oracle": "pool",
+            "values": tells[0]["values"],
+        }
+        path = service.store.trace_path(sid)
+
+        def n_tool_events():
+            if not path.exists():
+                return 0
+            return len(
+                [e for e in read_trace(path)
+                 if e.type == "tool_evaluation"]
+            )
+
+        with pytest.raises(ValueError, match="exactly one"):
+            service.tell(
+                sid, {"index": tells[0]["index"], "events": [event]}
+            )
+        assert n_tool_events() == 0
+        service.tell(sid, dict(tells[0], events=[event]))
+        assert n_tool_events() == 1
 
 
 class TestBatchEndpoints:
