@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import env
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.pareto import non_dominated_mask
 from repro.service import RemoteTuner, ServiceClient
@@ -104,11 +105,21 @@ class ServerProcess:
                 self.proc.wait(timeout=10)
 
 
+def in_process(cfg: PPATunerConfig, X, Y):
+    """The in-process run a served session must equal bit for bit.
+
+    ``repro serve`` runs at one BLAS thread, and results depend on the
+    thread count, so this run does too.
+    """
+    with env.blas_thread_limit(1):
+        return PPATuner(cfg).tune(X, PoolOracle(Y))
+
+
 def remote_identity(n_pool: int, iters: int, q: int = 1) -> dict:
     """Gate 1: remote run bit-identical to in-process (``q`` per round)."""
     X, Y = make_pool(n_pool)
     cfg = PPATunerConfig(max_iterations=iters, seed=2, q=q)
-    ref = PPATuner(cfg).tune(X, PoolOracle(Y))
+    ref = in_process(cfg, X, Y)
 
     with tempfile.TemporaryDirectory() as store:
         server = ServerProcess(store)
@@ -135,7 +146,7 @@ def restart_survival(n_pool: int, iters: int, cut: int = 9) -> dict:
     """Gate 2: SIGKILL mid-session, restart, identical completion."""
     X, Y = make_pool(n_pool)
     cfg = PPATunerConfig(max_iterations=iters, seed=2)
-    ref = PPATuner(cfg).tune(X, PoolOracle(Y))
+    ref = in_process(cfg, X, Y)
     oracle = PoolOracle(Y)
 
     with tempfile.TemporaryDirectory() as store:

@@ -41,6 +41,8 @@ import sys
 
 import numpy as np
 
+from . import env
+
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .bench import generate_all, generate_benchmark
@@ -637,9 +639,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Commands run at one BLAS thread: the GP's small factorizations run
+    no faster on more, and results then do not depend on the core
+    count.  scipy maps its own OpenBLAS when ``scipy.linalg`` is first
+    imported, so that import comes first.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    import scipy.linalg  # noqa: F401
+
+    with env.blas_thread_limit(1):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -32,21 +32,34 @@ Variables:
     value-preserving faults) behind a
     :class:`~repro.reliability.ResilientOracle` — the chaos-testing
     switch.  Default: unset, no injection.
+
+BLAS threads are process state too, but set at run time rather than by
+a variable: :func:`blas_threads` and :func:`set_blas_threads` read and
+set the thread count of every OpenBLAS copy mapped into the process
+(numpy and scipy each ship one), and :func:`blas_thread_limit` sets it
+for a block.  They do nothing with another BLAS or without
+``/proc/self/maps``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = [
     "ENV_VARS",
     "bench_cache_dir",
+    "blas_thread_limit",
+    "blas_threads",
     "default_trace_dir",
     "fault_seed",
     "full_scale",
     "repo_root",
     "run_cache_dir",
+    "set_blas_threads",
     "trace_dir",
     "workers",
 ]
@@ -143,3 +156,88 @@ def fault_seed() -> int | None:
         raise ValueError(
             f"PPATUNER_FAULT_SEED must be an integer, got {raw!r}"
         ) from None
+
+
+# ---- BLAS threads ---------------------------------------------------------
+
+#: ``(get, set)`` thread-count symbols of the OpenBLAS builds that numpy
+#: (ILP64) and scipy (LP64) ship.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+#: Where the process's mapped libraries are listed.
+_MAPS = "/proc/self/maps"
+
+#: Library path -> its ``(get, set)`` functions, or ``None`` without them.
+_openblas_calls: dict[str, tuple | None] = {}
+
+
+def _openblas() -> dict[str, tuple]:
+    """``(get, set)`` of each OpenBLAS copy mapped into this process,
+    keyed by library path."""
+    try:
+        with open(_MAPS) as maps:
+            paths = {
+                parts[5].strip()
+                for parts in (
+                    line.split(maxsplit=5) for line in maps
+                    if "openblas" in line
+                )
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5])
+            }
+    except OSError:
+        return {}
+    found = {}
+    for path in sorted(paths):
+        if path not in _openblas_calls:
+            _openblas_calls[path] = None
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for get, set_ in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    get, set_ = getattr(lib, get), getattr(lib, set_)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    _openblas_calls[path] = (get, set_)
+                    break
+        if _openblas_calls[path] is not None:
+            found[path] = _openblas_calls[path]
+    return found
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS copy mapped into this process.
+
+    Returns:
+        Library path -> threads; empty with another BLAS or no ``/proc``.
+    """
+    return {path: int(get()) for path, (get, _) in _openblas().items()}
+
+
+def set_blas_threads(threads: int | Mapping[str, int]) -> None:
+    """Set the thread count of each OpenBLAS copy mapped into this process.
+
+    Args:
+        threads: One count for every copy, or per-path counts as
+            :func:`blas_threads` returns them (copies not named keep
+            theirs).
+    """
+    for path, (_, set_) in _openblas().items():
+        n = threads.get(path) if isinstance(threads, Mapping) else threads
+        if n is not None:
+            set_(int(n))
+
+
+@contextmanager
+def blas_thread_limit(threads: int = 1) -> Iterator[None]:
+    """Run a block at ``threads`` BLAS threads, then restore the counts."""
+    saved = blas_threads()
+    set_blas_threads(threads)
+    try:
+        yield
+    finally:
+        set_blas_threads(saved)

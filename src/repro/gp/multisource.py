@@ -174,6 +174,104 @@ def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(L, rhs, lower=True)
 
 
+def _task_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """The PSD task-correlation matrix B."""
+    B = np.outer(coeffs, coeffs)
+    np.fill_diagonal(B, 1.0)
+    return B
+
+
+class TransferObjective:
+    """The transfer GP's negative log marginal likelihood and its
+    gradient, as a function of ``theta = [kernel theta, log a_s,
+    log b_s, log noise per task]``.
+
+    A module-level class so that
+    :func:`~repro.gp.likelihood.maximize_objective` can pickle it to its
+    start worker.  Each call sets ``kernel.theta``.
+
+    Args:
+        kernel: Base kernel (its hyperparameters are overwritten).
+        X: Training inputs, rows grouped by task, target last.
+        tasks: Task index per row.
+        n_sources: Number of source tasks.
+        z: Standardized training values.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        X: np.ndarray,
+        tasks: np.ndarray,
+        n_sources: int,
+        z: np.ndarray,
+    ) -> None:
+        self.kernel = kernel
+        self.X = X
+        self.tasks = tasks
+        self.n_sources = n_sources
+        self.z = z
+        self.n_kernel = kernel.n_params
+        self.onehot = np.eye(n_sources + 1)[tasks]
+        self.diag = np.diag_indices(len(tasks))
+        # Each task's rows are contiguous: its noise gradient sums its
+        # block of W's diagonal, pairwise as ndarray.sum does, so one
+        # task's sum is np.trace(W) bit for bit.
+        self.task_starts = np.flatnonzero(np.diff(tasks)) + 1
+        self.spans = [
+            slice(a, b) for a, b in zip(
+                np.r_[0, self.task_starts], np.r_[self.task_starts, len(tasks)]
+            )
+        ]
+
+    def _scale_by_tasks(self, M: np.ndarray, B: np.ndarray) -> None:
+        """``M *= B[tasks, tasks]`` in place; B's diagonal is 1."""
+        for i, rows in enumerate(self.spans):
+            for j, cols in enumerate(self.spans):
+                if i != j:
+                    M[rows, cols] *= B[i, j]
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        kernel, n_src, n_kernel = self.kernel, self.n_sources, self.n_kernel
+        kernel.theta = theta[:n_kernel]
+        log_a = theta[n_kernel:n_kernel + n_src]
+        log_b = theta[n_kernel + n_src:n_kernel + 2 * n_src]
+        log_noise = theta[n_kernel + 2 * n_src:]
+        a = np.exp(log_a)
+        b = np.exp(log_b)
+        coeffs = np.append(transfer_factor(a, b), 1.0)
+        B = _task_matrix(coeffs)
+        K_base, base_grad = kernel.eval_and_grad(self.X)
+        noise = np.exp(log_noise)
+        # A copy: base_grad may close over K_base.
+        K = K_base.copy()
+        self._scale_by_tasks(K, B)
+        K[self.diag] += noise[self.tasks]
+        lml, W, _ = gaussian_log_marginal(K, self.z)
+
+        # <W, K_base * dB/dc_s[tasks, tasks]> through the task-block
+        # sums T: dB/dc_s is ``coeffs`` along row and column s, zero at
+        # (s, s).
+        T = self.onehot.T @ (W * K_base) @ self.onehot
+        dc = (T @ coeffs + T.T @ coeffs - 2.0 * np.diag(T) * coeffs)
+        dc = dc[:n_src]
+        # d lambda / d log a = -2 b a (1+a)^(-b-1) and
+        # d lambda / d log b = -2 b log(1+a) (1+a)^(-b), per source.
+        dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
+        dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
+        W_task_diag = np.array([
+            block.sum() for block in np.split(np.diag(W), self.task_starts)
+        ])
+        self._scale_by_tasks(W, B)
+        g = np.concatenate([
+            base_grad(W),
+            dc * dlam_da,
+            dc * dlam_db,
+            noise * W_task_diag,
+        ])
+        return -lml, -g
+
+
 class _ChunkedMean:
     """``k* alpha`` of a request's rows, one ``gemv`` per
     :data:`_MEAN_CHUNK` rows, as their ``k*`` arrive in request order."""
@@ -300,11 +398,7 @@ class MultiSourceTransferGP:
         """Per-task coefficients ``c`` with the target pinned at 1."""
         return np.append(self._lambdas(), 1.0)
 
-    def _task_matrix(self, coeffs: np.ndarray) -> np.ndarray:
-        """The PSD task-correlation matrix B."""
-        B = np.outer(coeffs, coeffs)
-        np.fill_diagonal(B, 1.0)
-        return B
+    _task_matrix = staticmethod(_task_matrix)
 
     # ---- fitting -------------------------------------------------------
 
@@ -403,74 +497,11 @@ class MultiSourceTransferGP:
     def _optimize_hyperparameters(self, z: np.ndarray) -> None:
         kernel = self._kernel
         assert kernel is not None
-        X, tasks = self._X, self._tasks
         n_src = self._n_sources
         n_kernel = kernel.n_params
-        onehot = np.eye(n_src + 1)[tasks]
-        diag = np.diag_indices(len(tasks))
-        # Each task's rows are contiguous: its noise gradient sums its
-        # block of W's diagonal, pairwise as ndarray.sum does, so one
-        # task's sum is np.trace(W) bit for bit.
-        task_starts = np.flatnonzero(np.diff(tasks)) + 1
-        spans = [
-            slice(a, b) for a, b in zip(
-                np.r_[0, task_starts], np.r_[task_starts, len(tasks)]
-            )
-        ]
-
-        def scale_by_tasks(M: np.ndarray, B: np.ndarray) -> None:
-            """``M *= B[tasks, tasks]`` in place; B's diagonal is 1."""
-            for i, rows in enumerate(spans):
-                for j, cols in enumerate(spans):
-                    if i != j:
-                        M[rows, cols] *= B[i, j]
-
-        def unpack(theta):
-            kernel.theta = theta[:n_kernel]
-            log_a = theta[n_kernel:n_kernel + n_src]
-            log_b = theta[n_kernel + n_src:n_kernel + 2 * n_src]
-            log_noise = theta[n_kernel + 2 * n_src:]
-            return log_a, log_b, log_noise
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            log_a, log_b, log_noise = unpack(theta)
-            self._log_a, self._log_b = log_a, log_b
-            a = np.exp(log_a)
-            b = np.exp(log_b)
-            coeffs = self._coeffs()
-            B = self._task_matrix(coeffs)
-            K_base, base_grad = kernel.eval_and_grad(X)
-            noise = np.exp(log_noise)
-            # A copy: base_grad may close over K_base.
-            K = K_base.copy()
-            scale_by_tasks(K, B)
-            K[diag] += noise[tasks]
-            lml, W, _ = gaussian_log_marginal(K, z)
-
-            # <W, K_base * dB/dc_s[tasks, tasks]> through the task-block
-            # sums T: dB/dc_s is ``coeffs`` along row and column s, zero
-            # at (s, s).
-            T = onehot.T @ (W * K_base) @ onehot
-            dc = (T @ coeffs + T.T @ coeffs - 2.0 * np.diag(T) * coeffs)
-            dc = dc[:n_src]
-            # d lambda / d log a = -2 b a (1+a)^(-b-1) and
-            # d lambda / d log b = -2 b log(1+a) (1+a)^(-b), per source.
-            dlam_da = -2.0 * b * a * (1.0 + a) ** (-b - 1.0)
-            dlam_db = -2.0 * b * np.log1p(a) * (1.0 + a) ** (-b)
-            W_task_diag = np.array([
-                block.sum() for block in np.split(np.diag(W), task_starts)
-            ])
-            scale_by_tasks(W, B)
-            g = np.concatenate([
-                base_grad(W),
-                dc * dlam_da,
-                dc * dlam_db,
-                noise * W_task_diag,
-            ])
-            return -lml, -g
-
+        objective = TransferObjective(kernel, self._X, self._tasks, n_src, z)
         # Warm-start refits from the previously optimized vector (the
-        # objective mutates the live parameters during evaluation).
+        # objective sets the live kernel's parameters as it evaluates).
         theta0 = np.concatenate([
             kernel.theta, self._log_a, self._log_b, self._log_noise,
         ])
@@ -523,7 +554,7 @@ class MultiSourceTransferGP:
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         K_star = self._cross_cov(X_new)
         mean_z = K_star @ self._alpha
-        v = np.linalg.solve(self._L, K_star.T)
+        v = _solve_lower(self._L, K_star.T)
         var_z = self._kernel.diag(X_new) - np.sum(v * v, axis=0)
         var_z = np.maximum(var_z, 1e-12)
         return (

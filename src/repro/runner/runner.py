@@ -122,6 +122,20 @@ def _resolve(pool):
     return pool.resolve() if isinstance(pool, DatasetRef) else pool
 
 
+def _init_worker() -> None:
+    """Pool-worker initializer: one BLAS thread, for scipy's OpenBLAS
+    copy too (``scipy.linalg`` maps it on import)."""
+    import scipy.linalg  # noqa: F401
+
+    env.set_blas_threads(1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """Worker processes at one BLAS thread each: cells already fill the
+    CPUs, and a cell's result must not depend on where it ran."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+
+
 def _execute_job(job: RunJob) -> RunRecord:
     """Top-level worker entry point (must stay picklable)."""
     source = _resolve(job.source)
@@ -175,19 +189,21 @@ class ExperimentRunner:
         Duplicate specs in one submission are executed once and the
         record shared.
         """
-        if self.trace_dir is None:
-            return self._run(jobs)
-        # Export the trace directory for the duration of the batch so
-        # inline cells and forked pool workers alike pick it up.
-        prev = os.environ.get("PPATUNER_TRACE_DIR")
-        os.environ["PPATUNER_TRACE_DIR"] = self.trace_dir
-        try:
-            return self._run(jobs)
-        finally:
-            if prev is None:
-                os.environ.pop("PPATUNER_TRACE_DIR", None)
-            else:
-                os.environ["PPATUNER_TRACE_DIR"] = prev
+        # Inline cells run at one BLAS thread, as pool workers do.
+        with env.blas_thread_limit(1):
+            if self.trace_dir is None:
+                return self._run(jobs)
+            # Export the trace directory for the duration of the batch so
+            # inline cells and forked pool workers alike pick it up.
+            prev = os.environ.get("PPATUNER_TRACE_DIR")
+            os.environ["PPATUNER_TRACE_DIR"] = self.trace_dir
+            try:
+                return self._run(jobs)
+            finally:
+                if prev is None:
+                    os.environ.pop("PPATUNER_TRACE_DIR", None)
+                else:
+                    os.environ["PPATUNER_TRACE_DIR"] = prev
 
     def _run(self, jobs: Sequence[RunJob]) -> list[RunRecord]:
         jobs = list(jobs)
@@ -244,7 +260,7 @@ class ExperimentRunner:
         fresh: dict[str, RunRecord] = {}
         workers = min(self.workers, len(to_run))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 futures = {
                     pool.submit(_execute_job, jobs[i]): i for i in to_run
                 }
@@ -292,17 +308,18 @@ class ExperimentRunner:
             self.workers if workers is None else runner_workers(workers),
             len(items),
         )
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        except Exception:
-            log.warning(
-                "process pool failed; mapping %d item(s) serially",
-                len(items), exc_info=True,
-            )
-            return [fn(item) for item in items]
+        with env.blas_thread_limit(1):
+            if workers <= 1 or len(items) <= 1:
+                return [fn(item) for item in items]
+            try:
+                with _pool(workers) as pool:
+                    return list(pool.map(fn, items))
+            except Exception:
+                log.warning(
+                    "process pool failed; mapping %d item(s) serially",
+                    len(items), exc_info=True,
+                )
+                return [fn(item) for item in items]
 
     # ------------------------------------------------------------------
 
