@@ -8,8 +8,8 @@ poisoned the cache forever — every later ``np.load`` raised ``BadZipFile``.
 
 This module makes the store impossible to poison:
 
-- **Atomic writes.**  Tables are written to a same-directory temp file,
-  fsync'd, then ``os.replace``'d into place; readers can never observe a
+- **Atomic writes.**  Tables and the manifest are written through
+  :func:`repro.durable.atomic_write`; readers can never observe a
   half-written file.
 - **Integrity verification on load.**  Every load checks zip structure and
   a per-file SHA-256 recorded in a small JSON manifest
@@ -59,21 +59,22 @@ import json
 import logging
 import os
 import re
-import tempfile
-import time
 import zipfile
-import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import BinaryIO, ContextManager, Mapping
 
 import numpy as np
 
-try:  # advisory locking is POSIX-only; degrade gracefully elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
+from ..durable import (
+    LOAD_ERRORS,
+    TMP_MAX_AGE_S,
+    TMP_PREFIX,
+    atomic_write,
+    locked,
+    sweep_tmp,
+)
 
 log = logging.getLogger(__name__)
 
@@ -83,24 +84,8 @@ MANIFEST_NAME = "manifest.json"
 #: Subdirectory corrupt files are moved into instead of being trusted.
 QUARANTINE_DIR = "quarantine"
 
-#: Prefix of in-flight atomic-write temp files (dot: hidden from globs).
-TMP_PREFIX = ".tmp-"
-
-#: Abandoned temp files older than this many seconds are swept.
-TMP_MAX_AGE_S = 600.0
-
 _MANIFEST_FORMAT = 1
 _VERSION_RE = re.compile(r"-v(\d+)\.npz$")
-
-#: Exceptions ``np.load`` raises on a damaged ``.npz``.
-_LOAD_ERRORS = (
-    zipfile.BadZipFile,
-    zlib.error,
-    ValueError,
-    KeyError,
-    EOFError,
-    OSError,
-)
 
 
 def default_cache_dir() -> Path:
@@ -134,26 +119,12 @@ class VerifyReport:
     detail: str = ""
 
 
-def _sha256(path: Path) -> str:
+def _sha256(fh: BinaryIO) -> str:
+    """SHA-256 of the rest of an open binary file."""
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(block)
     return digest.hexdigest()
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename survives power loss (best effort)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
 
 
 def file_cache_version(filename: str) -> int | None:
@@ -175,30 +146,13 @@ class BenchmarkStore:
     # ------------------------------------------------------------------
     # locking
 
-    @contextlib.contextmanager
-    def lock(self, filename: str) -> Iterator[None]:
+    def lock(self, filename: str) -> ContextManager[None]:
         """Exclusive cross-process advisory lock for one cache entry.
 
         Blocks until the lock is free.  A no-op where ``fcntl`` is
         unavailable.
         """
-        yield from self._flock(self.root / f"{filename}.lock")
-
-    @contextlib.contextmanager
-    def _manifest_lock(self) -> Iterator[None]:
-        yield from self._flock(self.root / ".manifest.lock")
-
-    def _flock(self, lock_path: Path) -> Iterator[None]:
-        if fcntl is None:  # pragma: no cover - non-POSIX platform
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        with lock_path.open("a") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+        return locked(self.root / f"{filename}.lock")
 
     # ------------------------------------------------------------------
     # manifest
@@ -217,32 +171,16 @@ class BenchmarkStore:
             return {"format": _MANIFEST_FORMAT, "entries": {}}
         return manifest
 
-    def _write_manifest(self, manifest: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=TMP_PREFIX, suffix=".json", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(manifest, fh, indent=1, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.root / MANIFEST_NAME)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        _fsync_dir(self.root)
-
     def _update_manifest(self, filename: str, entry: dict | None) -> None:
         """Set (or, with ``entry=None``, drop) one manifest record."""
-        with self._manifest_lock():
+        with locked(self.root / ".manifest.lock"):
             manifest = self._read_manifest()
             if entry is None:
                 manifest["entries"].pop(filename, None)
             else:
                 manifest["entries"][filename] = entry
-            self._write_manifest(manifest)
+            with atomic_write(self.root / MANIFEST_NAME, "w") as fh:
+                json.dump(manifest, fh, indent=1, sort_keys=True)
 
     def manifest_entry(self, filename: str) -> dict | None:
         """The manifest record for one cache file, if any."""
@@ -260,24 +198,14 @@ class BenchmarkStore:
         Returns:
             The final file path.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         target = self.root / filename
-        fd, tmp = tempfile.mkstemp(
-            prefix=TMP_PREFIX, suffix=".npz", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            digest = _sha256(Path(tmp))
-            size = os.path.getsize(tmp)
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        _fsync_dir(self.root)
+        with atomic_write(target, "w+b") as fh:
+            np.savez_compressed(fh, **arrays)
+            # Hash the temp file's bytes: exactly what is renamed into
+            # place, whatever another process does to ``target`` later.
+            fh.seek(0)
+            digest = _sha256(fh)
+            size = fh.tell()
         previous = self.manifest_entry(filename) or {}
         self._update_manifest(filename, {
             "sha256": digest,
@@ -321,7 +249,7 @@ class BenchmarkStore:
         except CacheCorruptionError as exc:
             self._quarantine(filename, str(exc))
             return None
-        except _LOAD_ERRORS as exc:
+        except LOAD_ERRORS as exc:
             self._quarantine(filename, f"{type(exc).__name__}: {exc}")
             return None
 
@@ -330,7 +258,8 @@ class BenchmarkStore:
             raise CacheCorruptionError("not a valid zip archive")
         entry = self.manifest_entry(filename)
         if entry and "sha256" in entry:
-            actual = _sha256(path)
+            with path.open("rb") as fh:
+                actual = _sha256(fh)
             if actual != entry["sha256"]:
                 raise CacheCorruptionError(
                     f"checksum mismatch (manifest {entry['sha256'][:12]}…,"
@@ -387,22 +316,10 @@ class BenchmarkStore:
             lock = self.root / f"{path.name}.lock"
             with contextlib.suppress(OSError):
                 lock.unlink()
-        removed.extend(self._sweep_tmp())
+        removed.extend(sweep_tmp(self.root, TMP_MAX_AGE_S))
         if removed:
             log.info("cache gc removed %d stale file(s)", len(removed))
         return removed
-
-    def _sweep_tmp(self) -> list[str]:
-        swept: list[str] = []
-        cutoff = time.time() - TMP_MAX_AGE_S
-        for path in self.root.glob(f"{TMP_PREFIX}*"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    swept.append(path.name)
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-        return swept
 
     def verify(self, current_version: int | None = None) -> list[VerifyReport]:
         """Verify every cache entry, healing what it can.
@@ -426,7 +343,7 @@ class BenchmarkStore:
         else:
             reports.extend(
                 VerifyReport(name, "swept-tmp", "abandoned temp file")
-                for name in self._sweep_tmp()
+                for name in sweep_tmp(self.root, TMP_MAX_AGE_S)
             )
         for path in self._tables():
             if self.load(path.name) is None:

@@ -5,9 +5,10 @@ experiments: candidates are the rows of an offline benchmark table, and
 "running the PD tool" on candidate ``i`` reveals its golden QoR vector.
 :class:`PoolOracle` serves precomputed tables (the offline benchmarks);
 :class:`FlowOracle` invokes the live simulated tool, for use outside the
-benchmark protocol (e.g. the examples).
+benchmark protocol (e.g. the examples); :class:`CallableOracle` calls a
+plain function of the pool rows.
 
-The stable contract both satisfy — and the one :class:`PPATuner
+The stable contract all three satisfy — and the one :class:`PPATuner
 <repro.core.tuner.PPATuner>` and every baseline are typed against — is
 the :class:`Oracle` protocol.  Third-party oracles (a real EDA tool, an
 RPC service) only need to implement it; no inheritance and no
@@ -18,17 +19,20 @@ behavior and :class:`~repro.reliability.FaultInjectingOracle` injects
 seeded chaos, and both are again valid oracles.
 
 Every oracle counts evaluations — the paper's cost metric ("Runs").
-Re-evaluating an index is served from cache and not recounted.  Both
-built-in oracles also emit a :class:`~repro.obs.events.ToolEvaluation`
-trace event per ``evaluate`` call (latency, cache hit, observed vector)
-when given a :class:`~repro.obs.recorder.TraceRecorder`; the default
-null recorder makes the disabled path one truthiness check.
+Re-evaluating an index is served from cache and not recounted.  The
+built-in oracles share that cache, and everything built on it, through
+one private base class: each also emits a
+:class:`~repro.obs.events.ToolEvaluation` trace event per evaluated
+index (latency, cache hit, observed vector) when given a
+:class:`~repro.obs.recorder.TraceRecorder`; the default null recorder
+makes the disabled path one truthiness check.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -79,13 +83,142 @@ class Oracle(Protocol):
         ...
 
 
-class PoolOracle:
+class _CachedOracle:
+    """What the built-in oracles share: the run cache and its accounting.
+
+    A subclass supplies ``n_candidates``, ``n_objectives``, ``_name``
+    (the ``oracle`` field of its trace events) and ``_run(index)``: one
+    tool run, returning the candidate's QoR row.  This class caches each
+    row the first time it is run, which counts it in
+    :attr:`n_evaluations`, serves repeats from the cache, and emits one
+    ``ToolEvaluation`` per evaluated index.
+
+    With ``workers > 1``, :meth:`evaluate_batch` runs a batch's distinct
+    uncached indices at once through :meth:`_run_concurrently`: on a
+    thread pool here, on a process pool in :class:`FlowOracle`.
+
+    Attributes:
+        recorder: Trace recorder fed one ``ToolEvaluation`` per
+            evaluated index.
+        workers: Parallel runs per batch; 1 keeps the serial path.
+    """
+
+    def __init__(self, recorder=None, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self._cache: dict[int, np.ndarray] = {}
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.workers = int(workers)
+
+    @property
+    def n_evaluations(self) -> int:
+        """Distinct tool runs so far (the paper's 'Runs')."""
+        return len(self._cache)
+
+    @property
+    def supports_parallel_batch(self) -> bool:
+        """Whether :meth:`evaluate_batch` runs batch members concurrently."""
+        return self.workers > 1
+
+    def _check(self, index: int) -> int:
+        if not 0 <= index < self.n_candidates:
+            raise IndexError(f"candidate {index} out of range")
+        return int(index)
+
+    def _emit(
+        self, index: int, seconds: float, cached: bool, value: np.ndarray
+    ) -> None:
+        self.recorder.emit(ToolEvaluation(
+            index=index,
+            seconds=seconds,
+            cached=cached,
+            oracle=self._name,
+            values=[float(v) for v in value],
+        ))
+
+    def evaluate(self, index: int) -> np.ndarray:
+        """QoR vector of pool candidate ``index`` (cached).
+
+        Raises:
+            IndexError: If ``index`` is out of range.
+        """
+        index = self._check(index)
+        start = time.perf_counter()
+        cached = index in self._cache
+        if not cached:
+            self._cache[index] = self._run(index)
+        value = self._cache[index].copy()
+        if self.recorder:
+            self._emit(index, time.perf_counter() - start, cached, value)
+        return value
+
+    def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`evaluate`; rows follow ``indices`` order.
+
+        With ``workers > 1`` the distinct uncached indices of the batch
+        run concurrently (duplicates run once and are served from the
+        cache).  If one of them raises, the batch raises the first such
+        error in ``indices`` order and caches none of them.  Trace
+        events are emitted in ``indices`` order either way, with the
+        cached flags the serial path produces; a concurrent run's event
+        carries the seconds the run took where it ran.
+        """
+        indices = [int(i) for i in indices]
+        if not indices:
+            return np.empty((0, self.n_objectives))
+        if self.workers > 1:
+            fresh = [
+                self._check(i) for i in dict.fromkeys(indices)
+                if i not in self._cache
+            ]
+            if len(fresh) > 1:
+                seconds: dict[int, float] = {}
+                for i, (row, secs) in zip(
+                    fresh, self._run_concurrently(fresh)
+                ):
+                    self._cache[i] = row
+                    seconds[i] = secs
+                if self.recorder:
+                    for i in indices:
+                        hot = i in seconds
+                        self._emit(
+                            i, seconds.pop(i, 0.0), not hot, self._cache[i]
+                        )
+                return np.vstack([self._cache[i] for i in indices])
+        return np.vstack([self.evaluate(i) for i in indices])
+
+    def _run_concurrently(
+        self, fresh: list[int]
+    ) -> list[tuple[np.ndarray, float]]:
+        """``(row, seconds)`` of each index in ``fresh``, run at once."""
+        with ThreadPoolExecutor(min(self.workers, len(fresh))) as pool:
+            return list(pool.map(partial(_timed, self._run), fresh))
+
+    def reset(self) -> None:
+        """Forget every run and the evaluation count (fresh tuning run).
+
+        Later evaluations run the tool again and are counted anew.
+        """
+        self._cache.clear()
+
+
+def _timed(run: Callable, *args) -> tuple[np.ndarray, float]:
+    """``(run(*args), seconds)``, timed where it runs (module level so it
+    pickles into a worker process)."""
+    start = time.perf_counter()
+    row = run(*args)
+    return row, time.perf_counter() - start
+
+
+class PoolOracle(_CachedOracle):
     """Oracle over a precomputed objective table.
 
     Attributes:
         Y: ``(n, m)`` golden objective matrix (minimization).
         recorder: Trace recorder fed one ``ToolEvaluation`` per call.
     """
+
+    _name = "pool"
 
     def __init__(self, Y: np.ndarray, recorder=None) -> None:
         """Wrap the golden table ``Y``.
@@ -97,8 +230,7 @@ class PoolOracle:
         self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if self.Y.size == 0:
             raise ValueError("empty objective table")
-        self._evaluated: set[int] = set()
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        super().__init__(recorder)
 
     @property
     def n_candidates(self) -> int:
@@ -110,64 +242,27 @@ class PoolOracle:
         """Number of QoR metrics."""
         return self.Y.shape[1]
 
-    @property
-    def n_evaluations(self) -> int:
-        """Distinct tool runs so far (the paper's 'Runs')."""
-        return len(self._evaluated)
-
-    def evaluate(self, index: int) -> np.ndarray:
-        """Golden QoR vector of pool candidate ``index``.
-
-        Raises:
-            IndexError: If ``index`` is out of range.
-        """
-        if not 0 <= index < self.n_candidates:
-            raise IndexError(f"candidate {index} out of range")
-        index = int(index)
-        if self.recorder:
-            start = time.perf_counter()
-            cached = index in self._evaluated
-            self._evaluated.add(index)
-            value = self.Y[index].copy()
-            self.recorder.emit(ToolEvaluation(
-                index=index,
-                seconds=time.perf_counter() - start,
-                cached=cached,
-                oracle="pool",
-                values=[float(v) for v in value],
-            ))
-            return value
-        self._evaluated.add(index)
-        return self.Y[index].copy()
-
-    def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate`; rows follow ``indices`` order."""
-        indices = [int(i) for i in indices]
-        if not indices:
-            return np.empty((0, self.n_objectives))
-        return np.vstack([self.evaluate(i) for i in indices])
-
-    def reset(self) -> None:
-        """Forget the evaluation count (fresh tuning run)."""
-        self._evaluated.clear()
+    def _run(self, index: int) -> np.ndarray:
+        return self.Y[index]
 
 
-def _flow_eval_task(
-    flow: PDFlow, config: ToolParameters, names: tuple[str, ...]
-) -> tuple[np.ndarray, float]:
-    """Worker-side single flow run (module level so it pickles).
-
-    Returns:
-        ``(values, seconds)`` — the extracted QoR vector and the
-        worker-measured wall time of the run.
-    """
-    start = time.perf_counter()
-    report = flow.run(config)
-    values = np.array(report.objectives(names))
-    return values, time.perf_counter() - start
+def _flow_run(
+    flow: PDFlow, names: tuple[str, ...], config: ToolParameters
+) -> np.ndarray:
+    """One flow run's QoR vector (module level so it pickles: a worker
+    process gets the flow, the metric names and the configuration, never
+    the oracle, whose recorder may hold an open trace file)."""
+    return np.array(flow.run(config).objectives(names))
 
 
-class FlowOracle:
+def _as_params(config: ToolParameters | Configuration) -> ToolParameters:
+    return (
+        config if isinstance(config, ToolParameters)
+        else ToolParameters.from_dict(dict(config))
+    )
+
+
+class FlowOracle(_CachedOracle):
     """Oracle that invokes the simulated PD flow on demand.
 
     With ``workers > 1``, :meth:`evaluate_batch` fans the uncached
@@ -183,6 +278,8 @@ class FlowOracle:
         recorder: Trace recorder fed one ``ToolEvaluation`` per call.
         workers: Parallel licenses for :meth:`evaluate_batch`.
     """
+
+    _name = "flow"
 
     def __init__(
         self,
@@ -210,18 +307,10 @@ class FlowOracle:
         """
         if not configs:
             raise ValueError("empty configuration pool")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        super().__init__(recorder, workers)
         self.flow = flow
-        self.configs = [
-            c if isinstance(c, ToolParameters)
-            else ToolParameters.from_dict(dict(c))
-            for c in configs
-        ]
+        self.configs = [_as_params(c) for c in configs]
         self.objective_names = tuple(objective_names)
-        self._cache: dict[int, np.ndarray] = {}
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.workers = int(workers)
         self._decoder = decoder
 
     @property
@@ -234,92 +323,21 @@ class FlowOracle:
         """Number of QoR metrics."""
         return len(self.objective_names)
 
-    @property
-    def n_evaluations(self) -> int:
-        """Distinct tool runs so far."""
-        return len(self._cache)
+    def _run(self, index: int) -> np.ndarray:
+        return _flow_run(self.flow, self.objective_names, self.configs[index])
 
-    def evaluate(self, index: int) -> np.ndarray:
-        """Run the flow for candidate ``index`` (cached)."""
-        if not 0 <= index < self.n_candidates:
-            raise IndexError(f"candidate {index} out of range")
-        index = int(index)
-        start = time.perf_counter()
-        cached = index in self._cache
-        if not cached:
-            report = self.flow.run(self.configs[index])
-            self._cache[index] = np.array(
-                report.objectives(self.objective_names)
-            )
-        value = self._cache[index].copy()
-        if self.recorder:
-            self.recorder.emit(ToolEvaluation(
-                index=index,
-                seconds=time.perf_counter() - start,
-                cached=cached,
-                oracle="flow",
-                values=[float(v) for v in value],
-            ))
-        return value
-
-    @property
-    def supports_parallel_batch(self) -> bool:
-        """Whether :meth:`evaluate_batch` runs batch members concurrently."""
-        return self.workers > 1
-
-    def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate`; rows follow ``indices`` order.
-
-        With ``workers > 1`` the distinct uncached indices of the batch
-        run concurrently on a process pool (duplicates are evaluated
-        once and served from cache).  Trace events are emitted in
-        ``indices`` order either way, with the same cached-flag
-        semantics the serial path produces.
-        """
-        indices = [int(i) for i in indices]
-        if not indices:
-            return np.empty((0, self.n_objectives))
-        if self.workers > 1:
-            fresh: list[int] = []
-            for i in indices:
-                if i not in self._cache and i not in fresh:
-                    if not 0 <= i < self.n_candidates:
-                        raise IndexError(f"candidate {i} out of range")
-                    fresh.append(i)
-            if len(fresh) > 1:
-                seconds: dict[int, float] = {}
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(fresh))
-                ) as pool:
-                    futures = {
-                        i: pool.submit(
-                            _flow_eval_task, self.flow,
-                            self.configs[i], self.objective_names,
-                        )
-                        for i in fresh
-                    }
-                    for i, fut in futures.items():
-                        values, secs = fut.result()
-                        self._cache[i] = values
-                        seconds[i] = secs
-                        # Worker processes advance their own copies of
-                        # the flow; mirror the run count here so the
-                        # paper's cost unit stays honest.
-                        self.flow._run_count += 1
-                if self.recorder:
-                    seen: set[int] = set()
-                    for i in indices:
-                        hot = i in seconds and i not in seen
-                        seen.add(i)
-                        self.recorder.emit(ToolEvaluation(
-                            index=i,
-                            seconds=seconds[i] if hot else 0.0,
-                            cached=not hot,
-                            oracle="flow",
-                            values=[float(v) for v in self._cache[i]],
-                        ))
-                return np.vstack([self._cache[i].copy() for i in indices])
-        return np.vstack([self.evaluate(i) for i in indices])
+    def _run_concurrently(
+        self, fresh: list[int]
+    ) -> list[tuple[np.ndarray, float]]:
+        """``(row, seconds)`` of each index in ``fresh``, one process
+        per license."""
+        task = partial(_timed, _flow_run, self.flow, self.objective_names)
+        with ProcessPoolExecutor(min(self.workers, len(fresh))) as pool:
+            runs = list(pool.map(task, [self.configs[i] for i in fresh]))
+        # Worker processes advance their own copies of the flow; mirror
+        # the run count here so the paper's cost unit stays honest.
+        self.flow._run_count += len(runs)
+        return runs
 
     def extend(self, X_new: np.ndarray) -> None:
         """Append decoded pool rows as new candidate configurations.
@@ -338,22 +356,10 @@ class FlowOracle:
                 "refinement (pool_refine_every=0)"
             )
         for row in np.atleast_2d(np.asarray(X_new, dtype=float)):
-            c = self._decoder(row)
-            self.configs.append(
-                c if isinstance(c, ToolParameters)
-                else ToolParameters.from_dict(dict(c))
-            )
-
-    def reset(self) -> None:
-        """Drop the run cache and evaluation count (fresh tuning run).
-
-        Subsequent evaluations invoke the flow again — the simulated
-        tool is deterministic, but a reset run pays its runtime anew.
-        """
-        self._cache.clear()
+            self.configs.append(_as_params(self._decoder(row)))
 
 
-class CallableOracle:
+class CallableOracle(_CachedOracle):
     """Oracle over a plain function of the pool's feature rows.
 
     Evaluating candidate ``i`` calls ``func(X[i])`` and expects the QoR
@@ -368,6 +374,8 @@ class CallableOracle:
         recorder: Trace recorder fed one ``ToolEvaluation`` per call.
         workers: Thread-pool width for batch evaluation.
     """
+
+    _name = "callable"
 
     def __init__(
         self,
@@ -393,13 +401,9 @@ class CallableOracle:
             raise ValueError("empty candidate matrix")
         if n_objectives < 1:
             raise ValueError("n_objectives must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        super().__init__(recorder, workers)
         self.func = func
         self._n_objectives = int(n_objectives)
-        self._cache: dict[int, np.ndarray] = {}
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.workers = int(workers)
 
     @property
     def n_candidates(self) -> int:
@@ -411,89 +415,14 @@ class CallableOracle:
         """Number of QoR metrics."""
         return self._n_objectives
 
-    @property
-    def n_evaluations(self) -> int:
-        """Distinct function calls so far (the paper's 'Runs')."""
-        return len(self._cache)
-
-    @property
-    def supports_parallel_batch(self) -> bool:
-        """Whether :meth:`evaluate_batch` runs batch members concurrently."""
-        return self.workers > 1
-
-    def evaluate(self, index: int) -> np.ndarray:
-        """QoR vector of pool candidate ``index`` (cached)."""
-        if not 0 <= index < self.n_candidates:
-            raise IndexError(f"candidate {index} out of range")
-        index = int(index)
-        start = time.perf_counter()
-        cached = index in self._cache
-        if not cached:
-            row = np.asarray(self.func(self.X[index]), dtype=float).ravel()
-            if row.shape != (self._n_objectives,):
-                raise ValueError(
-                    f"func returned shape {row.shape}, expected "
-                    f"({self._n_objectives},)"
-                )
-            self._cache[index] = row
-        value = self._cache[index].copy()
-        if self.recorder:
-            self.recorder.emit(ToolEvaluation(
-                index=index,
-                seconds=time.perf_counter() - start,
-                cached=cached,
-                oracle="callable",
-                values=[float(v) for v in value],
-            ))
-        return value
-
-    def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate`; rows follow ``indices`` order.
-
-        With ``workers > 1`` the distinct uncached indices run
-        concurrently on a thread pool; duplicates are evaluated once.
-        """
-        indices = [int(i) for i in indices]
-        if not indices:
-            return np.empty((0, self.n_objectives))
-        if self.workers > 1:
-            fresh = []
-            for i in indices:
-                if i not in self._cache and i not in fresh:
-                    if not 0 <= i < self.n_candidates:
-                        raise IndexError(f"candidate {i} out of range")
-                    fresh.append(i)
-            if len(fresh) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(fresh))
-                ) as pool:
-                    rows = list(pool.map(
-                        lambda i: np.asarray(
-                            self.func(self.X[i]), dtype=float
-                        ).ravel(),
-                        fresh,
-                    ))
-                for i, row in zip(fresh, rows):
-                    if row.shape != (self._n_objectives,):
-                        raise ValueError(
-                            f"func returned shape {row.shape}, expected "
-                            f"({self._n_objectives},)"
-                        )
-                    self._cache[i] = row
-                if self.recorder:
-                    seen: set[int] = set()
-                    for i in indices:
-                        hot = i in fresh and i not in seen
-                        seen.add(i)
-                        self.recorder.emit(ToolEvaluation(
-                            index=i,
-                            seconds=0.0,
-                            cached=not hot,
-                            oracle="callable",
-                            values=[float(v) for v in self._cache[i]],
-                        ))
-                return np.vstack([self._cache[i].copy() for i in indices])
-        return np.vstack([self.evaluate(i) for i in indices])
+    def _run(self, index: int) -> np.ndarray:
+        row = np.asarray(self.func(self.X[index]), dtype=float).ravel()
+        if row.shape != (self._n_objectives,):
+            raise ValueError(
+                f"func returned shape {row.shape}, expected "
+                f"({self._n_objectives},)"
+            )
+        return row
 
     def extend(self, X_new: np.ndarray) -> None:
         """Append new candidate rows to the pool.
@@ -508,7 +437,3 @@ class CallableOracle:
                 f"{self.X.shape[1]}"
             )
         self.X = np.vstack([self.X, X_new])
-
-    def reset(self) -> None:
-        """Forget the evaluation count (fresh tuning run)."""
-        self._cache.clear()

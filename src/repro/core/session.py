@@ -1288,7 +1288,10 @@ def drive(session, oracle, policy=None) -> TuningResult:
     parallel oracle — and fall back to the serial per-index path on any
     batch-level failure, preserving per-point retry and quarantine
     semantics (already-evaluated points are then served from the
-    oracle's cache).  When adaptive pool refinement has grown the
+    oracle's cache).  A candidate whose batch evaluation failed
+    permanently has spent its retries: the serial path tells that
+    failure once instead of evaluating it again.  When adaptive pool
+    refinement has grown the
     session's pool past the oracle, the new candidate rows are handed
     to ``oracle.extend`` before evaluation.
 
@@ -1321,12 +1324,18 @@ def drive(session, oracle, policy=None) -> TuningResult:
             _extend_oracle(
                 oracle, session.X_pool[oracle.n_candidates:]
             )
+        failed = None
         if len(pending) > 1 and session.config.q > 1:
-            if _drive_batch(session, oracle, pending):
-                continue
+            try:
+                if _drive_batch(session, oracle, pending):
+                    continue
+            except PermanentEvaluationError as exc:
+                failed = exc
         for idx in pending:
             idx = int(idx)
             try:
+                if failed is not None and failed.index == idx:
+                    raise failed
                 value = np.asarray(
                     oracle.evaluate(idx), dtype=float
                 ).ravel()
@@ -1356,12 +1365,20 @@ def _drive_batch(session, oracle, pending: list[int]) -> bool:
     False to fall back to the serial per-index path (which owns the
     per-point failure handling — any successes of the aborted batch
     attempt are re-served from the oracle's cache).
+
+    Raises:
+        PermanentEvaluationError: A candidate failed for good inside
+            the batch; the serial path tells it, without a second try.
     """
+    from ..reliability.errors import PermanentEvaluationError
+
     try:
         rows = np.atleast_2d(np.asarray(
             oracle.evaluate_batch([int(i) for i in pending]),
             dtype=float,
         ))
+    except PermanentEvaluationError:
+        raise
     except Exception:
         return False
     if rows.shape[0] != len(pending):

@@ -217,4 +217,7 @@ class FaultInjectingOracle:
 
     def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`evaluate`; rows follow ``indices`` order."""
-        return np.vstack([self.evaluate(int(i)) for i in indices])
+        rows = [self.evaluate(int(i)) for i in indices]
+        if not rows:
+            return np.empty((0, self.n_objectives))
+        return np.vstack(rows)

@@ -1,10 +1,10 @@
 """Resumable result memoization for experiment cells.
 
 Completed :class:`~repro.experiments.scenarios.MethodOutcome`s are
-persisted to disk keyed by spec hash, following the BenchmarkStore's
-crash-safety playbook (same-directory temp file + fsync + ``os.replace``
-atomic writes, per-entry ``fcntl`` advisory locks, quarantine-free
-self-healing: a torn or stale entry is deleted and simply re-executed).
+persisted to disk keyed by spec hash, with the crash-safe writes and
+per-entry ``fcntl`` advisory locks of :mod:`repro.durable` (as in the
+BenchmarkStore) and quarantine-free self-healing: a torn or stale entry
+is deleted and simply re-executed.
 A killed multi-run invocation therefore skips every finished cell on
 restart, and ``--force`` invalidates.
 
@@ -30,41 +30,20 @@ import functools
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import zipfile
-import zlib
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import ContextManager, Iterable
 
 import numpy as np
 
 from ..core.result import IterationRecord, TuningResult
+from ..durable import LOAD_ERRORS, TMP_PREFIX, atomic_write, locked
 from .spec import RunSpec
-
-try:  # advisory locking is POSIX-only; degrade gracefully elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 log = logging.getLogger(__name__)
 
 #: Memo-format version; bump when the serialized layout changes.
 MEMO_VERSION = 1
-
-#: Prefix of in-flight atomic-write temp files.
-_TMP_PREFIX = ".tmp-"
-
-#: Exceptions a damaged ``.npz`` can raise on load.
-_LOAD_ERRORS = (
-    zipfile.BadZipFile,
-    zlib.error,
-    ValueError,
-    KeyError,
-    EOFError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 _ARRAY_KEYS = ("pareto_indices", "pareto_points", "evaluated_indices")
 
@@ -98,19 +77,6 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
-
-
 class RunMemo:
     """Disk memoization of completed run records, keyed by spec hash.
 
@@ -132,21 +98,10 @@ class RunMemo:
         """Memo file path for one spec."""
         return self.root / self.entry_name(spec)
 
-    @contextlib.contextmanager
-    def lock(self, spec: RunSpec) -> Iterator[None]:
+    def lock(self, spec: RunSpec) -> ContextManager[None]:
         """Exclusive cross-process lock for one entry (no-op without
         ``fcntl``)."""
-        if fcntl is None:  # pragma: no cover - non-POSIX platform
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        lock_path = self.root / f"{self.entry_name(spec)}.lock"
-        with lock_path.open("a") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+        return locked(self.root / f"{self.entry_name(spec)}.lock")
 
     # ------------------------------------------------------------------
     # save / load
@@ -198,23 +153,9 @@ class RunMemo:
                 dtype=np.uint8,
             ),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
         target = self.path_for(record.spec)
-        with self.lock(record.spec):
-            fd, tmp = tempfile.mkstemp(
-                prefix=_TMP_PREFIX, suffix=".npz", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez_compressed(fh, **arrays)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, target)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        _fsync_dir(self.root)
+        with self.lock(record.spec), atomic_write(target) as fh:
+            np.savez_compressed(fh, **arrays)
         return target
 
     def load(self, spec: RunSpec):
@@ -256,7 +197,7 @@ class RunMemo:
                 raise ValueError(
                     "memo entry was computed by other library code"
                 )
-        except _LOAD_ERRORS as exc:
+        except LOAD_ERRORS as exc:
             log.warning(
                 "memoized run %s is unusable (%s: %s); re-executing",
                 path, type(exc).__name__, exc,
@@ -333,7 +274,7 @@ class RunMemo:
         if not self.root.is_dir():
             return 0
         count = 0
-        for pattern in ("*.npz", "*.npz.lock", f"{_TMP_PREFIX}*"):
+        for pattern in ("*.npz", "*.npz.lock", f"{TMP_PREFIX}*"):
             for path in self.root.glob(pattern):
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -345,5 +286,5 @@ class RunMemo:
             return 0
         return sum(
             1 for p in self.root.glob("*.npz")
-            if not p.name.startswith(_TMP_PREFIX)
+            if not p.name.startswith(TMP_PREFIX)
         )

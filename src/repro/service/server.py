@@ -44,6 +44,7 @@ import numpy as np
 
 from ..core.config import PPATunerConfig
 from ..core.session import EvaluationFailure, TuningSession
+from ..durable import TMP_MAX_AGE_S, sweep_tmp
 from ..obs.events import event_from_json
 from ..obs.recorder import TraceRecorder
 from ..obs.sinks import JsonlSink
@@ -110,7 +111,12 @@ class TuningService:
     # lifecycle
 
     def _recover(self) -> None:
-        """Reload every stored snapshot (server restart)."""
+        """Reload every stored snapshot (server restart).
+
+        Also removes the temp files of snapshot writes that a kill cut
+        short, once they are too old to belong to a write in flight.
+        """
+        sweep_tmp(self.store.root, TMP_MAX_AGE_S)
         for sid in self.store.list_ids():
             loaded = self.store.load(sid)
             if loaded is None:

@@ -1,10 +1,11 @@
 """Atomic on-disk persistence of tuning-session snapshots.
 
-One ``.npz`` per session under the store root, written with the
-``RunMemo`` crash-safety playbook (same-directory temp file + fsync +
+One ``.npz`` per session under the store root, written through
+:func:`repro.durable.atomic_write` (same-directory temp file + fsync +
 ``os.replace`` atomic rename, directory fsync) so a ``kill -9`` at any
 instant leaves either the previous complete snapshot or the new one,
-never a torn file.  Loading is self-healing: a torn, garbage or
+never a torn file; the service's startup sweeps the temp file such a
+kill leaves, once aged.  Loading is self-healing: a torn, garbage or
 version-skewed snapshot is deleted and ``None`` returned — the service
 then reports the session lost instead of serving corrupt state (the
 session's own trace remains on disk for forensics).
@@ -21,36 +22,20 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import os
 import re
-import tempfile
 import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
+
+from ..durable import LOAD_ERRORS, TMP_PREFIX, atomic_write
 
 __all__ = ["SessionStore", "validate_session_id"]
 
 log = logging.getLogger(__name__)
 
-#: Prefix of in-flight atomic-write temp files.
-_TMP_PREFIX = ".tmp-"
-
 _SNAPSHOT_SUFFIX = ".snapshot.npz"
 _TRACE_SUFFIX = ".trace.jsonl"
-
-#: Exceptions a damaged ``.npz`` can raise on load.
-_LOAD_ERRORS = (
-    zipfile.BadZipFile,
-    zlib.error,
-    ValueError,
-    KeyError,
-    EOFError,
-    OSError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -70,19 +55,6 @@ def validate_session_id(session_id: str) -> str:
             "starting alphanumeric"
         )
     return session_id
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
 
 
 class SessionStore:
@@ -129,26 +101,12 @@ class SessionStore:
             json.dumps(service_meta or {}, sort_keys=True).encode("utf-8"),
             dtype=np.uint8,
         )
-        self.root.mkdir(parents=True, exist_ok=True)
         target = self.snapshot_path(session_id)
-        fd, tmp = tempfile.mkstemp(
-            prefix=_TMP_PREFIX, suffix=".npz", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                # Uncompressed: a session saves after every request, and
-                # zlib shrank its mostly-float snapshot by about 6% for
-                # most of the save's time.  Compressed snapshots still
-                # load.
-                np.savez(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        _fsync_dir(self.root)
+        with atomic_write(target) as fh:
+            # Uncompressed: a session saves after every request, and
+            # zlib shrank its mostly-float snapshot by about 6% for most
+            # of the save's time.  Compressed snapshots still load.
+            np.savez(fh, **arrays)
         return target
 
     def load(self, session_id: str) -> tuple[dict, dict] | None:
@@ -178,7 +136,7 @@ class SessionStore:
                     k: data[k] for k in data.files
                     if k not in ("__meta__", "__service__")
                 }
-        except _LOAD_ERRORS as exc:
+        except LOAD_ERRORS as exc:
             log.warning(
                 "session snapshot %s is unusable (%s: %s); dropping",
                 path, type(exc).__name__, exc,
@@ -203,5 +161,5 @@ class SessionStore:
         return sorted(
             p.name[: -len(_SNAPSHOT_SUFFIX)]
             for p in self.root.glob(f"*{_SNAPSHOT_SUFFIX}")
-            if not p.name.startswith(_TMP_PREFIX)
+            if not p.name.startswith(TMP_PREFIX)
         )

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.core import FlowOracle, Oracle, PoolOracle, PPATuner, PPATunerConfig
+from repro.obs import MemorySink, TraceRecorder
 from repro.space import (
     EnumParameter,
     FloatParameter,
@@ -113,6 +114,23 @@ class TestFlowOracleSemantics:
     def test_out_of_range_raises(self, oracle):
         with pytest.raises(IndexError):
             oracle.evaluate(99)
+
+    def test_process_pool_batch_matches_serial(self, oracle):
+        sink = MemorySink()
+        parallel = FlowOracle(
+            oracle.flow, oracle.configs, oracle.objective_names,
+            recorder=TraceRecorder(sinks=[sink]), workers=2,
+        )
+        oracle.reset()
+        serial = oracle.evaluate_batch(np.array([0, 3, 0, 5]))
+        runs = oracle.flow.run_count
+        rows = parallel.evaluate_batch(np.array([0, 3, 0, 5]))
+        np.testing.assert_array_equal(rows, serial)
+        assert parallel.n_evaluations == 3
+        # Runs made in worker processes still count on the caller's flow.
+        assert oracle.flow.run_count == runs + 3
+        assert [e.index for e in sink.events] == [0, 3, 0, 5]
+        assert [e.cached for e in sink.events] == [False, False, True, False]
 
 
 class TestLazyPackageSurface:

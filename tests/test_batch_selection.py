@@ -17,6 +17,8 @@ Covers the PR's contracts:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -503,6 +505,23 @@ class TestOracleBatchEdges:
         )
         assert par.n_evaluations == ser.n_evaluations
 
+    def test_concurrent_runs_report_their_own_seconds(self):
+        X = np.random.default_rng(8).uniform(size=(6, 2))
+
+        def slow(x):
+            time.sleep(0.02)
+            return np.array([float(x.sum()), float(x[0])])
+
+        sink = MemorySink()
+        oracle = CallableOracle(
+            slow, X, 2, recorder=TraceRecorder(sinks=[sink]), workers=3
+        )
+        oracle.evaluate_batch([0, 1, 2, 1])
+        assert [e.cached for e in sink.events] == [False, False, False, True]
+        for event in sink.events[:3]:
+            assert event.seconds >= 0.02
+        assert sink.events[3].seconds == 0.0
+
     def test_resilient_partial_failure_accounting(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(8, 2))
@@ -529,6 +548,51 @@ class TestOracleBatchEdges:
         assert oracle.n_retries >= 1
         assert inner.n_evaluations == 3  # each candidate counted once
         assert np.isfinite(out).all()
+
+    @staticmethod
+    def _drive_failing(q: int, workers: int, bad: int | None = None):
+        """Drive a retrying session over a function that always fails at
+        candidate ``bad``; returns the result, the function's calls per
+        candidate and the resilient oracle."""
+        X, Y = random_pool(0)
+        rows = {x.tobytes(): i for i, x in enumerate(X)}
+        calls: dict[int, int] = {}
+
+        def f(x):
+            i = rows[x.tobytes()]
+            calls[i] = calls.get(i, 0) + 1
+            if i == bad:
+                raise TransientEvaluationError("injected")
+            return Y[i]
+
+        policy = FaultPolicy(max_retries=2, backoff_base=0.0)
+        oracle = ResilientOracle(
+            CallableOracle(f, X, 2, workers=workers), policy
+        )
+        cfg = PPATunerConfig(
+            max_iterations=8, seed=3, q=q, fault_policy=policy
+        )
+        result = drive(TuningSession(cfg, X, 2), oracle, policy)
+        return result, calls, oracle
+
+    def test_batch_failure_spends_its_retries_once(self):
+        """A candidate that fails for good inside a q=2 batch is tried as
+        often as at q=1, plus the concurrent prefetch when the oracle has
+        workers, and counts as one failure."""
+        tries = {}
+        for q, workers in ((1, 1), (2, 1), (2, 2)):
+            clean, _, _ = self._drive_failing(q, workers)
+            first_batch = clean.history[0].selected
+            assert len(first_batch) == q
+            bad = first_batch[0]
+            result, calls, oracle = self._drive_failing(q, workers, bad)
+            assert list(result.quarantined_indices) == [bad]
+            assert oracle.n_failures == 1
+            assert oracle.n_retries == 2
+            tries[q, workers] = calls[bad]
+        assert tries[1, 1] == 3
+        assert tries[2, 1] == tries[1, 1]
+        assert tries[2, 2] == tries[1, 1] + 1
 
     def test_resilient_empty_batch(self):
         _, Y = random_pool(1)

@@ -254,8 +254,11 @@ class TestTransferObjective:
 
 #: A caller that fits once to start the worker, waits for it to boot,
 #: fits with a kernel class only its ``__main__`` defines (the worker
-#: cannot unpickle it), then fits again.  Deliberately unguarded: the
-#: worker must never run this top level.
+#: cannot unpickle it), then fits again.  Before each fit after the
+#: first it waits until the worker can take a job: when the caller
+#: outruns the worker, the reply is stale, and by design the next fit
+#: does not wait for it but runs its starts in the caller.  Deliberately
+#: unguarded: the worker must never run this top level.
 CALLER = textwrap.dedent('''
     import sys, time
     import numpy as np
@@ -278,20 +281,26 @@ CALLER = textwrap.dedent('''
         return model.fit([], X, np.sin(3 * X.sum(axis=1)))._opt_theta
 
 
+    def ready():
+        deadline = time.monotonic() + 60
+        while True:
+            with likelihood._lock:
+                worker = likelihood._ready_worker()
+            if worker is not None:
+                return worker
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+
+
     fit(0)
-    deadline = time.monotonic() + 60
-    while True:
-        with likelihood._lock:
-            worker = likelihood._ready_worker()
-        if worker is not None:
-            break
-        assert time.monotonic() < deadline
-        time.sleep(0.05)
+    worker = ready()
     counts = [(worker.jobs, worker.answered)]
     fit(1)
     counts.append((worker.jobs, worker.answered))
+    ready()
     main_theta = fit(2, MainKernel(np.full(3, 0.3)))
     counts.append((worker.jobs, worker.answered))
+    ready()
     fit(3)
     counts.append((worker.jobs, worker.answered))
     likelihood._usable_cpus = lambda: 1

@@ -180,6 +180,10 @@ class TestFaultInjectingOracle:
         with pytest.raises(TransientEvaluationError):
             oracle.evaluate(0)
 
+    def test_empty_batch_has_zero_rows(self):
+        oracle = FaultInjectingOracle(pool_oracle(m=3), FaultPlan())
+        assert oracle.evaluate_batch([]).shape == (0, 3)
+
     def test_satisfies_oracle_protocol(self):
         oracle = FaultInjectingOracle(pool_oracle(), FaultPlan())
         assert isinstance(oracle, Oracle)

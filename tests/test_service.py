@@ -11,12 +11,15 @@ snapshot store, and the error mapping must hold (404 unknown session,
 from __future__ import annotations
 
 import logging
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
 from repro.core.session import SNAPSHOT_VERSION, _fingerprint
+from repro.durable import TMP_PREFIX
 from repro.obs import TraceRecorder, read_trace, replay_trace
 from repro.pareto import non_dominated_mask
 from repro.reliability import (
@@ -233,6 +236,22 @@ class TestRestartSurvival:
         service = TuningService(root=root)
         assert service.sessions() == []
         assert not store.snapshot_path("broken").exists()
+
+    def test_recovery_sweeps_aged_temp_files_only(self, tmp_path):
+        """A save killed mid-write leaves its temp file; startup removes
+        it once aged, and keeps a fresh one (a write still in flight)."""
+        root = tmp_path / "store"
+        root.mkdir()
+        aged = root / f"{TMP_PREFIX}killed.npz"
+        aged.write_bytes(b"torn snapshot")
+        two_hours_ago = time.time() - 7200
+        os.utime(aged, (two_hours_ago, two_hours_ago))
+        fresh = root / f"{TMP_PREFIX}inflight.npz"
+        fresh.write_bytes(b"being written")
+
+        TuningService(root=root)
+        assert not aged.exists()
+        assert fresh.exists()
 
 
 class TestBudget:
