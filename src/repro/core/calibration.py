@@ -24,7 +24,11 @@ values are row-local, so shrinking changes no prediction.
 Predictions over the candidate pool always go through the models'
 ``predict_pool`` so both paths share one code path (equivalence-tested
 in ``tests/test_calibration_equivalence.py`` and
-``tests/test_fastpath_equivalence.py``).
+``tests/test_fastpath_equivalence.py``).  The first prediction after a
+fit builds each model's pool cache; when two or more builds are due,
+:meth:`CalibrationEngine.predict` lets the GP worker take the last half
+of them (:func:`~repro.gp.multisource.share_pool_builds`), which changes
+no bit of any prediction.
 
 Every metric keeps its own factorization.  Re-optimization gives each
 metric its own kernel hyperparameters, so a Cholesky factor shared
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gp.multisource import pool_indices
+from ..gp.multisource import pool_indices, share_pool_builds
 from ..obs.events import CalibrationDone
 from ..obs.recorder import NULL_RECORDER
 from .config import PPATunerConfig
@@ -232,6 +236,9 @@ class CalibrationEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/std per metric at registered pool ``indices``.
 
+        Models without a pool cache build it here, half of them in the
+        GP worker when it can take them (see the module docstring).
+
         Args:
             indices: Integer pool indices (or boolean mask).
 
@@ -241,10 +248,11 @@ class CalibrationEngine:
         idx = pool_indices(indices)
         mean = np.empty((len(idx), len(self.models)))
         std = np.empty_like(mean)
-        for j, model in enumerate(self.models):
-            mu, var = model.predict_pool(idx)
-            mean[:, j] = mu
-            std[:, j] = np.sqrt(var)
+        with share_pool_builds(self.models, idx):
+            for j, model in enumerate(self.models):
+                mu, var = model.predict_pool(idx)
+                mean[:, j] = mu
+                std[:, j] = np.sqrt(var)
         return mean, std
 
 

@@ -157,11 +157,11 @@ class _CachedOracle:
 
         With ``workers > 1`` the distinct uncached indices of the batch
         run concurrently (duplicates run once and are served from the
-        cache).  If one of them raises, the batch raises the first such
-        error in ``indices`` order and caches none of them.  Trace
-        events are emitted in ``indices`` order either way, with the
+        cache).  Trace events are emitted in ``indices`` order, with the
         cached flags the serial path produces; a concurrent run's event
-        carries the seconds the run took where it ran.
+        carries the seconds the run took where it ran.  If runs raise,
+        the runs that succeeded are still cached and emitted, and the
+        batch then raises the first error in ``indices`` order.
         """
         indices = [int(i) for i in indices]
         if not indices:
@@ -173,26 +173,30 @@ class _CachedOracle:
             ]
             if len(fresh) > 1:
                 seconds: dict[int, float] = {}
-                for i, (row, secs) in zip(
-                    fresh, self._run_concurrently(fresh)
-                ):
-                    self._cache[i] = row
-                    seconds[i] = secs
+                errors = []
+                for i, outcome in zip(fresh, self._run_concurrently(fresh)):
+                    if isinstance(outcome, BaseException):
+                        errors.append(outcome)
+                    else:
+                        self._cache[i], seconds[i] = outcome
                 if self.recorder:
                     for i in indices:
                         hot = i in seconds
-                        self._emit(
-                            i, seconds.pop(i, 0.0), not hot, self._cache[i]
-                        )
+                        if hot or not errors:
+                            self._emit(i, seconds.pop(i, 0.0), not hot,
+                                       self._cache[i])
+                if errors:
+                    raise errors[0]
                 return np.vstack([self._cache[i] for i in indices])
         return np.vstack([self.evaluate(i) for i in indices])
 
-    def _run_concurrently(
-        self, fresh: list[int]
-    ) -> list[tuple[np.ndarray, float]]:
-        """``(row, seconds)`` of each index in ``fresh``, run at once."""
+    def _run_concurrently(self, fresh: list[int]) -> list:
+        """``(row, seconds)`` of each index in ``fresh``, run at once,
+        or the exception its run raised."""
         with ThreadPoolExecutor(min(self.workers, len(fresh))) as pool:
-            return list(pool.map(partial(_timed, self._run), fresh))
+            return _outcomes([
+                pool.submit(_timed, self._run, i) for i in fresh
+            ])
 
     def reset(self) -> None:
         """Forget every run and the evaluation count (fresh tuning run).
@@ -200,6 +204,11 @@ class _CachedOracle:
         Later evaluations run the tool again and are counted anew.
         """
         self._cache.clear()
+
+
+def _outcomes(futures: list) -> list:
+    """Each future's result, or the exception it raised."""
+    return [future.exception() or future.result() for future in futures]
 
 
 def _timed(run: Callable, *args) -> tuple[np.ndarray, float]:
@@ -326,14 +335,14 @@ class FlowOracle(_CachedOracle):
     def _run(self, index: int) -> np.ndarray:
         return _flow_run(self.flow, self.objective_names, self.configs[index])
 
-    def _run_concurrently(
-        self, fresh: list[int]
-    ) -> list[tuple[np.ndarray, float]]:
+    def _run_concurrently(self, fresh: list[int]) -> list:
         """``(row, seconds)`` of each index in ``fresh``, one process
-        per license."""
+        per license, or the exception its run raised."""
         task = partial(_timed, _flow_run, self.flow, self.objective_names)
         with ProcessPoolExecutor(min(self.workers, len(fresh))) as pool:
-            runs = list(pool.map(task, [self.configs[i] for i in fresh]))
+            runs = _outcomes([
+                pool.submit(task, self.configs[i]) for i in fresh
+            ])
         # Worker processes advance their own copies of the flow; mirror
         # the run count here so the paper's cost unit stays honest.
         self.flow._run_count += len(runs)

@@ -92,7 +92,11 @@ request does.  The cross-covariance cache is a buffer with up to
 only its new columns; a full buffer is reallocated with that much room
 again.  Anything that rebuilds the caches (``fit``, the fallback refit,
 ``register_pool``) drops them; the next prediction builds them for the
-kept rows.
+kept rows.  When several models are due to build at once, as every
+metric's model is after a fit, :func:`share_pool_builds` lets the GP
+worker build the last half of them on pickled copies; both sides
+compute the same values, so no prediction depends on where its cache
+was built.
 
 Numerical safety: the initial fit's escalated jitter is carried onto the
 appended diagonal so the extended factor matches the fitted covariance,
@@ -105,9 +109,13 @@ long append chains cannot accumulate past one re-optimization cadence.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import worker
 from .kernels import Kernel, RBFKernel
 from .likelihood import gaussian_log_marginal, maximize_objective
 from .linalg import (
@@ -187,8 +195,8 @@ class TransferObjective:
     log b_s, log noise per task]``.
 
     A module-level class so that
-    :func:`~repro.gp.likelihood.maximize_objective` can pickle it to its
-    start worker.  Each call sets ``kernel.theta``.
+    :func:`~repro.gp.likelihood.maximize_objective` can pickle it to the
+    GP worker.  Each call sets ``kernel.theta``.
 
     Args:
         kernel: Base kernel (its hyperparameters are overwritten).
@@ -378,6 +386,9 @@ class MultiSourceTransferGP:
         self._pool_X: np.ndarray | None = None
         # Mask of the pool rows the caches hold; ``None`` holds every row.
         self._pool_keep: np.ndarray | None = None
+        # The GP worker's build of the caches, while one is on its way
+        # (see share_pool_builds).
+        self._handed: _HandedBuilds | None = None
         self._invalidate_pool_cache()
 
     # ---- task-correlation helpers -------------------------------------
@@ -830,8 +841,27 @@ class MultiSourceTransferGP:
         # Whitened sum of squares ``s`` of each cache slot.
         self._pool_s = None
 
-    def _build_pool_cache(self, idx: np.ndarray) -> np.ndarray | None:
+    def _build_pool_cache(
+        self, idx: np.ndarray, check: Callable[[], None] = worker.unchecked
+    ) -> np.ndarray | None:
         """Build the caches of the kept pool rows: ``s`` only.
+
+        The work is :meth:`_pool_sums`'s, which calls ``check()`` before
+        each block.
+
+        Returns:
+            The standardized means ``k* alpha`` of ``idx``, or ``None``
+            when ``idx`` is not ascending or holds a row not kept.
+        """
+        s, mean = self._pool_sums(idx, check, POOL_BLOCK)
+        self._install_pool_cache(s)
+        return mean
+
+    def _pool_sums(
+        self, idx: np.ndarray, check: Callable[[], None], block: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``s`` of the kept pool rows, computed ``block`` pool rows at a
+        time after a ``check()`` each, and the fused means of ``idx``.
 
         Each pool block's cross-covariance serves the block's triangular
         solve and, when the request ``idx`` is ascending and kept, the
@@ -847,28 +877,30 @@ class MultiSourceTransferGP:
         kept row the same call whatever else is kept, so a replayed
         session stays bit-identical at any training-set size.
 
+        Nothing here writes to the model, so a GP worker can compute it
+        on a pickled copy (:func:`share_pool_builds`).
+
         Returns:
-            The standardized means ``k* alpha`` of ``idx``, or ``None``
-            when ``idx`` is not ascending or holds a row not kept.
+            ``s`` of the kept rows in pool order, and the standardized
+            means ``k* alpha`` of ``idx``, or ``None`` when ``idx`` is
+            not ascending or holds a row not kept.
         """
         assert self._pool_X is not None
         p = len(self._pool_X)
-        keep = self._pool_keep
-        if keep is None:
-            keep = np.ones(p, dtype=bool)
+        keep = self._kept_mask()
         fused = (
             idx[0] >= 0 and bool(np.all(idx[1:] > idx[:-1]))
             and bool(keep[idx].all())
         )
         means = _ChunkedMean(self._alpha, len(idx)) if fused else None
-        rows = np.flatnonzero(keep)
-        s = np.empty(len(rows))
+        s = np.empty(np.count_nonzero(keep))
         i = 0
-        for a in range(0, p, POOL_BLOCK):
-            b = min(a + POOL_BLOCK, p)
+        for a in range(0, p, block):
+            b = min(a + block, p)
             kept = keep[a:b]
             if not kept.any():
                 continue
+            check()
             Kb = self._cross_cov(self._pool_X[a:b])
             V = _solve_lower(self._L, Kb.T)
             sb = np.sum(V * V, axis=0)[kept]
@@ -877,11 +909,21 @@ class MultiSourceTransferGP:
             if means is not None:
                 lo, hi = np.searchsorted(idx, (a, b))
                 means.add(Kb[idx[lo:hi] - a])
+        return s, None if means is None else means.mean
+
+    def _kept_mask(self) -> np.ndarray:
+        """Mask of the pool rows the caches hold or will hold."""
+        if self._pool_keep is None:
+            return np.ones(len(self._pool_X), dtype=bool)
+        return self._pool_keep
+
+    def _install_pool_cache(self, s: np.ndarray) -> None:
+        """Cache ``s`` of the kept rows, as :meth:`_pool_sums` gives it."""
+        rows = np.flatnonzero(self._kept_mask())
         self._pool_s = s
         self._pool_rows = rows
-        self._pool_slot = np.full(p, -1, dtype=np.intp)
+        self._pool_slot = np.full(len(self._pool_X), -1, dtype=np.intp)
         self._pool_slot[rows] = np.arange(len(rows))
-        return None if means is None else means.mean
 
     def predict_pool(
         self, indices: np.ndarray
@@ -917,7 +959,11 @@ class MultiSourceTransferGP:
             return np.empty(0), np.empty(0)
         mean_z = None
         if self._pool_rows is None:
-            mean_z = self._build_pool_cache(idx)
+            handed, self._handed = self._handed, None
+            mean_z = (
+                self._build_pool_cache(idx) if handed is None
+                else handed.finish(self, idx)
+            )
         n, r = len(self._L), len(self._pool_rows)
         slots = self._pool_slot[idx]
         cached = slots >= 0
@@ -950,10 +996,114 @@ class MultiSourceTransferGP:
         )
 
 
+def _solved_blocks(model: MultiSourceTransferGP, block: int) -> int:
+    """Pool blocks a build of ``model``'s caches solves."""
+    keep = model._kept_mask()
+    if not len(keep):
+        return 0
+    starts = np.arange(0, len(keep), block)
+    return int(np.count_nonzero(np.logical_or.reduceat(keep, starts)))
+
+
+def _build_caches(
+    models: list[MultiSourceTransferGP], idx: np.ndarray, block: int
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The GP worker's half of :func:`share_pool_builds`: each model's
+    :meth:`~MultiSourceTransferGP._pool_sums`."""
+    return [model._pool_sums(idx, worker.unchecked, block) for model in models]
+
+
+class _HandedBuilds:
+    """Pool-cache builds handed to the GP worker for the request ``idx``.
+
+    Each handed model's :meth:`~MultiSourceTransferGP.predict_pool`
+    calls :meth:`finish`, so the caller's build, its wait and its race
+    all count as that model's prediction.
+    """
+
+    def __init__(
+        self, job: worker.Job, models: list[MultiSourceTransferGP],
+        idx: np.ndarray,
+    ) -> None:
+        self.job = job
+        self.models = models
+        self.idx = idx
+
+    def finish(
+        self, model: MultiSourceTransferGP, idx: np.ndarray
+    ) -> np.ndarray | None:
+        """Build ``model``'s caches here, one block at a time, until the
+        worker's builds arrive; then install its build of ``model``.
+
+        Returns:
+            The fused means of ``idx``, as
+            :meth:`~MultiSourceTransferGP._build_pool_cache` returns
+            them.
+        """
+        answered, out = self.job.race(
+            lambda check: model._build_pool_cache(idx, check)
+        )
+        if not answered:
+            return out
+        s, mean = out[self.models.index(model)]
+        model._install_pool_cache(s)
+        return mean if np.array_equal(idx, self.idx) else None
+
+
+@contextmanager
+def share_pool_builds(
+    models: list[MultiSourceTransferGP], idx: np.ndarray
+) -> Iterator[None]:
+    """Let the GP worker build half of the pool caches that predicting
+    ``idx`` under each of ``models`` is about to build.
+
+    When two or more of ``models`` have no pool cache (as after a fit)
+    and a build would solve more than one :data:`POOL_BLOCK`, the last
+    half of those builds go to the GP worker (:mod:`repro.gp.worker`),
+    which runs the same :meth:`~MultiSourceTransferGP._pool_sums` on a
+    pickled copy of each model.  Inside the block the caller's
+    ``predict_pool`` calls build the first half themselves, then build
+    the handed ones too, one block at a time, until the worker's
+    builds arrive (:meth:`_HandedBuilds.finish`).  Either side computes
+    the same ``s`` and means, so no prediction depends on where a cache
+    was built.  Without the worker the block changes nothing.
+
+    Args:
+        models: The models about to predict ``idx``, in that order.
+        idx: The request, as :func:`pool_indices` gives it.
+    """
+    unbuilt = [
+        model for model in models
+        if model.is_fitted and model._pool_X is not None
+        and model._pool_rows is None
+    ]
+    handed = unbuilt[len(unbuilt) - len(unbuilt) // 2:]
+    block = POOL_BLOCK
+    job = None
+    if (
+        handed and len(idx)
+        and all(_solved_blocks(model, block) > 1 for model in handed)
+    ):
+        job = worker.hand_over(_build_caches, handed, idx, block)
+    if job is None:
+        yield
+        return
+    builds = _HandedBuilds(job, handed, idx)
+    for model in handed:
+        model._handed = builds
+    try:
+        with job:
+            yield
+    finally:
+        for model in handed:
+            model._handed = None
+
+
 __all__ = [
     "POOL_BLOCK",
     "POOL_SPARE",
     "MultiSourceTransferGP",
     "pool_indices",
+    "share_pool_builds",
     "transfer_factor",
 ]

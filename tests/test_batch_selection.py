@@ -34,10 +34,18 @@ from repro.core import (
 )
 from repro.core.uncertainty import UncertaintyRegions
 from repro.obs import MemorySink, TraceRecorder
-from repro.obs.events import BatchSelected, PoolRefined, SelectionMade
+from repro.obs.events import (
+    BatchSelected,
+    PoolRefined,
+    SelectionMade,
+    ToolEvaluation,
+)
 from repro.obs.replay import replay_trace
 from repro.reliability import FaultPolicy, ResilientOracle
-from repro.reliability.errors import TransientEvaluationError
+from repro.reliability.errors import (
+    PermanentEvaluationError,
+    TransientEvaluationError,
+)
 
 
 def random_pool(seed: int, n: int = 40, d: int = 3, m: int = 2):
@@ -548,6 +556,48 @@ class TestOracleBatchEdges:
         assert oracle.n_retries >= 1
         assert inner.n_evaluations == 3  # each candidate counted once
         assert np.isfinite(out).all()
+
+    def test_failed_batch_keeps_its_finished_runs(self):
+        """A concurrent batch whose one run fails for good still caches,
+        counts and emits the run that finished beside it, so the loop
+        never pays for that candidate twice."""
+        X = np.arange(40, dtype=float)[:, None]
+        calls: dict[int, int] = {}
+
+        def f(x):
+            i = int(x[0])
+            calls[i] = calls.get(i, 0) + 1
+            time.sleep(0.02)
+            if i == 8:
+                raise TransientEvaluationError("injected")
+            return np.array([x[0], -x[0]])
+
+        sink = MemorySink()
+        inner = CallableOracle(
+            f, X, 2, recorder=TraceRecorder(sinks=[sink]), workers=2
+        )
+        oracle = ResilientOracle(
+            inner, FaultPolicy(max_retries=2, backoff_base=0.0)
+        )
+        with pytest.raises(PermanentEvaluationError):
+            oracle.evaluate_batch([8, 24])
+        # The concurrent prefetch ran both; the serial fallback retried
+        # only candidate 8, three times.
+        assert calls == {8: 4, 24: 1}
+        assert oracle.n_evaluations == 1
+        np.testing.assert_array_equal(oracle.evaluate(24), [24.0, -24.0])
+        assert calls[24] == 1
+        runs = [e for e in sink.events if isinstance(e, ToolEvaluation)]
+        assert [(e.index, e.cached) for e in runs] == [
+            (24, False), (24, True),
+        ]
+        assert runs[0].seconds >= 0.02
+
+    def test_failing_batches_pay_each_good_candidate_once(self):
+        bad = self._drive_failing(2, 2)[0].history[0].selected[0]
+        _, calls, oracle = self._drive_failing(2, 2, bad)
+        good = sum(n for i, n in calls.items() if i != bad)
+        assert good == oracle.n_evaluations
 
     @staticmethod
     def _drive_failing(q: int, workers: int, bad: int | None = None):

@@ -27,23 +27,24 @@ import pytest
 
 import repro.gp.multisource as multisource_mod
 from repro import env
-from repro.gp import MultiSourceTransferGP, likelihood, maximize_objective
+from repro.gp import MultiSourceTransferGP, maximize_objective
+from repro.gp import worker as gp_worker
 from repro.gp.kernels import Matern52Kernel, RBFKernel
 from repro.gp.multisource import TransferObjective
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 pytestmark = pytest.mark.skipif(
-    likelihood._usable_cpus() < 2, reason="the worker needs two CPUs"
+    gp_worker._usable_cpus() < 2, reason="the worker needs two CPUs"
 )
 
 
-def _await_worker(timeout: float = 60.0) -> likelihood._StartWorker:
+def _await_worker(timeout: float = 60.0) -> gp_worker._Worker:
     """This process's start worker, once it has booted."""
     deadline = time.monotonic() + timeout
     while True:
-        with likelihood._lock:
-            worker = likelihood._ready_worker()
+        with gp_worker._lock:
+            worker = gp_worker._ready_worker()
         if worker is not None:
             return worker
         assert time.monotonic() < deadline, "start worker did not boot"
@@ -63,7 +64,7 @@ def serial(monkeypatch):
     """Make every later fit run its starts in the caller, through the
     one-CPU branch."""
     def force():
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(gp_worker, "_usable_cpus", lambda: 1)
     return force
 
 
@@ -215,7 +216,7 @@ class TestStarts:
     ):
         if not env.blas_threads():
             pytest.skip("no OpenBLAS mapped")
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(gp_worker, "_usable_cpus", lambda: 2)
         jobs = worker.jobs
         with env.blas_thread_limit(2):
             _fit_theta(0, RBFKernel, 1, 0)
@@ -263,7 +264,7 @@ CALLER = textwrap.dedent('''
     import sys, time
     import numpy as np
     from repro import env
-    from repro.gp import MultiSourceTransferGP, likelihood
+    from repro.gp import MultiSourceTransferGP, worker as gp_worker
     from repro.gp.kernels import RBFKernel
 
     print("TOP", flush=True)
@@ -284,8 +285,8 @@ CALLER = textwrap.dedent('''
     def ready():
         deadline = time.monotonic() + 60
         while True:
-            with likelihood._lock:
-                worker = likelihood._ready_worker()
+            with gp_worker._lock:
+                worker = gp_worker._ready_worker()
             if worker is not None:
                 return worker
             assert time.monotonic() < deadline
@@ -303,7 +304,7 @@ CALLER = textwrap.dedent('''
     ready()
     fit(3)
     counts.append((worker.jobs, worker.answered))
-    likelihood._usable_cpus = lambda: 1
+    gp_worker._usable_cpus = lambda: 1
     same = (main_theta == fit(2, MainKernel(np.full(3, 0.3)))).all()
     print("WORKER", worker.proc.pid, *(n for c in counts for n in c), same,
           flush=True)
