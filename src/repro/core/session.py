@@ -91,7 +91,48 @@ __all__ = [
 #: Snapshot-format version; bump when the serialized layout changes.
 SNAPSHOT_VERSION = 3
 
-_PHASES = ("init", "loop", "verify", "done")
+# The session state that the constructor sets up and that ``snapshot``,
+# ``restore`` and ``_grow_pool`` carry by these tables.  Each attribute
+# is stored under its name without the leading underscore; the state
+# not listed here (the pool, sources, regions, δ, logs, history and
+# result) is handled by name.
+
+#: Per-candidate arrays -> (value of a new pool row, whether the array
+#: has one column per metric).
+_ROW_STATE = {
+    "y_obs": (np.nan, True),
+    "sampled": (False, False),
+    "dropped": (False, False),
+    "pareto": (False, False),
+    "quarantined": (False, False),
+    "_eligible": (False, False),
+}
+
+#: Lists of candidate indices, stored as ``int`` arrays.
+_INDEX_LISTS = (
+    "_eval_order", "_pending", "_evaluated_now", "_failed_now",
+    "_new_indices", "_verify_kept",
+)
+
+#: Scalars kept in the meta -> initial value; its type reads the stored
+#: value back.
+_SCALARS = {
+    "_phase": "init",
+    "_t": 0,
+    "_in_iteration": False,
+    "_last_want": 0,
+    "_last_chosen": 0,
+    "stop_reason": "max_iterations",
+    "n_failed": 0,
+    "_n_evaluations": 0,
+    "_loop_runs": 0,
+    "_delta_norm": 0.0,
+}
+
+
+def _stored(name: str) -> str:
+    """The snapshot key of a state-table attribute."""
+    return name.lstrip("_")
 
 
 @dataclass(frozen=True)
@@ -126,6 +167,47 @@ class EvaluationFailure:
             attempts=int(payload.get("attempts", 0)),
             circuit_open=bool(payload.get("circuit_open", False)),
         )
+
+
+def _tell_to_json(
+    index: int,
+    values: np.ndarray | None = None,
+    failure: EvaluationFailure | None = None,
+    n_evaluations: int | None = None,
+) -> dict:
+    """The JSON form of one tell: a snapshot's buffered tell, a service
+    ``tell`` body or a ``tell_batch`` entry.  Absent parts are ``null``.
+    """
+    return {
+        "index": int(index),
+        "values": (
+            None if values is None
+            else np.asarray(values, dtype=float).ravel().tolist()
+        ),
+        "failure": None if failure is None else failure.to_json(),
+        "n_evaluations": (
+            None if n_evaluations is None else int(n_evaluations)
+        ),
+    }
+
+
+def _tell_from_json(entry: dict) -> tuple:
+    """``(index, values, failure, n_evaluations)`` of a tell's JSON form;
+    a missing part reads as a ``null`` one.
+
+    Raises:
+        KeyError: Without an ``index``.
+        TypeError, ValueError, AttributeError: On a malformed part.
+    """
+    values = entry.get("values")
+    failure = entry.get("failure")
+    n_evaluations = entry.get("n_evaluations")
+    return (
+        int(entry["index"]),
+        None if values is None else np.asarray(values, dtype=float),
+        None if failure is None else EvaluationFailure.from_json(failure),
+        None if n_evaluations is None else int(n_evaluations),
+    )
 
 
 def validate_init_indices(init_indices, n_pool: int) -> np.ndarray:
@@ -264,46 +346,36 @@ class TuningSession:
                 init_indices = rng.choice(n, size=n_init, replace=False)
         self.init_indices = np.asarray(init_indices, dtype=int)
 
-        self.sampled = np.zeros(n, dtype=bool)
-        self.dropped = np.zeros(n, dtype=bool)
-        self.pareto = np.zeros(n, dtype=bool)
-        self.quarantined = np.zeros(n, dtype=bool)
-        self.y_obs = np.full((n, m), np.nan)
+        for name, rows in self._new_rows(n):
+            setattr(self, name, rows)
+        for name in _INDEX_LISTS:
+            setattr(self, name, [])
+        self._pending = [int(i) for i in self.init_indices]
+        for name, initial in _SCALARS.items():
+            setattr(self, name, initial)
         self.regions = UncertaintyRegions.unbounded(n, m)
         self.delta = np.zeros(m)
-        self._delta_norm = 0.0
 
         self.models: list = []
         self.engine: CalibrationEngine | None = None
 
         self.history: list[IterationRecord] = []
-        self.stop_reason = "max_iterations"
-        self.n_failed = 0
-        self._n_evaluations = 0
-        self._loop_runs = 0
-        self._eval_order: list[int] = []
         self._calib_log: list[tuple[int, tuple[int, ...], int]] = []
-
-        self._phase = "init"
-        self._t = 0
-        self._in_iteration = False
-        self._pending: list[int] = [int(i) for i in self.init_indices]
+        self._pool_log: list[tuple[int, int]] = []
         # Out-of-order tells within a batch buffer here until the head
         # of ``_pending`` arrives; application order stays ask order.
         self._told: dict[int, tuple] = {}
-        self._pool_log: list[tuple[int, int]] = []
-        self._eligible = np.zeros(n, dtype=bool)
-        self._evaluated_now: list[int] = []
-        self._failed_now: list[int] = []
-        self._new_indices: list[int] = []
-        self._last_want = 0
-        self._last_chosen = 0
-        self._verify_kept: list[int] = []
         self._verify_rows: list[np.ndarray] = []
         self._result: TuningResult | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
+
+    def _new_rows(self, k: int):
+        """``(attribute, array)`` of each per-candidate state array for
+        ``k`` new pool rows (see :data:`_ROW_STATE`)."""
+        for name, (fill, per_metric) in _ROW_STATE.items():
+            yield name, np.full((k, self.m) if per_metric else k, fill)
 
     def _prepare_normalization(self) -> None:
         """Joint unit-cube normalization of pool + source features."""
@@ -826,34 +898,16 @@ class TuningSession:
     def _grow_pool(self, X_new: np.ndarray) -> None:
         """Extend every per-candidate state array by the new rows."""
         k = len(X_new)
-        m = self.m
         self.X_pool = np.vstack([self.X_pool, X_new])
         Xn_new = (X_new - self._norm_lo) / self._norm_span
         self._Xn_pool = np.vstack([self._Xn_pool, Xn_new])
         self.n += k
-        self.sampled = np.concatenate(
-            [self.sampled, np.zeros(k, dtype=bool)]
-        )
-        self.dropped = np.concatenate(
-            [self.dropped, np.zeros(k, dtype=bool)]
-        )
-        self.pareto = np.concatenate(
-            [self.pareto, np.zeros(k, dtype=bool)]
-        )
-        self.quarantined = np.concatenate(
-            [self.quarantined, np.zeros(k, dtype=bool)]
-        )
-        self._eligible = np.concatenate(
-            [self._eligible, np.zeros(k, dtype=bool)]
-        )
-        self.y_obs = np.vstack([self.y_obs, np.full((k, m), np.nan)])
+        for name, rows in self._new_rows(k):
+            setattr(self, name, np.concatenate([getattr(self, name), rows]))
+        new = UncertaintyRegions.unbounded(k, self.m)
         self.regions = UncertaintyRegions(
-            lo=np.vstack(
-                [self.regions.lo, np.full((k, m), -np.inf)]
-            ),
-            hi=np.vstack(
-                [self.regions.hi, np.full((k, m), np.inf)]
-            ),
+            lo=np.vstack([self.regions.lo, new.lo]),
+            hi=np.vstack([self.regions.hi, new.hi]),
         )
         if self.engine is not None:
             self.engine.extend_pool(Xn_new)
@@ -986,66 +1040,39 @@ class TuningSession:
         # faithful point-in-time capture even if this session keeps
         # running (regions/masks/y_obs mutate in place every tell).
         arrays: dict[str, np.ndarray] = {
-            "X_pool": self.X_pool.copy(),
-            "y_obs": self.y_obs.copy(),
-            "regions_lo": self.regions.lo.copy(),
-            "regions_hi": self.regions.hi.copy(),
-            "sampled": self.sampled.copy(),
-            "dropped": self.dropped.copy(),
-            "pareto": self.pareto.copy(),
-            "quarantined": self.quarantined.copy(),
-            "init_indices": self.init_indices.copy(),
-            "delta": np.asarray(self.delta, dtype=float),
-            "eval_order": np.asarray(self._eval_order, dtype=int),
-            "pending": np.asarray(self._pending, dtype=int),
-            "eligible": self._eligible.copy(),
-            "evaluated_now": np.asarray(self._evaluated_now, dtype=int),
-            "failed_now": np.asarray(self._failed_now, dtype=int),
-            "new_indices": np.asarray(self._new_indices, dtype=int),
-            "verify_kept": np.asarray(self._verify_kept, dtype=int),
-            "verify_rows": (
+            _stored(name): getattr(self, name).copy() for name in _ROW_STATE
+        }
+        for name in _INDEX_LISTS:
+            arrays[_stored(name)] = np.asarray(getattr(self, name), dtype=int)
+        arrays.update(
+            X_pool=self.X_pool.copy(),
+            regions_lo=self.regions.lo.copy(),
+            regions_hi=self.regions.hi.copy(),
+            init_indices=self.init_indices.copy(),
+            delta=np.asarray(self.delta, dtype=float),
+            verify_rows=(
                 np.vstack(self._verify_rows)
                 if self._verify_rows else np.empty((0, self.m))
             ),
-        }
+        )
         for k, (Xs, Ys) in enumerate(self.source_list):
             arrays[f"src_x_{k}"] = Xs
             arrays[f"src_y_{k}"] = Ys
-        meta = {
-            "version": SNAPSHOT_VERSION,
-            "config": self.config.to_json(),
-            "n_objectives": self.m,
-            "n_sources": len(self.source_list),
-            "phase": self._phase,
-            "t": self._t,
-            "in_iteration": self._in_iteration,
-            "last_want": self._last_want,
-            "last_chosen": self._last_chosen,
-            "stop_reason": self.stop_reason,
-            "n_failed": self.n_failed,
-            "n_evaluations": self._n_evaluations,
-            "loop_runs": self._loop_runs,
-            "delta_norm": self._delta_norm,
-            "elapsed": self._elapsed(),
-            "calib_log": [
-                [t, list(new), n] for t, new, n in self._calib_log
+        meta = {_stored(name): getattr(self, name) for name in _SCALARS}
+        meta.update(
+            version=SNAPSHOT_VERSION,
+            config=self.config.to_json(),
+            n_objectives=self.m,
+            n_sources=len(self.source_list),
+            elapsed=self._elapsed(),
+            calib_log=[[t, list(new), n] for t, new, n in self._calib_log],
+            pool_log=[[t, k] for t, k in self._pool_log],
+            told=[
+                _tell_to_json(index, *outcome)
+                for index, outcome in self._told.items()
             ],
-            "pool_log": [[t, k] for t, k in self._pool_log],
-            "told": [
-                {
-                    "index": int(i),
-                    "values": (
-                        None if v is None else [float(x) for x in v]
-                    ),
-                    "failure": None if f is None else f.to_json(),
-                    "n_evaluations": (
-                        None if ne is None else int(ne)
-                    ),
-                }
-                for i, (v, f, ne) in self._told.items()
-            ],
-            "history": [h.to_json() for h in self.history],
-        }
+            history=[h.to_json() for h in self.history],
+        )
         if self._result is not None:
             meta["result"] = self._result.to_json()
         meta["fingerprint"] = _fingerprint(meta, arrays)
@@ -1055,8 +1082,11 @@ class TuningSession:
     def restore(cls, snapshot: dict, recorder=None) -> "TuningSession":
         """Rebuild a session from a :meth:`snapshot`.
 
-        The surrogates are reconstructed by replaying the logged
-        calibration calls (exact same data, same order, same
+        The constructor takes the snapshot's config, pool, sources and
+        initial design, so they are checked and normalized as for a new
+        session; the state tables and the special-cased state are then
+        loaded.  The surrogates are reconstructed by replaying the
+        logged calibration calls (exact same data, same order, same
         floating-point operations) against fresh models, so a resumed
         session continues bit-identically to the uninterrupted run.
         Replay emits no trace events — the original emissions are
@@ -1081,104 +1111,52 @@ class TuningSession:
         if expected != actual:
             raise ValueError("snapshot fingerprint mismatch")
 
-        cfg = PPATunerConfig.from_json(meta["config"])
-        sources = [
-            (arrays[f"src_x_{k}"], arrays[f"src_y_{k}"])
-            for k in range(int(meta["n_sources"]))
-        ]
-        self = cls.__new__(cls)
-        self.config = cfg
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self._started = time.perf_counter()
-        self._elapsed_before = float(meta["elapsed"])
-        self.X_pool = np.atleast_2d(
-            np.asarray(arrays["X_pool"], dtype=float)
+        # Refined rows are clipped into the joint normalization's
+        # bounds, so a grown pool normalizes with the original constants.
+        self = cls(
+            PPATunerConfig.from_json(meta["config"]),
+            arrays["X_pool"],
+            meta["n_objectives"],
+            sources=[
+                (arrays[f"src_x_{k}"], arrays[f"src_y_{k}"])
+                for k in range(int(meta["n_sources"]))
+            ],
+            init_indices=arrays["init_indices"],
+            recorder=recorder,
         )
-        self.n = len(self.X_pool)
-        self.m = int(meta["n_objectives"])
-        self.source_list = [
-            (
-                np.atleast_2d(np.asarray(Xs, dtype=float)),
-                np.atleast_2d(np.asarray(Ys, dtype=float)),
-            )
-            for Xs, Ys in sources
-        ]
-        self._prepare_normalization()
-
-        self.init_indices = np.asarray(arrays["init_indices"], dtype=int)
+        self._elapsed_before = float(meta["elapsed"])
         # Copy every mutable per-candidate array: an in-memory snapshot
         # holds references, and a restored session must never share
         # state with the donor session (or with a sibling restored from
         # the same snapshot).
-        self.sampled = np.array(arrays["sampled"], dtype=bool)
-        self.dropped = np.array(arrays["dropped"], dtype=bool)
-        self.pareto = np.array(arrays["pareto"], dtype=bool)
-        self.quarantined = np.array(arrays["quarantined"], dtype=bool)
-        self.y_obs = np.array(arrays["y_obs"], dtype=float)
+        for name in _ROW_STATE:
+            dtype = getattr(self, name).dtype
+            setattr(self, name, np.array(arrays[_stored(name)], dtype=dtype))
+        for name in _INDEX_LISTS:
+            setattr(self, name, [int(i) for i in arrays[_stored(name)]])
+        for name, initial in _SCALARS.items():
+            setattr(self, name, type(initial)(meta[_stored(name)]))
         self.regions = UncertaintyRegions(
             lo=np.array(arrays["regions_lo"], dtype=float),
             hi=np.array(arrays["regions_hi"], dtype=float),
         )
         self.delta = np.asarray(arrays["delta"], dtype=float)
-        self._delta_norm = float(meta["delta_norm"])
-
-        self.history = [
-            IterationRecord.from_json(h) for h in meta["history"]
-        ]
-        self.stop_reason = meta["stop_reason"]
-        self.n_failed = int(meta["n_failed"])
-        self._n_evaluations = int(meta["n_evaluations"])
-        self._loop_runs = int(meta["loop_runs"])
-        self._eval_order = [int(i) for i in arrays["eval_order"]]
+        self._verify_rows = list(
+            np.asarray(arrays["verify_rows"], dtype=float)
+        )
         self._calib_log = [
             (int(t), tuple(int(i) for i in new), int(n))
             for t, new, n in meta["calib_log"]
         ]
-        self._pool_log = [
-            (int(t), int(k)) for t, k in meta.get("pool_log", [])
+        self._pool_log = [(int(t), int(k)) for t, k in meta["pool_log"]]
+        for tell in map(_tell_from_json, meta["told"]):
+            self._told[tell[0]] = tell[1:]
+        self.history = [
+            IterationRecord.from_json(h) for h in meta["history"]
         ]
-        self._told = {}
-        for item in meta.get("told", []):
-            self._told[int(item["index"])] = (
-                (
-                    None if item["values"] is None
-                    else np.asarray(item["values"], dtype=float)
-                ),
-                (
-                    None if item["failure"] is None
-                    else EvaluationFailure.from_json(item["failure"])
-                ),
-                (
-                    None if item["n_evaluations"] is None
-                    else int(item["n_evaluations"])
-                ),
-            )
-
-        self._phase = meta["phase"]
-        self._t = int(meta["t"])
-        self._in_iteration = bool(meta["in_iteration"])
-        self._pending = [int(i) for i in arrays["pending"]]
-        self._eligible = np.array(arrays["eligible"], dtype=bool)
-        self._evaluated_now = [int(i) for i in arrays["evaluated_now"]]
-        self._failed_now = [int(i) for i in arrays["failed_now"]]
-        self._new_indices = [int(i) for i in arrays["new_indices"]]
-        self._last_want = int(meta["last_want"])
-        self._last_chosen = int(meta["last_chosen"])
-        self._verify_kept = [int(i) for i in arrays["verify_kept"]]
-        rows = np.atleast_2d(
-            np.asarray(arrays["verify_rows"], dtype=float)
-        )
-        self._verify_rows = [rows[i] for i in range(len(
-            arrays["verify_rows"]
-        ))]
-        self._result = (
-            TuningResult.from_json(meta["result"])
-            if "result" in meta else None
-        )
-
-        self.models = []
-        self.engine = None
-        if self._phase != "init":
+        if "result" in meta:
+            self._result = TuningResult.from_json(meta["result"])
+        if self.phase != "init":
             self._replay_calibration()
         return self
 

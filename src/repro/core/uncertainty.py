@@ -121,50 +121,6 @@ class UncertaintyRegions:
         self.lo[index, observed] = value[observed]
         self.hi[index, observed] = value[observed]
 
-    def collapse_batch(
-        self, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Vectorized :meth:`collapse` for many candidates at once.
-
-        Pins every listed region to its observed QoR row in one fancy
-        write — equivalent to a per-index :meth:`collapse` loop.
-
-        Raises:
-            ValueError: If ``values`` is not ``(len(indices), m)``.
-        """
-        indices = np.asarray(indices)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape != (len(indices), self.m):
-            raise ValueError(
-                f"expected ({len(indices)}, {self.m}) values, "
-                f"got {values.shape}"
-            )
-        self.lo[indices] = values
-        self.hi[indices] = values
-
-    def collapse_partial_batch(
-        self, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Vectorized :meth:`collapse_partial` for many candidates.
-
-        Finite entries pin to points; NaN entries keep each region's
-        accumulated interval — equivalent to a per-index
-        :meth:`collapse_partial` loop.
-
-        Raises:
-            ValueError: If ``values`` is not ``(len(indices), m)``.
-        """
-        indices = np.asarray(indices)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape != (len(indices), self.m):
-            raise ValueError(
-                f"expected ({len(indices)}, {self.m}) values, "
-                f"got {values.shape}"
-            )
-        observed = np.isfinite(values)
-        self.lo[indices] = np.where(observed, values, self.lo[indices])
-        self.hi[indices] = np.where(observed, values, self.hi[indices])
-
     def diameters(self) -> np.ndarray:
         """Euclidean diagonal length of each box (Eq. (13) diameter).
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
@@ -173,10 +174,28 @@ _MAPS = "/proc/self/maps"
 #: Library path -> its ``(get, set)`` functions, or ``None`` without them.
 _openblas_calls: dict[str, tuple | None] = {}
 
+#: ``((maps file, module count), copies)`` of the last maps read.
+_last_lookup: tuple[tuple[str, int], dict[str, tuple]] | None = None
+
 
 def _openblas() -> dict[str, tuple]:
     """``(get, set)`` of each OpenBLAS copy mapped into this process,
-    keyed by library path."""
+    keyed by library path.
+
+    The copies arrive with numpy's and scipy's extension modules, so
+    the maps file is read again only once an import has grown
+    ``sys.modules``: a copy that a later import maps (scipy's after
+    numpy's) is still found, and every other call costs no file read.
+    """
+    global _last_lookup
+    key = (_MAPS, len(sys.modules))
+    if _last_lookup is None or _last_lookup[0] != key:
+        _last_lookup = (key, _read_openblas())
+    return _last_lookup[1]
+
+
+def _read_openblas() -> dict[str, tuple]:
+    """:func:`_openblas`, read from the maps file."""
     try:
         with open(_MAPS) as maps:
             paths = {

@@ -14,14 +14,10 @@ from .likelihood import gaussian_log_marginal, maximize_objective
 from .multisource import MultiSourceTransferGP, transfer_factor
 from .linalg import (
     NotPositiveDefiniteError,
-    cholesky_append_row,
     cholesky_append_rows,
-    cholesky_rank1_downdate,
-    cholesky_rank1_update,
     cholesky_solve,
     log_det_from_cholesky,
     robust_cholesky,
-    solve_psd,
 )
 
 __all__ = [
@@ -30,16 +26,12 @@ __all__ = [
     "MultiSourceTransferGP",
     "NotPositiveDefiniteError",
     "RBFKernel",
-    "cholesky_append_row",
     "cholesky_append_rows",
-    "cholesky_rank1_downdate",
-    "cholesky_rank1_update",
     "cholesky_solve",
     "gaussian_log_marginal",
     "log_det_from_cholesky",
     "make_kernel",
     "maximize_objective",
     "robust_cholesky",
-    "solve_psd",
     "transfer_factor",
 ]

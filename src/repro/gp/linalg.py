@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 #: Initial diagonal jitter added when a covariance factorization fails.
 DEFAULT_JITTER = 1e-8
@@ -92,22 +92,9 @@ def cholesky_inverse(L: np.ndarray) -> np.ndarray:
     return full
 
 
-def triangular_solve(
-    L: np.ndarray, b: np.ndarray, lower: bool = True
-) -> np.ndarray:
-    """Solve ``L x = b`` for triangular ``L``."""
-    return solve_triangular(L, b, lower=lower)
-
-
 def log_det_from_cholesky(L: np.ndarray) -> float:
     """``log |A|`` for ``A = L @ L.T``."""
     return float(2.0 * np.sum(np.log(np.diag(L))))
-
-
-def solve_psd(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a PSD system with jitter fallback (convenience wrapper)."""
-    L, _ = robust_cholesky(matrix)
-    return cholesky_solve(L, b)
 
 
 def cholesky_append_rows(
@@ -166,108 +153,14 @@ def cholesky_append_rows(
     return L_ext
 
 
-def cholesky_append_row(
-    L: np.ndarray, k_cross: np.ndarray, k_new: float
-) -> np.ndarray:
-    """Rank-1 border update: extend ``L`` by a single new row.
-
-    Convenience wrapper over :func:`cholesky_append_rows` for the common
-    one-observation-per-iteration case.
-
-    Args:
-        L: ``(n, n)`` lower factor.
-        k_cross: Length-``n`` covariance vector against existing rows.
-        k_new: Variance of the new row (plus noise/jitter).
-
-    Returns:
-        The ``(n + 1, n + 1)`` extended lower factor.
-
-    Raises:
-        NotPositiveDefiniteError: If the new diagonal pivot is not
-            positive.
-    """
-    k_cross = np.asarray(k_cross, dtype=float).reshape(-1, 1)
-    return cholesky_append_rows(L, k_cross, np.array([[float(k_new)]]))
-
-
-def cholesky_rank1_update(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Factor of ``L @ L.T + v v^T`` in O(n^2) (hyperbolic rotations).
-
-    Args:
-        L: ``(n, n)`` lower factor.
-        v: Length-``n`` update vector.
-
-    Returns:
-        A new lower factor (inputs are not mutated).
-    """
-    L = np.array(L, dtype=float)
-    v = np.array(v, dtype=float).ravel()
-    n = len(v)
-    if L.shape != (n, n):
-        raise ValueError("L and v size mismatch")
-    for i in range(n):
-        r = float(np.hypot(L[i, i], v[i]))
-        c = r / L[i, i]
-        s = v[i] / L[i, i]
-        L[i, i] = r
-        if i + 1 < n:
-            L[i + 1:, i] = (L[i + 1:, i] + s * v[i + 1:]) / c
-            v[i + 1:] = c * v[i + 1:] - s * L[i + 1:, i]
-    return L
-
-
-def cholesky_rank1_downdate(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Factor of ``L @ L.T - v v^T`` in O(n^2) (low-rank downdate).
-
-    Used to retract an observation's contribution without refactorizing
-    (e.g. outlier rejection or sliding-window forgetting).
-
-    Args:
-        L: ``(n, n)`` lower factor.
-        v: Length-``n`` downdate vector.
-
-    Returns:
-        A new lower factor (inputs are not mutated).
-
-    Raises:
-        NotPositiveDefiniteError: If the downdated matrix is not
-            positive definite.
-    """
-    L = np.array(L, dtype=float)
-    v = np.array(v, dtype=float).ravel()
-    n = len(v)
-    if L.shape != (n, n):
-        raise ValueError("L and v size mismatch")
-    for i in range(n):
-        r2 = L[i, i] ** 2 - v[i] ** 2
-        if r2 <= 0.0:
-            raise NotPositiveDefiniteError(
-                "rank-1 downdate makes the matrix indefinite"
-            )
-        r = float(np.sqrt(r2))
-        c = r / L[i, i]
-        s = v[i] / L[i, i]
-        L[i, i] = r
-        if i + 1 < n:
-            L[i + 1:, i] = (L[i + 1:, i] - s * v[i + 1:]) / c
-            v[i + 1:] = c * v[i + 1:] - s * L[i + 1:, i]
-    return L
-
-
 __all__ = [
     "DEFAULT_JITTER",
     "NotPositiveDefiniteError",
-    "cho_factor",
-    "cholesky_append_row",
     "cholesky_append_rows",
     "cholesky_inverse",
     "cholesky_inverse_lower",
-    "cholesky_rank1_downdate",
-    "cholesky_rank1_update",
     "cholesky_solve",
     "log_det_from_cholesky",
     "require_finite",
     "robust_cholesky",
-    "solve_psd",
-    "triangular_solve",
 ]

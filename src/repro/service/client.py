@@ -26,7 +26,12 @@ import numpy as np
 
 from ..core.config import PPATunerConfig
 from ..core.result import TuningResult
-from ..core.session import drive, tuning_oracle
+from ..core.session import (
+    EvaluationFailure,
+    _tell_to_json,
+    drive,
+    tuning_oracle,
+)
 from ..obs.recorder import TraceRecorder
 from ..obs.sinks import MemorySink
 
@@ -137,10 +142,14 @@ class ServiceClient:
         events: list[dict] | None = None,
     ) -> dict:
         """Report one evaluation outcome (or failure) to the session."""
-        return self._request(
-            "POST", f"/sessions/{session_id}/tell",
-            _tell_entry(index, values, failure, n_evaluations, events),
+        entry = _tell_to_json(
+            index, values,
+            None if failure is None else EvaluationFailure.from_json(failure),
+            n_evaluations,
         )
+        if events:
+            entry["events"] = events
+        return self._request("POST", f"/sessions/{session_id}/tell", entry)
 
     def tell_batch(self, session_id: str, tells: list[dict]) -> dict:
         """Report a whole batch of outcomes in one request.
@@ -190,28 +199,6 @@ class ServiceClient:
     def delete(self, session_id: str) -> None:
         """Drop a session with its snapshot and trace."""
         self._request("DELETE", f"/sessions/{session_id}")
-
-
-def _tell_entry(
-    index: int,
-    values: np.ndarray | None = None,
-    failure: dict | None = None,
-    n_evaluations: int | None = None,
-    events: list[dict] | None = None,
-) -> dict:
-    """One ``/tell`` payload (or ``tell_batch`` entry)."""
-    entry: dict = {"index": int(index)}
-    if values is not None:
-        entry["values"] = [
-            float(v) for v in np.asarray(values, dtype=float).ravel()
-        ]
-    if failure is not None:
-        entry["failure"] = failure
-    if n_evaluations is not None:
-        entry["n_evaluations"] = int(n_evaluations)
-    if events:
-        entry["events"] = events
-    return entry
 
 
 class RemoteTuner:
@@ -325,13 +312,10 @@ class _RemoteSession:
         return reply["pending"]
 
     def tell(self, index, values=None, failure=None, n_evaluations=None):
-        events = [ev.to_json() for ev in self._capture.events]
+        entry = _tell_to_json(index, values, failure, n_evaluations)
+        entry["events"] = [ev.to_json() for ev in self._capture.events]
         self._capture._events.clear()
-        self._tells.append(_tell_entry(
-            index, values,
-            None if failure is None else failure.to_json(),
-            n_evaluations, events,
-        ))
+        self._tells.append(entry)
 
     def result(self) -> TuningResult:
         self._send_tells()

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.config import PPATunerConfig
-from ..core.session import EvaluationFailure, TuningSession
+from ..core.session import TuningSession, _tell_from_json
 from ..durable import TMP_MAX_AGE_S, sweep_tmp
 from ..obs.events import event_from_json
 from ..obs.recorder import TraceRecorder
@@ -269,11 +269,13 @@ class TuningService:
         """Feed one evaluation outcome (or failure) into a session.
 
         Payload keys: ``index``, exactly one of ``values`` /
-        ``failure`` (an :meth:`EvaluationFailure.to_json` dict),
-        optional ``n_evaluations`` (the client oracle's authoritative
-        count) and ``events`` (trace events the client oracle emitted
-        for this evaluation, re-emitted into the server-side trace so
-        it stays complete and replayable).
+        ``failure`` (an :meth:`EvaluationFailure.to_json
+        <repro.core.session.EvaluationFailure.to_json>` dict), optional
+        ``n_evaluations`` (the client oracle's authoritative count) and
+        ``events`` (trace events the client oracle emitted for this
+        evaluation, re-emitted into the server-side trace so it stays
+        complete and replayable).  A missing part and a ``null`` one
+        read alike.
         """
         managed = self._managed(session_id)
         with managed.lock:
@@ -382,17 +384,8 @@ def _tell_all(session: TuningSession, entries: list[dict]) -> None:
     decoded = []
     for entry in entries:
         try:
-            values = entry.get("values")
-            failure = entry.get("failure")
-            n_evaluations = entry.get("n_evaluations")
             decoded.append((
-                int(entry["index"]),
-                None if values is None else np.asarray(values, dtype=float),
-                (
-                    None if failure is None
-                    else EvaluationFailure.from_json(failure)
-                ),
-                None if n_evaluations is None else int(n_evaluations),
+                *_tell_from_json(entry),
                 [
                     event_from_json(event)
                     for event in entry.get("events") or []

@@ -3,7 +3,11 @@ package pins them (the experiment runner's cells and the CLI)."""
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +52,38 @@ class TestHelper:
         monkeypatch.setattr(env, "_MAPS", str(tmp_path / "missing"))
         assert env.blas_threads() == {}
         env.set_blas_threads(1)
+        assert env.blas_threads() == {}
+
+    def test_lookup_is_cached_until_an_import(self, monkeypatch):
+        expected = env.blas_threads()
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the maps file was read again")
+
+        monkeypatch.setattr(env, "open", no_read, raising=False)
+        assert env.blas_threads() == expected
+        env.set_blas_threads(expected)
+
+    @pytest.mark.skipif(
+        len(env.blas_threads()) < 2, reason="needs numpy's and scipy's copies"
+    )
+    def test_copy_mapped_after_the_first_lookup_is_found(self):
+        code = (
+            "import json, numpy\n"
+            "from repro import env\n"
+            "first = env.blas_threads()\n"
+            "import scipy.linalg\n"
+            "print(json.dumps([list(first), list(env.blas_threads())]))\n"
+        )
+        src = str(Path(env.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        first, after = json.loads(out.stdout)
+        assert len(first) == 1
+        assert sorted(after) == sorted(env.blas_threads())
 
 
 @needs_openblas

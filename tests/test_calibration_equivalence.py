@@ -31,10 +31,7 @@ from repro.gp import (
     MultiSourceTransferGP,
     NotPositiveDefiniteError,
     RBFKernel,
-    cholesky_append_row,
     cholesky_append_rows,
-    cholesky_rank1_downdate,
-    cholesky_rank1_update,
 )
 
 from .reference_oracles import transfer_posterior_reference
@@ -69,15 +66,6 @@ class TestCholeskyHelpers:
             L_ext, np.linalg.cholesky(A), atol=1e-10
         )
 
-    def test_append_single_row(self):
-        rng = np.random.default_rng(7)
-        A = _random_spd(rng, 5)
-        L = np.linalg.cholesky(A[:4, :4])
-        L_ext = cholesky_append_row(L, A[:4, 4], float(A[4, 4]))
-        np.testing.assert_allclose(
-            L_ext, np.linalg.cholesky(A), atol=1e-10
-        )
-
     def test_append_rejects_indefinite_schur_complement(self):
         L = np.eye(2)
         with pytest.raises(NotPositiveDefiniteError):
@@ -90,25 +78,6 @@ class TestCholeskyHelpers:
             cholesky_append_rows(
                 np.eye(3), np.zeros((2, 1)), np.eye(1)
             )
-
-    def test_rank1_update_and_downdate_roundtrip(self):
-        rng = np.random.default_rng(11)
-        A = _random_spd(rng, 6)
-        v = rng.normal(size=6)
-        L = np.linalg.cholesky(A)
-        L_up = cholesky_rank1_update(L, v)
-        np.testing.assert_allclose(
-            L_up @ L_up.T, A + np.outer(v, v), atol=1e-9
-        )
-        L_down = cholesky_rank1_downdate(L_up, v)
-        np.testing.assert_allclose(L_down @ L_down.T, A, atol=1e-9)
-        # Inputs untouched.
-        np.testing.assert_allclose(L, np.linalg.cholesky(A))
-
-    def test_rank1_downdate_rejects_indefinite(self):
-        L = np.linalg.cholesky(np.eye(3))
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_rank1_downdate(L, np.array([2.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------

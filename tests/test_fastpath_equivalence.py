@@ -358,48 +358,6 @@ class TestRectangleBatches:
         np.testing.assert_array_equal(vec.lo, ref.lo)
         np.testing.assert_array_equal(vec.hi, ref.hi)
 
-    @given(st.integers(0, 10_000))
-    @moderate
-    def test_collapse_batch_matches_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 15, 2
-        lo = rng.normal(size=(n, m))
-        hi = lo + 1.0
-        idx = rng.choice(n, size=6, replace=False)
-        values = rng.normal(size=(6, m))
-        batch = UncertaintyRegions(lo.copy(), hi.copy())
-        loop = UncertaintyRegions(lo.copy(), hi.copy())
-        batch.collapse_batch(idx, values)
-        for r, i in enumerate(idx):
-            loop.collapse(int(i), values[r])
-        np.testing.assert_array_equal(batch.lo, loop.lo)
-        np.testing.assert_array_equal(batch.hi, loop.hi)
-
-    @given(st.integers(0, 10_000))
-    @moderate
-    def test_collapse_partial_batch_matches_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 15, 3
-        lo = rng.normal(size=(n, m))
-        hi = lo + 1.0
-        idx = rng.choice(n, size=6, replace=False)
-        values = rng.normal(size=(6, m))
-        values[rng.random((6, m)) < 0.4] = np.nan  # NaN-imputed metrics
-        batch = UncertaintyRegions(lo.copy(), hi.copy())
-        loop = UncertaintyRegions(lo.copy(), hi.copy())
-        batch.collapse_partial_batch(idx, values)
-        for r, i in enumerate(idx):
-            loop.collapse_partial(int(i), values[r])
-        np.testing.assert_array_equal(batch.lo, loop.lo)
-        np.testing.assert_array_equal(batch.hi, loop.hi)
-
-    def test_batch_shape_validation(self):
-        regions = UncertaintyRegions(np.zeros((4, 2)), np.ones((4, 2)))
-        with pytest.raises(ValueError, match="expected"):
-            regions.collapse_batch(np.array([0, 1]), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="expected"):
-            regions.collapse_partial_batch(np.array([0]), np.zeros((2, 2)))
-
 
 # ---------------------------------------------------------------------
 # duplicate rows and the border-update fallback (jitter regression)

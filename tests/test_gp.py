@@ -17,7 +17,6 @@ from repro.gp import (
     make_kernel,
     maximize_objective,
     robust_cholesky,
-    solve_psd,
 )
 
 rng = np.random.default_rng(0)
@@ -48,12 +47,6 @@ class TestLinalg:
         b = rng.normal(size=5)
         L, _ = robust_cholesky(K)
         assert np.allclose(K @ cholesky_solve(L, b), b)
-
-    def test_solve_psd(self):
-        A = rng.normal(size=(5, 5))
-        K = A @ A.T + np.eye(5)
-        b = rng.normal(size=5)
-        assert np.allclose(K @ solve_psd(K, b), b)
 
     def test_log_det(self):
         A = rng.normal(size=(5, 5))

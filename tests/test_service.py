@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig, TuningSession
-from repro.core.session import SNAPSHOT_VERSION, _fingerprint
+from repro.core.session import (
+    SNAPSHOT_VERSION,
+    _fingerprint,
+    _tell_from_json,
+)
 from repro.durable import TMP_PREFIX
 from repro.obs import TraceRecorder, read_trace, replay_trace
 from repro.pareto import non_dominated_mask
@@ -507,6 +511,39 @@ class TestAllOrNothingTells:
         assert n_tool_events() == 0
         service.tell(sid, dict(tells[0], events=[event]))
         assert n_tool_events() == 1
+
+    def test_missing_and_null_parts_decode_alike(self, tmp_path):
+        """perfbench sends entries without ``failure`` or ``events``; a
+        snapshot's buffered tells carry every key, with ``null`` for an
+        absent part.  Both forms must tell the same thing."""
+        failure = {"error": "ToolCrash", "attempts": 2, "circuit_open": False}
+        stored = []
+        for shape in ("missing", "null"):
+            service, sid, tells = self._service(tmp_path / shape)
+            ok, failed = tells[0], tells[1]
+            if shape == "missing":
+                entries = [
+                    dict(ok, n_evaluations=3),
+                    {"index": failed["index"], "failure": failure},
+                ]
+            else:
+                entries = [
+                    dict(ok, failure=None, n_evaluations=3),
+                    {
+                        "index": failed["index"], "values": None,
+                        "failure": failure, "n_evaluations": None,
+                    },
+                ]
+            stored.append([_tell_from_json(e) for e in entries])
+            service.tell_batch(sid, {"tells": entries[::-1] + tells[2:]})
+            snapshot, _ = service.store.load(sid)
+            for key in ("elapsed", "fingerprint"):
+                del snapshot["meta"][key]
+            stored.append(snapshot)
+        missing_tells, missing, null_tells, null = stored
+        np.testing.assert_equal(missing_tells, null_tells)
+        np.testing.assert_equal(missing, null)
+        assert missing["meta"]["n_failed"] == 1
 
 
 class TestBatchEndpoints:

@@ -29,7 +29,11 @@ from repro.core import (
     drive,
 )
 from repro.core.result import IterationRecord, TuningResult
-from repro.core.session import _fingerprint
+from repro.core.session import (
+    _ROW_STATE,
+    SNAPSHOT_VERSION,
+    _fingerprint,
+)
 from repro.obs import MemorySink, TraceRecorder
 from repro.pareto import dominates, non_dominated_mask
 from repro.reliability import (
@@ -542,6 +546,168 @@ class TestSnapshotResume:
         meta["fingerprint"] = _fingerprint(meta, snap["arrays"])
         with pytest.raises(ValueError, match="snapshot version 2 != 3"):
             TuningSession.restore(snap)
+
+
+# ---------------------------------------------------------------------------
+# the state table
+
+
+def smooth_objectives(X: np.ndarray, m: int) -> np.ndarray:
+    """QoR of any pool row, refined rows included."""
+    cols = [
+        X.sum(axis=1),
+        3.0 * (1.0 - X).prod(axis=1),
+        np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2,
+    ]
+    return np.stack(cols[:m], axis=1) + 1.0
+
+
+def scripted_run(session: TuningSession, stop_after: int | None = None):
+    """Drive ``session`` to the end, yielding after every tell.
+
+    Every other batch of a ``q > 1`` session is told in reverse, so
+    tells are buffered; tell 5 fails, tell 16 is a circuit-open
+    failure, every 13th tell (from the 7th) misses its last metric,
+    and ``stop_after`` tells stop the loop for verification.
+    """
+    m, told, batch = session.m, 0, 0
+    while not session.done:
+        pending = session.ask()
+        batch += 1
+        if session.config.q > 1 and batch % 2 == 0:
+            pending = pending[::-1]
+        for idx in pending:
+            told += 1
+            y = smooth_objectives(session.X_pool[idx:idx + 1], m)[0]
+            if told in (5, 16):
+                session.tell(idx, failure=EvaluationFailure(
+                    error="ToolCrash", attempts=2, circuit_open=told == 16,
+                ))
+            else:
+                if told % 13 == 7:
+                    y[-1] = np.nan
+                session.tell(idx, y, n_evaluations=told)
+            yield
+            if told == stop_after:
+                session.stop("budget_exhausted")
+                yield
+                break
+
+
+def assert_same(a, b, path="session"):
+    """Deep equality over the session's attribute values; NaN == NaN."""
+    assert type(a) is type(b), path
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype, path
+        np.testing.assert_array_equal(a, b, err_msg=path)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            assert_same(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(
+                getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}"
+            )
+    elif isinstance(a, float):
+        assert a == b or (np.isnan(a) and np.isnan(b)), path
+    else:
+        assert a == b, path
+
+
+class TestStateTable:
+    #: Attributes that are not state: the restore re-creates them.
+    UNSTORED = {"recorder", "_started", "_elapsed_before", "models", "engine"}
+
+    #: The version-3 layout: array name -> dtype kind, and meta keys.
+    V3_ARRAYS = {
+        "X_pool": "f", "y_obs": "f", "regions_lo": "f", "regions_hi": "f",
+        "sampled": "b", "dropped": "b", "pareto": "b", "quarantined": "b",
+        "eligible": "b", "init_indices": "i", "delta": "f",
+        "eval_order": "i", "pending": "i", "evaluated_now": "i",
+        "failed_now": "i", "new_indices": "i", "verify_kept": "i",
+        "verify_rows": "f", "src_x_0": "f", "src_y_0": "f",
+    }
+    V3_META = {
+        "version", "config", "n_objectives", "n_sources", "phase", "t",
+        "in_iteration", "last_want", "last_chosen", "stop_reason",
+        "n_failed", "n_evaluations", "loop_runs", "delta_norm", "elapsed",
+        "calib_log", "pool_log", "told", "history", "fingerprint",
+    }
+    V3_TOLD = {"index", "values", "failure", "n_evaluations"}
+
+    def test_layout_is_version_3(self):
+        """Renaming, losing or adding a stored field needs a version
+        bump; this pins the version-3 layout it would change."""
+        assert SNAPSHOT_VERSION == 3
+        rng = np.random.default_rng(2)
+        X, Y = random_pool(2)
+        sources = [(rng.uniform(size=(20, 3)), rng.uniform(size=(20, 2)))]
+        session = TuningSession(
+            PPATunerConfig(max_iterations=6, seed=2, q=3), X, 2,
+            sources=sources,
+        )
+        snaps = [session.snapshot()]
+        while session.phase != "loop" or not session._in_iteration:
+            for idx in session.ask():
+                session.tell(idx, Y[idx])
+        last = session.ask()[-1]
+        session.tell(last, Y[last])
+        snaps.append(session.snapshot())
+        drive(session, PoolOracle(Y))
+        snaps.append(session.snapshot())
+
+        for snap, meta_keys in zip(
+            snaps, [self.V3_META, self.V3_META, self.V3_META | {"result"}]
+        ):
+            kinds = {k: a.dtype.kind for k, a in snap["arrays"].items()}
+            assert kinds == self.V3_ARRAYS
+            assert set(snap["meta"]) == meta_keys
+        [told] = snaps[1]["meta"]["told"]
+        assert set(told) == self.V3_TOLD
+
+    @pytest.mark.parametrize("q,refine,stop_after", [
+        (1, 2, None), (3, 2, None), (3, 0, 12),
+    ])
+    def test_restore_leaves_nothing_behind(self, q, refine, stop_after):
+        rng = np.random.default_rng(q)
+        X = rng.uniform(size=(30, 3))
+        Xs = rng.uniform(size=(20, 3))
+        cfg = PPATunerConfig(
+            max_iterations=6, seed=q, q=q, pool_refine_every=refine,
+            pool_refine_points=4,
+        )
+        session = TuningSession(
+            cfg, X, 2, sources=[(Xs, smooth_objectives(Xs, 2))]
+        )
+        taken = []
+        for _ in scripted_run(session, stop_after):
+            snap = session.snapshot()
+            taken.append(snap)
+            restored = TuningSession.restore(snap)
+            assert vars(restored).keys() == vars(session).keys()
+            for name, value in vars(session).items():
+                if name not in self.UNSTORED:
+                    assert_same(value, getattr(restored, name), name)
+            owned = [getattr(restored, name) for name in _ROW_STATE]
+            owned += [restored.regions.lo, restored.regions.hi]
+            for array in owned:
+                for stored in snap["arrays"].values():
+                    assert not np.shares_memory(array, stored)
+        assert session.done
+        assert session.n > 30 or not refine
+        assert session.n_failed == 2
+        if stop_after:
+            assert session.stop_reason == "budget_exhausted"
+        # Every snapshot still verifies after the donor ran on.
+        for snap in taken:
+            meta = dict(snap["meta"])
+            expected = meta.pop("fingerprint")
+            assert _fingerprint(meta, snap["arrays"]) == expected
 
 
 # ---------------------------------------------------------------------------
