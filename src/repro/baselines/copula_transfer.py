@@ -20,6 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..copula.model import GaussianCopula
+from ..copula.warm_start import (
+    _round_robin,
+    _weight_anchors,
+    copula_seed_indices,
+)
 from ..core.result import TuningResult
 from ..core.session import validate_init_indices
 from .base import Oracle, PoolTuner
@@ -76,8 +81,6 @@ class CopulaTransferTuner(PoolTuner):
             n_init = min(max(self.n_init, 2), budget - 1, n)
             init = None
             if Xs is not None:
-                from ..copula.warm_start import copula_seed_indices
-
                 init = copula_seed_indices(
                     X_pool, [(Xs, Ys)], n_init, seed=self.seed
                 )
@@ -101,7 +104,8 @@ class CopulaTransferTuner(PoolTuner):
             take = min(
                 self.batch_size, budget - oracle.n_evaluations, len(cand)
             )
-            picks = list(cand[_round_robin_picks(scores, take)])
+            orders = np.argsort(-scores, axis=1, kind="stable")
+            picks = list(cand[_round_robin(orders, take)])
             # One exploration slot per batch: the copula's ranking is
             # only as good as its (source-dominated) fit, so a uniform
             # draw keeps feeding it off-ranking target evidence.
@@ -156,38 +160,3 @@ class CopulaTransferTuner(PoolTuner):
         denom = max(len(cand) - 1, 1)
         ranks = np.argsort(np.argsort(pred, axis=0), axis=0) / denom
         return -(_weight_anchors(pred.shape[1]) @ ranks.T)
-
-
-def _weight_anchors(m: int) -> np.ndarray:
-    """Deterministic scalarization weights sweeping the ``m``-objective
-    trade-off: each one-hot extreme, the uniform blend, and the
-    midpoints between them (``2m + 1`` anchors, rows sum to one)."""
-    eye = np.eye(m)
-    uniform = np.full((1, m), 1.0 / m)
-    mids = 0.5 * (eye + uniform)
-    return np.vstack([eye, uniform, mids]) if m > 1 else uniform
-
-
-def _round_robin_picks(scores: np.ndarray, take: int) -> np.ndarray:
-    """Pick ``take`` distinct columns cycling over the anchor rows.
-
-    Each anchor contributes its best not-yet-chosen candidate in turn,
-    so one batch spreads across the estimated front instead of piling
-    onto whichever anchor scores highest overall.
-    """
-    a, n_cand = scores.shape
-    orders = np.argsort(-scores, axis=1, kind="stable")
-    cursors = np.zeros(a, dtype=int)
-    chosen: list[int] = []
-    taken = np.zeros(n_cand, dtype=bool)
-    while len(chosen) < min(take, n_cand):
-        row = len(chosen) % a
-        c = cursors[row]
-        while taken[orders[row, c]]:
-            c += 1
-        cursors[row] = c + 1
-        pick = int(orders[row, c])
-        taken[pick] = True
-        chosen.append(pick)
-    return np.asarray(chosen, dtype=int)
-

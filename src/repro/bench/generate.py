@@ -31,14 +31,10 @@ from ..space.sampling import latin_hypercube
 from ..space.space import Configuration
 from .dataset import QOR_METRICS, BenchmarkDataset
 from .spaces import BENCHMARK_DESIGN, POOL_SIZES, SPACES
-
-# Re-exported for compatibility (PAPER_POOL_SIZES lived here first).
-from .spaces import PAPER_POOL_SIZES  # noqa: F401
 from .store import BenchmarkStore, default_cache_dir
 
 __all__ = [
     "CACHE_VERSION",
-    "DESIGN_BASE_PARAMS",
     "cache_workers",
     "default_cache_dir",
     "design_base_params",
@@ -65,20 +61,6 @@ _BENCH_SEEDS = {
 #: Below this pool size a cold build stays serial — the process-pool
 #: spin-up would cost more than it saves.
 _PARALLEL_MIN_POINTS = 512
-
-#: Fixed tool parameters per design for knobs the benchmark space does
-#: not tune (see :meth:`~repro.pdtool.family.DesignFamily.base_params`,
-#: the authoritative source).  Kept as a plain mapping because
-#: pre-registry callers index it directly.
-DESIGN_BASE_PARAMS: dict[str, dict[str, object]] = {
-    "mac_small": {},
-    "mac_large": {"freq": 450.0},
-    "fabric_small": {},
-    "fabric_large": {},
-    "cpu_small": {},
-    "cpu_large": {},
-}
-
 
 def full_scale() -> bool:
     """Whether paper-scale designs were requested via ``PPATUNER_FULL``."""
@@ -121,11 +103,8 @@ def design_spec(design: str) -> object:
 
 
 def design_base_params(design: str) -> dict[str, object]:
-    """Fixed tool parameters for a design's untuned knobs.
-
-    Registry-backed replacement for indexing
-    :data:`DESIGN_BASE_PARAMS` directly.
-    """
+    """Fixed tool parameters for a design's untuned knobs (see
+    :meth:`~repro.pdtool.family.DesignFamily.base_params`)."""
     return design_family(design).base_params(design)
 
 

@@ -34,6 +34,30 @@ def _weight_anchors(m: int) -> np.ndarray:
     return np.vstack([eye, uniform, mids]) if m > 1 else uniform
 
 
+def _round_robin(orders, take: int) -> np.ndarray:
+    """Pick ``take`` distinct items cycling over per-anchor orders.
+
+    ``orders[a]`` ranks every item best first under anchor ``a``; each
+    anchor contributes its best not-yet-chosen item in turn, so the
+    picks spread across the predicted front instead of piling onto
+    whichever anchor scores highest overall.  ``take`` must not exceed
+    the number of items.
+    """
+    taken = np.zeros(len(orders[0]), dtype=bool)
+    cursors = [0] * len(orders)
+    chosen: list[int] = []
+    while len(chosen) < take:
+        a = len(chosen) % len(orders)
+        c = cursors[a]
+        while taken[orders[a][c]]:
+            c += 1
+        cursors[a] = c + 1
+        pick = int(orders[a][c])
+        taken[pick] = True
+        chosen.append(pick)
+    return np.asarray(chosen, dtype=int)
+
+
 def copula_seed_indices(
     X_pool: np.ndarray,
     sources: list[tuple[np.ndarray, np.ndarray]],
@@ -85,22 +109,7 @@ def copula_seed_indices(
         np.lexsort((tie_break, total, scores[a]))
         for a in range(len(anchors))
     ]
-
-    # Round-robin over the anchors: each contributes its best
-    # not-yet-chosen candidate in turn until the design is full.
-    chosen: list[int] = []
-    taken = np.zeros(n, dtype=bool)
-    cursors = [0] * len(anchors)
-    while len(chosen) < n_init:
-        a = len(chosen) % len(anchors)
-        c = cursors[a]
-        while taken[orders[a][c]]:
-            c += 1
-        cursors[a] = c + 1
-        pick = int(orders[a][c])
-        taken[pick] = True
-        chosen.append(pick)
-    return np.asarray(chosen, dtype=int)
+    return _round_robin(orders, n_init)
 
 
 def copula_warm_start_indices(

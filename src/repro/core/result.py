@@ -69,7 +69,10 @@ class TuningResult:
         n_iterations: Loop iterations executed.
         history: Per-iteration records (empty for baselines that do not
             track it).
-        evaluated_indices: Every pool index the tuner evaluated.
+        evaluated_indices: Every pool index the tuner evaluated, in
+            evaluation order: the initial design as given, then each
+            iteration's picks (PPATuner's final verification runs are
+            not included).
         stop_reason: Why the loop ended (``"all_decided"``,
             ``"max_iterations"`` or ``"pool_exhausted"``).
         quarantined_indices: Pool indices permanently removed from the

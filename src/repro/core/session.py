@@ -932,15 +932,7 @@ class TuningSession:
         )
         self.history.append(record)
         if rec:
-            rec.emit(IterationEnd(
-                iteration=record.iteration,
-                n_undecided=record.n_undecided,
-                n_pareto=record.n_pareto,
-                n_dropped=record.n_dropped,
-                n_evaluations=record.n_evaluations,
-                max_diameter=record.max_diameter,
-                selected=list(record.selected),
-            ))
+            rec.emit(IterationEnd(**record.to_json()))
 
     def _end_iteration(self) -> None:
         self._close_iteration()
@@ -992,7 +984,7 @@ class TuningSession:
             nd = pareto_rows(rows)
             kept = kept[nd]
             rows = rows[nd]
-        evaluated = np.nonzero(self.sampled)[0]
+        evaluated = np.asarray(self._eval_order, dtype=int)
         quarantined_idx = np.nonzero(self.quarantined)[0]
         if rec:
             rec.emit(RunEnd(

@@ -6,9 +6,10 @@ hyper-volume error of the best front found so far — which shows *when*
 each method gets good, not just where it ends (the crossovers the tables
 hide).
 
-For evaluated-set methods (all baselines) the curve is exact: the front
-after k runs is the non-dominated subset of the first k evaluations.
-For PPATuner the same evaluated-set curve is a conservative lower bound
+Every tuner reports ``evaluated_indices`` in evaluation order, so the
+front after k runs is the non-dominated subset of the first k
+evaluations.  For the baselines that is exactly their reported front;
+for PPATuner the same evaluated-set curve is a conservative lower bound
 on its reported (classified) front, making the comparison fair.
 """
 
@@ -48,35 +49,6 @@ class ConvergenceCurve:
         return int(self.runs[hits[0]])
 
 
-def evaluation_order(result: TuningResult) -> np.ndarray:
-    """Pool indices in evaluation order.
-
-    Uses the per-iteration history when available (PPATuner); falls back
-    to ``evaluated_indices`` order (baselines append in order).  The
-    history dedup is a vectorized first-occurrence pass
-    (``np.unique(..., return_index=True)`` + index sort), preserving the
-    original order semantics.
-    """
-    if result.history:
-        selected = [
-            np.asarray(record.selected, dtype=int)
-            for record in result.history
-            if len(record.selected)
-        ]
-        if selected:
-            flat = np.concatenate(selected)
-            _, first = np.unique(flat, return_index=True)
-            ordered = flat[np.sort(first)]
-        else:
-            ordered = np.empty(0, dtype=int)
-        # Initialization samples are not in history records; prepend
-        # whatever is missing, preserving evaluated_indices order.
-        evaluated = np.asarray(result.evaluated_indices, dtype=int)
-        init = evaluated[~np.isin(evaluated, ordered)]
-        return np.concatenate([init, ordered])
-    return np.asarray(result.evaluated_indices, dtype=int)
-
-
 def convergence_curve(
     method: str,
     result: TuningResult,
@@ -87,7 +59,8 @@ def convergence_curve(
 
     Args:
         method: Label for the curve.
-        result: The tuning result (its evaluation order is replayed).
+        result: The tuning result (its ``evaluated_indices`` are
+            replayed in order).
         dataset: Benchmark supplying golden values and the reference.
         names: Objective names.
 
@@ -103,7 +76,7 @@ def convergence_curve(
     if h_golden <= 0:
         raise ValueError("degenerate golden front")
 
-    order = evaluation_order(result)
+    order = np.asarray(result.evaluated_indices, dtype=int)
     Y_seen = Y_all[order]
     runs = np.arange(1, len(order) + 1)
     errors = np.empty(len(order))

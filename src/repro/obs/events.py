@@ -327,8 +327,9 @@ class RunEnd(TraceEvent):
         n_evaluations: Loop tool runs (the paper's "Runs"; the final
             verification pass is excluded, as in ``TuningResult``).
         pareto_indices: Final reported Pareto set.
-        evaluated_indices: Every pool index sampled during the loop
-            (ascending — matches ``TuningResult.evaluated_indices``).
+        evaluated_indices: Every pool index sampled during the loop,
+            in evaluation order (matches
+            ``TuningResult.evaluated_indices``).
         seconds: Wall-clock time of the whole ``tune`` call.
         quarantined_indices: Candidates removed after permanent
             evaluation failure (ascending; empty on healthy runs).

@@ -3,7 +3,7 @@
 A recorded trace contains everything ``TuningResult`` derives from the
 live loop — per-iteration bookkeeping (``IterationEnd`` is
 field-for-field an :class:`~repro.core.result.IterationRecord`), the
-final Pareto set and the loop-evaluation set (``RunEnd``), and every
+final Pareto set and the loop's evaluation order (``RunEnd``), and every
 observed QoR vector (``ToolEvaluation``).  Replaying therefore rebuilds
 the run's history and result *exactly*, without touching the tool — the
 post-hoc ADRS / hyper-volume-error convergence curves that previously
@@ -185,15 +185,7 @@ def replay_trace(
             batch_selections = []
             pool_refinements = []
         elif isinstance(event, IterationEnd):
-            history.append(IterationRecord(
-                iteration=event.iteration,
-                n_undecided=event.n_undecided,
-                n_pareto=event.n_pareto,
-                n_dropped=event.n_dropped,
-                n_evaluations=event.n_evaluations,
-                max_diameter=event.max_diameter,
-                selected=list(event.selected),
-            ))
+            history.append(IterationRecord.from_json(event.to_json()))
         elif isinstance(event, ToolEvaluation):
             evaluations[event.index] = np.asarray(
                 event.values, dtype=float

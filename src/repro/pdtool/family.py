@@ -239,8 +239,8 @@ class MacFamily(_SpecTableFamily):
     }
     # The larger MAC is a deeper, slower design: benchmarks that do not
     # tune ``freq`` must pin the clock near its achievable speed or the
-    # timing knobs saturate (pre-registry DESIGN_BASE_PARAMS values,
-    # preserved exactly so cached tables stay byte-identical).
+    # timing knobs saturate (the values the cached tables were built
+    # with, kept exactly so they stay byte-identical).
     _base_params = {"mac_large": {"freq": 450.0}}
     _space_names = {"": "source1_space", "mac_large": "target2_space"}
     _generate = staticmethod(generate_mac_netlist)

@@ -113,22 +113,36 @@ def _spec_fault_policy(spec: RunSpec):
     return FaultPolicy.from_json(json.loads(policy_raw))
 
 
-def _attach_recorder(tuner, recorder) -> None:
-    """Route a tuner's events into the cell trace, when it can emit
-    them (baselines without a recorder attribute stay untraced)."""
+def _tune_and_score(spec: RunSpec, tuner, recorder, X_pool, target,
+                    **kwargs):
+    """The tail every cell shares: route the tuner's events into the
+    cell trace (when it can emit them), tune through the cell's oracle
+    and score the result against the golden front.
+
+    Returns:
+        ``(result, outcome, calibration)``: the
+        :class:`~repro.core.result.TuningResult`, its scored
+        :class:`~repro.experiments.scenarios.MethodOutcome` and the
+        tuner's aggregated ``CalibrationStats`` counters (empty when it
+        has no calibration engine).
+    """
+    from ..experiments.scenarios import evaluate_outcome
+
+    names = spec.objectives
     if recorder and hasattr(tuner, "recorder"):
         tuner.recorder = recorder
-
-
-def _calibration_counters(tuner) -> dict[str, int]:
-    """Aggregate CalibrationStats counters from a tuner, when present."""
-    engine = getattr(tuner, "calibration_", None)
-    stats = getattr(engine, "stats", None)
-    if stats is None:
-        return {}
-    return {
-        k: int(v) for k, v in dataclasses.asdict(stats).items()
-    }
+    oracle = _cell_oracle(spec, target.objectives(names))
+    result = tuner.tune(X_pool, oracle, **kwargs)
+    outcome = evaluate_outcome(
+        spec.method, spec.objective_space, result, target, names
+    )
+    outcome.repeat = spec.repeat
+    stats = getattr(getattr(tuner, "calibration_", None), "stats", None)
+    calibration = (
+        {} if stats is None
+        else {k: int(v) for k, v in dataclasses.asdict(stats).items()}
+    )
+    return result, outcome, calibration
 
 
 def _source_subset(spec: RunSpec, source):
@@ -192,11 +206,7 @@ def _spec_pruning(spec: RunSpec, source, target):
 def _run_scenario_cell(spec: RunSpec, source, target, ppa_config,
                        recorder=NULL_RECORDER):
     """One (method, objective-space) cell of a paper table."""
-    from ..experiments.scenarios import (
-        PAPER_BUDGET_FRACTIONS,
-        evaluate_outcome,
-        make_method,
-    )
+    from ..experiments.scenarios import PAPER_BUDGET_FRACTIONS, make_method
 
     names = spec.objectives
     src_idx = _source_subset(spec, source)
@@ -221,49 +231,36 @@ def _run_scenario_cell(spec: RunSpec, source, target, ppa_config,
         ppa_config=_method_config(spec, ppa_config),
         fault_policy=_spec_fault_policy(spec),
     )
-    _attach_recorder(tuner, recorder)
-    oracle = _cell_oracle(spec, target.objectives(names))
-    result = tuner.tune(
-        X_pool, oracle,
+    _, outcome, calibration = _tune_and_score(
+        spec, tuner, recorder, X_pool, target,
         sources=[(X_source, Y_source)],
         init_indices=init.copy(),
     )
-    outcome = evaluate_outcome(
-        spec.method, spec.objective_space, result, target, names
-    )
-    outcome.repeat = spec.repeat
     extras = {}
     if pruned is not None:
         extras["pruned_knobs"] = list(pruned.dropped)
-    return outcome, extras, _calibration_counters(tuner)
+    return outcome, extras, calibration
 
 
 def _run_tune_cell(spec: RunSpec, source, target, ppa_config,
                    recorder=NULL_RECORDER):
     """A single configured PPATuner run (ablation sweeps, `_util`)."""
     from ..core import PPATuner, PPATunerConfig
-    from ..experiments.scenarios import evaluate_outcome
 
-    names = spec.objectives
     kwargs = {}
     if source is not None and spec.n_source > 0:
         src_idx = _source_subset(spec, source)
         kwargs = {
             "sources": [(
                 source.X[src_idx],
-                source.objectives(names)[src_idx],
+                source.objectives(spec.objectives)[src_idx],
             )],
         }
-    config = ppa_config or PPATunerConfig(seed=spec.seed)
-    tuner = PPATuner(config)
-    _attach_recorder(tuner, recorder)
-    oracle = _cell_oracle(spec, target.objectives(names))
-    result = tuner.tune(target.X, oracle, **kwargs)
-    outcome = evaluate_outcome(
-        spec.method, spec.objective_space, result, target, names
+    tuner = PPATuner(ppa_config or PPATunerConfig(seed=spec.seed))
+    _, outcome, calibration = _tune_and_score(
+        spec, tuner, recorder, target.X, target, **kwargs
     )
-    outcome.repeat = spec.repeat
-    return outcome, {}, _calibration_counters(tuner)
+    return outcome, {}, calibration
 
 
 def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
@@ -276,7 +273,6 @@ def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
     import json
 
     from ..core import PPATuner, PPATunerConfig
-    from ..experiments.scenarios import evaluate_outcome
 
     names = spec.objectives
     rng = derive_rng(spec.seed, "scenario3", "archives")
@@ -308,9 +304,9 @@ def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
         max_iterations=max_iterations, seed=spec.seed,
     )
     tuner = PPATuner(config)
-    _attach_recorder(tuner, recorder)
-    oracle = _cell_oracle(spec, target.objectives(names))
-    result = tuner.tune(target.X, oracle, **kwargs)
+    _, outcome, calibration = _tune_and_score(
+        spec, tuner, recorder, target.X, target, **kwargs
+    )
 
     # One row per objective and one lambda per archive; the no-transfer
     # variant (and an unfitted model) reports none.
@@ -322,11 +318,7 @@ def _run_scenario_three_cell(spec: RunSpec, source, target, ppa_config,
             continue
         if len(lams):
             lambdas.append([float(v) for v in lams])
-    outcome = evaluate_outcome(
-        spec.method, spec.objective_space, result, target, names
-    )
-    outcome.repeat = spec.repeat
-    return outcome, {"lambdas": lambdas}, _calibration_counters(tuner)
+    return outcome, {"lambdas": lambdas}, calibration
 
 
 def _run_convergence_cell(spec: RunSpec, source, target, ppa_config,
@@ -335,11 +327,7 @@ def _run_convergence_cell(spec: RunSpec, source, target, ppa_config,
     import json
 
     from ..experiments.convergence import convergence_curve
-    from ..experiments.scenarios import (
-        PAPER_BUDGET_FRACTIONS,
-        evaluate_outcome,
-        make_method,
-    )
+    from ..experiments.scenarios import PAPER_BUDGET_FRACTIONS, make_method
 
     names = spec.objectives
     src_idx = _source_subset(spec, source)
@@ -357,10 +345,8 @@ def _run_convergence_cell(spec: RunSpec, source, target, ppa_config,
         ppa_config=_method_config(spec, ppa_config),
         fault_policy=_spec_fault_policy(spec),
     )
-    _attach_recorder(tuner, recorder)
-    oracle = _cell_oracle(spec, target.objectives(names))
-    result = tuner.tune(
-        target.X, oracle,
+    result, outcome, calibration = _tune_and_score(
+        spec, tuner, recorder, target.X, target,
         sources=[(
             source.X[src_idx],
             source.objectives(names)[src_idx],
@@ -368,15 +354,11 @@ def _run_convergence_cell(spec: RunSpec, source, target, ppa_config,
         init_indices=init.copy(),
     )
     curve = convergence_curve(spec.method, result, target, names)
-    outcome = evaluate_outcome(
-        spec.method, spec.objective_space, result, target, names
-    )
-    outcome.repeat = spec.repeat
     extras = {
         "curve_runs": [int(r) for r in curve.runs],
         "curve_hv_error": [float(e) for e in curve.hv_error],
     }
-    return outcome, extras, _calibration_counters(tuner)
+    return outcome, extras, calibration
 
 
 _EXECUTORS = {

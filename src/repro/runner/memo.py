@@ -8,44 +8,41 @@ is deleted and simply re-executed.
 A killed multi-run invocation therefore skips every finished cell on
 restart, and ``--force`` invalidates.
 
-Entry layout (one ``.npz`` per cell under the memo root)::
+Entry layout (one JSON document per cell under the memo root)::
 
     .cache/runs/
-        <scenario>-<hash>.npz      arrays + a JSON metadata blob
-        <scenario>-<hash>.npz.lock advisory lock files
+        <scenario>-<hash>.json      the cell's record
+        <scenario>-<hash>.json.lock advisory lock files
 
-The JSON blob records the memo format version, the full spec (verified
+The document records the memo format version, the full spec (verified
 on load — a hash collision or renamed file can never serve the wrong
 cell), a digest of the ``repro`` sources that computed the entry
 (verified on load — a code change that moves a trajectory re-executes
-the cell instead of serving the old outcome), scalar outcome fields,
-iteration history, telemetry and extras; sibling arrays carry the
-index/objective matrices bit-exactly.
+the cell instead of serving the old outcome), the outcome with its
+result in :meth:`~repro.core.result.TuningResult.to_json` form, the
+telemetry and the extras.  Python floats round-trip through JSON
+bit-exactly, so a served record equals the computed one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
 import logging
-import zipfile
 from pathlib import Path
 from typing import ContextManager, Iterable
 
-import numpy as np
-
-from ..core.result import IterationRecord, TuningResult
+from ..core.result import TuningResult
 from ..durable import LOAD_ERRORS, TMP_PREFIX, atomic_write, locked
 from .spec import RunSpec
 
 log = logging.getLogger(__name__)
 
 #: Memo-format version; bump when the serialized layout changes.
-MEMO_VERSION = 1
-
-_ARRAY_KEYS = ("pareto_indices", "pareto_points", "evaluated_indices")
+MEMO_VERSION = 2
 
 
 def default_memo_dir() -> Path:
@@ -92,7 +89,7 @@ class RunMemo:
 
     def entry_name(self, spec: RunSpec) -> str:
         """Memo file name for one spec."""
-        return f"{spec.scenario}-{spec.spec_hash()}.npz"
+        return f"{spec.scenario}-{spec.spec_hash()}.json"
 
     def path_for(self, spec: RunSpec) -> Path:
         """Memo file path for one spec."""
@@ -111,51 +108,22 @@ class RunMemo:
         from .runner import RunRecord  # local: avoid import cycle
 
         assert isinstance(record, RunRecord)
-        outcome = record.outcome
-        result = outcome.result
-        meta = {
+        outcome = {
+            f.name: getattr(record.outcome, f.name)
+            for f in dataclasses.fields(record.outcome)
+        }
+        outcome["result"] = outcome["result"].to_json()
+        doc = {
             "version": MEMO_VERSION,
             "spec": record.spec.to_json(),
             "code": _code_digest(),
-            "method": outcome.method,
-            "objective_space": outcome.objective_space,
-            "hv_error": outcome.hv_error,
-            "adrs": outcome.adrs,
-            "runs": outcome.runs,
-            "n_evaluations": int(result.n_evaluations),
-            "n_iterations": int(result.n_iterations),
-            "stop_reason": result.stop_reason,
-            "n_failed_evaluations": int(result.n_failed_evaluations),
-            "history": [h.to_json() for h in result.history],
-            "telemetry": {
-                "wall_time": record.telemetry.wall_time,
-                "runs": record.telemetry.runs,
-                "worker_pid": record.telemetry.worker_pid,
-                "calibration": dict(record.telemetry.calibration),
-                "trace_path": record.telemetry.trace_path,
-                "n_events": record.telemetry.n_events,
-            },
+            "outcome": outcome,
+            "telemetry": dataclasses.asdict(record.telemetry),
             "extras": record.extras,
         }
-        arrays = {
-            "pareto_indices": np.asarray(result.pareto_indices, dtype=int),
-            "pareto_points": np.asarray(
-                result.pareto_points, dtype=float
-            ),
-            "evaluated_indices": np.asarray(
-                result.evaluated_indices, dtype=int
-            ),
-            "quarantined_indices": np.asarray(
-                result.quarantined_indices, dtype=int
-            ),
-            "meta": np.frombuffer(
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-        }
         target = self.path_for(record.spec)
-        with self.lock(record.spec), atomic_write(target) as fh:
-            np.savez_compressed(fh, **arrays)
+        with self.lock(record.spec), atomic_write(target, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
         return target
 
     def load(self, spec: RunSpec):
@@ -172,28 +140,17 @@ class RunMemo:
         if not path.exists():
             return None
         try:
-            if not zipfile.is_zipfile(path):
-                raise zipfile.BadZipFile("not a zip archive")
-            with np.load(path, allow_pickle=False) as data:
-                missing = set(_ARRAY_KEYS + ("meta",)) - set(data.files)
-                if missing:
-                    raise KeyError(f"missing arrays {sorted(missing)}")
-                arrays = {key: data[key] for key in _ARRAY_KEYS}
-                # Optional array: absent in pre-reliability entries,
-                # which stay loadable (same MEMO_VERSION).
-                arrays["quarantined_indices"] = (
-                    data["quarantined_indices"]
-                    if "quarantined_indices" in data.files
-                    else np.empty(0, dtype=int)
-                )
-                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("version") != MEMO_VERSION:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("memo entry is not a JSON object")
+            if doc.get("version") != MEMO_VERSION:
                 raise ValueError(
-                    f"memo version {meta.get('version')} != {MEMO_VERSION}"
+                    f"memo version {doc.get('version')} != {MEMO_VERSION}"
                 )
-            if meta.get("spec") != spec.to_json():
+            if doc.get("spec") != spec.to_json():
                 raise ValueError("memo entry does not match spec")
-            if meta.get("code") != _code_digest():
+            if doc.get("code") != _code_digest():
                 raise ValueError(
                     "memo entry was computed by other library code"
                 )
@@ -205,45 +162,17 @@ class RunMemo:
             with contextlib.suppress(OSError):
                 path.unlink()
             return None
-        result = TuningResult(
-            pareto_indices=arrays["pareto_indices"],
-            pareto_points=arrays["pareto_points"],
-            n_evaluations=int(meta["n_evaluations"]),
-            n_iterations=int(meta["n_iterations"]),
-            history=[
-                IterationRecord.from_json(h) for h in meta["history"]
-            ],
-            evaluated_indices=arrays["evaluated_indices"],
-            stop_reason=meta["stop_reason"],
-            quarantined_indices=arrays["quarantined_indices"],
-            n_failed_evaluations=int(
-                meta.get("n_failed_evaluations", 0)
-            ),
-        )
-        outcome = MethodOutcome(
-            method=meta["method"],
-            objective_space=meta["objective_space"],
-            hv_error=float(meta["hv_error"]),
-            adrs=float(meta["adrs"]),
-            runs=int(meta["runs"]),
-            result=result,
-            repeat=int(meta["spec"].get("repeat", 0)),
-        )
-        telem = meta.get("telemetry", {})
-        telemetry = RunTelemetry(
-            wall_time=float(telem.get("wall_time", 0.0)),
-            runs=int(telem.get("runs", outcome.runs)),
-            worker_pid=int(telem.get("worker_pid", 0)),
-            calibration=dict(telem.get("calibration", {})),
-            memoized=True,
-            trace_path=str(telem.get("trace_path", "")),
-            n_events=int(telem.get("n_events", 0)),
-        )
+        outcome = doc["outcome"]
         return RunRecord(
             spec=spec,
-            outcome=outcome,
-            telemetry=telemetry,
-            extras=dict(meta.get("extras", {})),
+            outcome=MethodOutcome(**{
+                **outcome,
+                "result": TuningResult.from_json(outcome["result"]),
+            }),
+            telemetry=RunTelemetry(**{
+                **doc["telemetry"], "memoized": True,
+            }),
+            extras=doc["extras"],
         )
 
     # ------------------------------------------------------------------
@@ -274,7 +203,7 @@ class RunMemo:
         if not self.root.is_dir():
             return 0
         count = 0
-        for pattern in ("*.npz", "*.npz.lock", f"{TMP_PREFIX}*"):
+        for pattern in ("*.json", "*.json.lock", f"{TMP_PREFIX}*"):
             for path in self.root.glob(pattern):
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -285,6 +214,6 @@ class RunMemo:
         if not self.root.is_dir():
             return 0
         return sum(
-            1 for p in self.root.glob("*.npz")
+            1 for p in self.root.glob("*.json")
             if not p.name.startswith(TMP_PREFIX)
         )

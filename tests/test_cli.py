@@ -159,7 +159,7 @@ class TestScenarioCommand:
 
     def test_no_resume_skips_memo(self, tmp_path, capsys):
         assert main(self.ARGS + ["--no-resume"]) == 0
-        assert not list((tmp_path / "runs").glob("*.npz"))
+        assert not list((tmp_path / "runs").glob("*.json"))
 
 
 class TestTraceCommand:

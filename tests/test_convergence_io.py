@@ -11,7 +11,6 @@ from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.experiments.convergence import (
     ConvergenceCurve,
     convergence_curve,
-    evaluation_order,
     format_convergence_table,
 )
 
@@ -48,15 +47,29 @@ class TestConvergenceCurve:
             assert c.hv_error[hit - 1] <= 0.5
         assert c.runs_to_reach(-1.0) is None
 
-    def test_ppatuner_history_order(self, tiny_benchmark):
+    def test_every_tuner_reports_evaluation_order(self, tiny_benchmark):
+        """The curve replays ``evaluated_indices`` as they stand, so
+        every tuner lists its initial design as given (not sorted) and
+        then its picks in the order it evaluated them."""
         names = ("power", "delay")
-        oracle = PoolOracle(tiny_benchmark.objectives(names))
-        result = PPATuner(
-            PPATunerConfig(max_iterations=10, seed=0)
-        ).tune(tiny_benchmark.X, oracle)
-        order = evaluation_order(result)
-        assert set(order) == set(result.evaluated_indices)
-        assert len(order) == len(set(order))
+        init = [50, 3, 57, 12, 40]
+        tuners = {
+            "PPATuner": PPATuner(
+                PPATunerConfig(max_iterations=10, seed=0)
+            ),
+            "Random": RandomSearchTuner(budget=15, seed=0),
+        }
+        for name, tuner in tuners.items():
+            oracle = PoolOracle(tiny_benchmark.objectives(names))
+            result = tuner.tune(
+                tiny_benchmark.X, oracle, init_indices=np.array(init)
+            )
+            order = [int(i) for i in result.evaluated_indices]
+            assert order[:len(init)] == init, name
+            assert len(order) == len(set(order)), name
+            if name == "PPATuner":
+                picks = [i for rec in result.history for i in rec.selected]
+                assert order[len(init):] == picks
 
     def test_format_table(self, curve):
         c, _ = curve

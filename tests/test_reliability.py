@@ -796,32 +796,6 @@ class TestMemoCompatibility:
         assert list(got.quarantined_indices) == [7, 8]
         assert got.n_failed_evaluations == 2
 
-    def test_pre_reliability_entry_loads(self, tmp_path):
-        """Entries written before the reliability fields still load."""
-        from repro.runner import RunMemo
-
-        memo = RunMemo(tmp_path)
-        record = self.make_record([])
-        path = memo.save(record)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {
-                k: data[k] for k in data.files
-                if k not in ("quarantined_indices", "meta")
-            }
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        meta.pop("n_failed_evaluations")
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"),
-            dtype=np.uint8,
-        )
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        loaded = memo.load(record.spec)
-        assert loaded is not None
-        got = loaded.outcome.result
-        assert got.quarantined_indices.size == 0
-        assert got.n_failed_evaluations == 0
-
 
 # ----------------------------------------------------------------------
 # Chaos: kill a pool worker mid-cell, resume from the memo

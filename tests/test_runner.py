@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import repro.runner.runner as runner_mod
 from repro.core import PPATunerConfig
-from repro.experiments.scenarios import build_scenario_jobs, run_scenario
+from repro.core.result import IterationRecord, TuningResult
+from repro.experiments.scenarios import (
+    MethodOutcome,
+    build_scenario_jobs,
+    run_scenario,
+)
+from repro.obs import records_equal
 from repro.runner import (
     ExperimentRunner,
     RunJob,
@@ -21,6 +30,7 @@ from repro.runner import (
     stable_token,
 )
 from repro.runner.cells import execute_spec
+from repro.runner.runner import RunRecord, RunTelemetry
 
 
 def tiny_jobs(tiny_benchmark, methods=("Random", "MLCAD'19"), seed=0,
@@ -146,6 +156,86 @@ class TestMemo:
         monkeypatch.setattr(memo_mod, "_code_digest", lambda: "edited")
         assert memo.load(record.spec) is None
         assert not path.exists()
+
+    def edge_record(self):
+        """A record with every awkward value an entry must carry: a NaN
+        diameter, an empty front, a NaN score, extras and telemetry."""
+        spec = RunSpec(
+            kind="scenario", scenario="memo-json", method="PPATuner",
+            objective_space="power-delay", objectives=("power", "delay"),
+            seed=3, repeat=1,
+        )
+        result = TuningResult(
+            pareto_indices=np.empty(0, dtype=int),
+            pareto_points=np.empty((0, 2)),
+            n_evaluations=7,
+            n_iterations=2,
+            history=[
+                IterationRecord(0, 5, 0, 1, 6, float("nan"), [4]),
+                IterationRecord(1, 3, 1, 2, 7, 0.1 + 0.2, [9]),
+            ],
+            evaluated_indices=np.array([8, 2, 5, 4, 9]),
+            stop_reason="max_iterations",
+            quarantined_indices=np.array([6]),
+            n_failed_evaluations=1,
+        )
+        outcome = MethodOutcome(
+            method="PPATuner", objective_space="power-delay",
+            hv_error=1.0 / 3.0, adrs=float("nan"), runs=7,
+            result=result, repeat=1,
+        )
+        telemetry = RunTelemetry(
+            wall_time=0.25, runs=7, worker_pid=123,
+            calibration={"n_full_fits": 2, "n_incremental": 5},
+            trace_path="trace-x.jsonl", n_events=11,
+        )
+        extras = {
+            "curve_runs": [1, 2],
+            "curve_hv_error": [0.5, 1.0 / 7.0],
+            "lambdas": [[0.25, -0.125]],
+        }
+        return RunRecord(spec, outcome, telemetry, extras)
+
+    def test_entry_reloads_field_for_field(self, tmp_path):
+        memo = RunMemo(tmp_path)
+        record = self.edge_record()
+        path = memo.save(record)
+        assert path.suffix == ".json"
+        loaded = memo.load(record.spec)
+        assert loaded is not None
+        assert loaded.spec == record.spec
+        assert loaded.extras == record.extras
+        assert loaded.telemetry == dataclasses.replace(
+            record.telemetry, memoized=True
+        )
+        for f in dataclasses.fields(MethodOutcome):
+            if f.name == "result":
+                continue
+            want = getattr(record.outcome, f.name)
+            got = getattr(loaded.outcome, f.name)
+            assert got == want or (np.isnan(want) and np.isnan(got))
+        for f in dataclasses.fields(TuningResult):
+            want = getattr(record.outcome.result, f.name)
+            got = getattr(loaded.outcome.result, f.name)
+            if f.name == "history":
+                assert records_equal(got, want)
+            elif isinstance(want, np.ndarray):
+                assert got.shape == want.shape, f.name
+                assert got.dtype == want.dtype, f.name
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want, f.name
+
+    def test_version_one_entry_is_a_miss(self, tmp_path):
+        memo = RunMemo(tmp_path)
+        record = self.edge_record()
+        path = memo.save(record)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        assert memo.load(record.spec) is None
+        assert not path.exists()
+        assert len(memo) == 0
 
 
 class TestResume:
