@@ -135,13 +135,13 @@ def chaos_check(n_pool: int = 140, seed: int = 11) -> dict:
     off, so the second run cannot trivially pass via the memo store.
     """
     from repro.bench.dataset import BenchmarkDataset
-    from repro.bench.spaces import SPACES
+    from repro.bench.spaces import target2_space
     from repro.experiments.scenarios import run_scenario
     from repro.runner import ExperimentRunner
     from repro.space.sampling import latin_hypercube
 
     def synth(name: str, pool_seed: int) -> BenchmarkDataset:
-        space = SPACES["target2"]()
+        space = target2_space()
         configs = latin_hypercube(space, n_pool, seed=pool_seed)
         X = space.encode_many(configs)
         rng = np.random.default_rng(pool_seed)

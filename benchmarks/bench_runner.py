@@ -1,8 +1,9 @@
 """Experiment-runner benchmark: fan-out speedup, identity, resume.
 
-Runs a reduced-scale Scenario One — all seven methods (the paper's five
-plus Random and the no-transfer PPATuner ablation) over the three
-objective spaces, 21 independent cells — three ways:
+Runs a reduced-scale Scenario One — every registered method (the
+paper's five plus Random, the no-transfer PPATuner ablation and the
+copula transfer baseline) over the three objective spaces, 24
+independent cells — three ways:
 
 1. serial (``workers=1``),
 2. process-pool fan-out (``workers=4`` or the core count),
@@ -29,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.experiments import ALL_METHODS, scenario_one
+from repro.experiments import registered_methods, scenario
 from repro.runner import ExperimentRunner, RunMemo
 
 FULL = dict(n_points=600, scale=240)
@@ -78,28 +79,29 @@ def assert_identical(a, b) -> None:
 def compare(*, n_points: int, scale: int, seed: int = 0) -> dict:
     """Time serial vs parallel vs memoized-resume on one grid."""
     kwargs = dict(
-        scale=scale, seed=seed, methods=ALL_METHODS, n_points=n_points,
+        scale=scale, seed=seed, methods=registered_methods(),
+        n_points=n_points,
     )
 
     start = time.perf_counter()
-    serial = scenario_one(workers=1, **kwargs)
+    serial = scenario("one", workers=1, **kwargs)
     t_serial = time.perf_counter() - start
 
     workers = usable_workers()
     start = time.perf_counter()
-    parallel = scenario_one(workers=workers, **kwargs)
+    parallel = scenario("one", workers=workers, **kwargs)
     t_parallel = time.perf_counter() - start
 
     assert_identical(serial, parallel)
 
     with tempfile.TemporaryDirectory() as memo_dir:
         warm = ExperimentRunner(workers=workers, memo=RunMemo(memo_dir))
-        scenario_one(runner=warm, **kwargs)
+        scenario("one", runner=warm, **kwargs)
         resumed = ExperimentRunner(
             workers=workers, memo=RunMemo(memo_dir)
         )
         start = time.perf_counter()
-        memoized = scenario_one(runner=resumed, **kwargs)
+        memoized = scenario("one", runner=resumed, **kwargs)
         t_resume = time.perf_counter() - start
         hits = sum(
             r.telemetry.memoized for r in resumed.history

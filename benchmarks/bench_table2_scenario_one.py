@@ -14,7 +14,7 @@ baselines' ratios fall roughly in the 1.5-2.5x band.
 
 from __future__ import annotations
 
-from repro.experiments import format_scenario_table, scenario_one
+from repro.experiments import format_scenario_table, scenario
 
 from _util import bench_workers, run_once, scenario_one_scale
 
@@ -23,7 +23,9 @@ def test_table2_scenario_one(benchmark):
     scale = scenario_one_scale()
     result = run_once(
         benchmark,
-        lambda: scenario_one(scale=scale, seed=0, workers=bench_workers()),
+        lambda: scenario(
+            "one", scale=scale, seed=0, workers=bench_workers()
+        ),
     )
 
     print(f"\n=== Table 2: Scenario One (pool={result.pool_size}) ===")

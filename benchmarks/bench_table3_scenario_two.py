@@ -12,7 +12,7 @@ discussion).
 
 from __future__ import annotations
 
-from repro.experiments import format_scenario_table, scenario_two
+from repro.experiments import format_scenario_table, scenario
 
 from _util import bench_workers, run_once
 
@@ -20,7 +20,9 @@ from _util import bench_workers, run_once
 def test_table3_scenario_two(benchmark):
     result = run_once(
         benchmark,
-        lambda: scenario_two(scale=None, seed=0, workers=bench_workers()),
+        lambda: scenario(
+            "two", scale=None, seed=0, workers=bench_workers()
+        ),
     )
 
     print(f"\n=== Table 3: Scenario Two (pool={result.pool_size}) ===")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments import format_scenario_table, scenario_one
+from repro.experiments import format_scenario_table, scenario
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"Running Scenario One at pool scale {scale} "
           f"(paper scale: 5000; pass a size to change)...")
     start = time.time()
-    result = scenario_one(scale=scale, seed=0)
+    result = scenario("one", scale=scale, seed=0)
     print(f"done in {time.time() - start:.0f}s\n")
     print(format_scenario_table(result))
     print()

@@ -19,14 +19,14 @@ from repro.bench import generate_benchmark
 from repro.experiments import (
     figure3_frontiers,
     format_scenario_table,
-    scenario_two,
+    scenario,
 )
 
 
 def main() -> None:
     print("Running Scenario Two on the full 727-point Target2 pool...")
     start = time.time()
-    result = scenario_two(scale=None, seed=0)
+    result = scenario("two", scale=None, seed=0)
     print(f"done in {time.time() - start:.0f}s\n")
     print(format_scenario_table(result))
 

@@ -7,7 +7,6 @@ from .generate import (
     cache_workers,
     default_cache_dir,
     design_base_params,
-    design_spec,
     evaluate_configs,
     evaluate_configs_parallel,
     full_scale,
@@ -17,11 +16,8 @@ from .generate import (
 )
 from .store import BenchmarkStore, CacheCorruptionError, VerifyReport
 from .spaces import (
-    BENCHMARK_DESIGN,
-    EXTRA_POOL_SIZES,
-    PAPER_POOL_SIZES,
-    POOL_SIZES,
-    SPACES,
+    BENCHMARKS,
+    Benchmark,
     cpu1_space,
     cpu2_space,
     fabric1_space,
@@ -34,14 +30,11 @@ from .spaces import (
 )
 
 __all__ = [
-    "BENCHMARK_DESIGN",
+    "BENCHMARKS",
     "CACHE_VERSION",
-    "EXTRA_POOL_SIZES",
     "OBJECTIVE_SPACES",
-    "PAPER_POOL_SIZES",
-    "POOL_SIZES",
     "QOR_METRICS",
-    "SPACES",
+    "Benchmark",
     "BenchmarkDataset",
     "BenchmarkStore",
     "CacheCorruptionError",
@@ -51,7 +44,6 @@ __all__ = [
     "export_benchmark_csv",
     "import_benchmark_csv",
     "design_base_params",
-    "design_spec",
     "evaluate_configs",
     "evaluate_configs_parallel",
     "full_scale",

@@ -30,7 +30,7 @@ from ..pdtool.params import ToolParameters
 from ..space.sampling import latin_hypercube
 from ..space.space import Configuration
 from .dataset import QOR_METRICS, BenchmarkDataset
-from .spaces import BENCHMARK_DESIGN, POOL_SIZES, SPACES
+from .spaces import BENCHMARKS
 from .store import BenchmarkStore, default_cache_dir
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "cache_workers",
     "default_cache_dir",
     "design_base_params",
-    "design_spec",
     "evaluate_configs",
     "evaluate_configs_parallel",
     "full_scale",
@@ -51,12 +50,6 @@ log = logging.getLogger(__name__)
 
 #: Cache-format version; bump when the simulator's physics change.
 CACHE_VERSION = 15
-
-#: Seed offsets so each benchmark gets an independent LHS draw.
-_BENCH_SEEDS = {
-    "source1": 11, "target1": 13, "source2": 17, "target2": 19,
-    "source3": 23, "fabric1": 29, "fabric2": 31, "cpu1": 37, "cpu2": 41,
-}
 
 #: Below this pool size a cold build stays serial — the process-pool
 #: spin-up would cost more than it saves.
@@ -79,27 +72,6 @@ def cache_workers() -> int:
     from .. import env
 
     return env.workers()
-
-
-def design_spec(design: str) -> object:
-    """Spec dataclass for a benchmark design name at the active scale.
-
-    Dispatches through the design-family registry, so the return type
-    is the family's spec class — :class:`~repro.pdtool.mac.MacSpec`
-    for MAC designs, :class:`~repro.pdtool.fabric.FabricSpec` for
-    fabrics, and so on (it was documented as always-``MacSpec`` when
-    MACs were the only family).
-
-    Args:
-        design: Canonical family-prefixed design name
-            (``"mac_small"``, ``"fabric_large"``, ...).
-
-    Raises:
-        ValueError: For an unregistered design family; the message
-            reports the family token parsed from ``design`` and lists
-            every registered family.
-    """
-    return design_family(design).spec(design, full=full_scale())
 
 
 def design_base_params(design: str) -> dict[str, object]:
@@ -202,17 +174,16 @@ def evaluate_configs_parallel(
     return np.vstack(parts)
 
 
-def _build_benchmark(
-    name: str, n: int, design: str
-) -> tuple[list[Configuration], np.ndarray, np.ndarray]:
+def _build_benchmark(name: str, n: int) -> BenchmarkDataset:
     """Cold build: LHS-sample the space and run every config."""
-    space = SPACES[name]()
-    configs = latin_hypercube(space, n, seed=_BENCH_SEEDS[name])
+    bench = BENCHMARKS[name]
+    space = bench.space()
+    configs = latin_hypercube(space, n, seed=bench.seed)
     X = space.encode_many(configs)
     Y = evaluate_configs_parallel(
-        design, configs, design_base_params(design)
+        bench.design, configs, design_base_params(bench.design)
     )
-    return configs, X, Y
+    return BenchmarkDataset(name, space, configs, X, Y, bench.design)
 
 
 def generate_benchmark(
@@ -228,11 +199,8 @@ def generate_benchmark(
     (the others block on an advisory lock, then load).
 
     Args:
-        name: A benchmark name — the paper's four (``"source1"`` ...
-            ``"target2"``) or a cross-design table (``"source3"``,
-            ``"fabric1"``, ``"fabric2"``, ``"cpu1"``, ``"cpu2"``).
-        n_points: Pool size; defaults to the paper's (Table 1) or the
-            cross-design default.
+        name: A key of :data:`~repro.bench.spaces.BENCHMARKS`.
+        n_points: Pool size; defaults to the benchmark's own.
         cache: Use the on-disk cache.
 
     Returns:
@@ -241,19 +209,17 @@ def generate_benchmark(
     Raises:
         ValueError: For an unknown benchmark name.
     """
-    if name not in SPACES:
+    try:
+        bench = BENCHMARKS[name]
+    except KeyError:
         raise ValueError(
-            f"unknown benchmark {name!r}; choose from {sorted(SPACES)}"
-        )
-    n = n_points if n_points is not None else POOL_SIZES[name]
-    space = SPACES[name]()
-    design = BENCHMARK_DESIGN[name]
-    scale = "full" if full_scale() else "reduced"
-
+            f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}"
+        ) from None
+    n = n_points if n_points is not None else bench.n_points
     if not cache:
-        configs, X, Y = _build_benchmark(name, n, design)
-        return BenchmarkDataset(name, space, configs, X, Y, design)
+        return _build_benchmark(name, n)
 
+    scale = "full" if full_scale() else "reduced"
     store = BenchmarkStore(default_cache_dir())
     filename = f"{name}-{scale}-n{n}-v{CACHE_VERSION}.npz"
     arrays = store.load(filename, required=("X", "Y"))
@@ -262,20 +228,23 @@ def generate_benchmark(
             # Another process may have built it while we waited.
             arrays = store.load(filename, required=("X", "Y"))
             if arrays is None:
-                configs, X, Y = _build_benchmark(name, n, design)
-                store.save(filename, {"X": X, "Y": Y})
+                dataset = _build_benchmark(name, n)
+                store.save(filename, {"X": dataset.X, "Y": dataset.Y})
                 store.gc_stale(CACHE_VERSION)
-                return BenchmarkDataset(name, space, configs, X, Y, design)
+                return dataset
+    space = bench.space()
     X = arrays["X"]
-    Y = arrays["Y"]
     configs = [space.decode(row) for row in X]
-    return BenchmarkDataset(name, space, configs, X, Y, design)
+    return BenchmarkDataset(
+        name, space, configs, X, arrays["Y"], bench.design
+    )
 
 
 def generate_all(
     n_points: dict[str, int] | None = None, cache: bool = True
 ) -> dict[str, BenchmarkDataset]:
-    """Generate every benchmark (the paper's four tables).
+    """Generate every benchmark of
+    :data:`~repro.bench.spaces.BENCHMARKS`.
 
     Args:
         n_points: Optional per-benchmark size override.
@@ -284,5 +253,5 @@ def generate_all(
     sizes = n_points or {}
     return {
         name: generate_benchmark(name, sizes.get(name), cache=cache)
-        for name in SPACES
+        for name in BENCHMARKS
     }

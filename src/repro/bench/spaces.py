@@ -15,9 +15,14 @@ is shared by Cpu1/Cpu2 (small→large CPU core, different ``freq`` ranges
 exactly as Table 1 varies ranges per benchmark) and Fabric2 (the fabric
 design over the cpu knobs — the negative-transfer control source).
 Frequency ranges bracket each design's measured achievable speed.
+
+:data:`BENCHMARKS` is the one table of named benchmarks: generation,
+the scenario table and the CLI all read it.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from ..space.parameters import (
     BoolParameter,
@@ -154,50 +159,35 @@ def cpu2_space() -> ParameterSpace:
     return _cpu_knob_space(420.0, 570.0)
 
 
-#: Paper pool sizes per benchmark (Table 1 / Section 4.1).
-PAPER_POOL_SIZES = {
-    "source1": 5000,
-    "target1": 5000,
-    "source2": 1440,
-    "target2": 727,
-}
+class Benchmark(NamedTuple):
+    """One named offline benchmark.
 
-#: Pool sizes of the cross-design benchmarks (chosen so cold builds
-#: stay in the tens of seconds at reduced scale, like the paper set).
-EXTRA_POOL_SIZES = {
-    "source3": 1200,
-    "fabric1": 900,
-    "fabric2": 900,
-    "cpu1": 900,
-    "cpu2": 800,
-}
+    Attributes:
+        space: Factory of the benchmark's knob space.
+        design: Canonical design name the flow runs (the design-family
+            registry resolves it to a spec and netlist).
+        n_points: Default pool size.
+        seed: Seed of the benchmark's Latin-hypercube draw.
+    """
 
-#: Default pool size per benchmark (paper tables keep paper sizes).
-POOL_SIZES = {**PAPER_POOL_SIZES, **EXTRA_POOL_SIZES}
+    space: Callable[[], ParameterSpace]
+    design: str
+    n_points: int
+    seed: int
 
-#: Space factory per benchmark name.
-SPACES = {
-    "source1": source1_space,
-    "target1": target1_space,
-    "source2": source2_space,
-    "target2": target2_space,
-    "source3": source3_space,
-    "fabric1": fabric1_space,
-    "fabric2": fabric2_space,
-    "cpu1": cpu1_space,
-    "cpu2": cpu2_space,
-}
 
-#: Which design each benchmark runs on (canonical family-prefixed
-#: names; the design-family registry resolves them to specs).
-BENCHMARK_DESIGN = {
-    "source1": "mac_small",
-    "target1": "mac_small",
-    "source2": "mac_small",
-    "target2": "mac_large",
-    "source3": "mac_small",
-    "fabric1": "fabric_small",
-    "fabric2": "fabric_small",
-    "cpu1": "cpu_small",
-    "cpu2": "cpu_large",
+#: Every named benchmark.  The paper's four keep their Table 1 pool
+#: sizes; the cross-design five are sized so cold builds stay in the
+#: tens of seconds at reduced scale.  Distinct seeds give each
+#: benchmark an independent pool draw.
+BENCHMARKS: dict[str, Benchmark] = {
+    "source1": Benchmark(source1_space, "mac_small", 5000, 11),
+    "target1": Benchmark(target1_space, "mac_small", 5000, 13),
+    "source2": Benchmark(source2_space, "mac_small", 1440, 17),
+    "target2": Benchmark(target2_space, "mac_large", 727, 19),
+    "source3": Benchmark(source3_space, "mac_small", 1200, 23),
+    "fabric1": Benchmark(fabric1_space, "fabric_small", 900, 29),
+    "fabric2": Benchmark(fabric2_space, "fabric_small", 900, 31),
+    "cpu1": Benchmark(cpu1_space, "cpu_small", 900, 37),
+    "cpu2": Benchmark(cpu2_space, "cpu_large", 800, 41),
 }

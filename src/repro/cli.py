@@ -4,9 +4,8 @@ Commands:
 
 - ``generate``      build/refresh the offline benchmark tables
 - ``tune``          run PPATuner on one benchmark pair
-- ``scenario``      reproduce a paper table (``one``/``two``) or run a
-  cross-design transfer scenario (``mac_to_fabric``,
-  ``cpu_small_to_large``, ``fabric_to_cpu``)
+- ``scenario``      run a named scenario: a paper table or a
+  cross-design transfer (the keys of ``repro.experiments.SCENARIOS``)
 - ``experiments``   run the whole suite through the parallel runner
 - ``sensitivity``   parameter-sensitivity report for one benchmark
 - ``importance``    FIST-style knob-importance ranking for one benchmark
@@ -85,7 +84,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .bench import OBJECTIVE_SPACES, generate_benchmark
     from .core import PoolOracle, PPATuner, PPATunerConfig
     from .obs import NULL_RECORDER, JsonlSink, TraceRecorder
-    from .pareto import adrs, hypervolume_error, pareto_front
+    from .pareto import adrs, hypervolume_error, pareto_front, reference_point
 
     names = OBJECTIVE_SPACES[args.objectives]
     target = generate_benchmark(args.target)
@@ -151,9 +150,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     golden = target.golden_front(names)
     found = pareto_front(result.pareto_points)
+    hv_error = hypervolume_error(
+        found, golden, reference_point(target.objectives(names))
+    )
     print(f"runs={result.n_evaluations} iterations={result.n_iterations} "
           f"stop={result.stop_reason}")
-    print(f"hv_error={hypervolume_error(found, golden):.4f} "
+    print(f"hv_error={hv_error:.4f} "
           f"adrs={adrs(golden, found):.4f} "
           f"pareto_found={len(result.pareto_indices)}")
     for row in found:
@@ -197,33 +199,30 @@ def _prune_from_args(args: argparse.Namespace) -> dict | None:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from .experiments import (
-        CROSS_DESIGN_METHODS,
-        PAPER_METHODS,
-        cross_design_scenario,
+        SCENARIOS,
         export_scenario_csv,
         export_scenario_json,
         format_scenario_table,
-        scenario_one,
-        scenario_two,
+        scenario,
     )
 
-    common = dict(
+    if args.which not in SCENARIOS:
+        raise SystemExit(
+            f"unknown scenario {args.which!r}; choose from "
+            f"{', '.join(SCENARIOS)}"
+        )
+    methods = _parse_methods(args.methods) or SCENARIOS[args.which].methods
+    result = scenario(
+        args.which,
         scale=args.scale,
         seed=args.seed,
+        methods=methods,
         repeats=args.repeats,
         runner=_experiment_runner(args),
         n_points=args.points,
         fault_policy=_fault_policy_from_args(args),
         prune_space=_prune_from_args(args),
     )
-    if args.which in ("one", "two"):
-        scenario = scenario_one if args.which == "one" else scenario_two
-        methods = _parse_methods(args.methods) or PAPER_METHODS
-        result = scenario(methods=methods, **common)
-    else:
-        methods = _parse_methods(args.methods) or CROSS_DESIGN_METHODS
-        result = cross_design_scenario(args.which, methods=methods,
-                                       **common)
     print(format_scenario_table(result, methods=methods))
     if args.json:
         export_scenario_json(result, args.json)
@@ -241,31 +240,25 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         format_convergence_table,
         format_scenario_table,
         format_scenario_three,
-        scenario_one,
+        scenario,
+        scenario_refs,
         scenario_three,
-        scenario_two,
     )
-    from .runner import DatasetRef, format_telemetry_table
+    from .runner import format_telemetry_table
 
     methods = _parse_methods(args.methods) or PAPER_METHODS
     runner = _experiment_runner(args)
-    fault_policy = _fault_policy_from_args(args)
+    common = dict(
+        scale=args.scale, seed=args.seed, methods=methods,
+        repeats=args.repeats, runner=runner, n_points=args.points,
+        fault_policy=_fault_policy_from_args(args),
+    )
 
     print("== Scenario One (Table 2) ==")
-    one = scenario_one(
-        scale=args.scale, seed=args.seed, methods=methods,
-        repeats=args.repeats, runner=runner, n_points=args.points,
-        fault_policy=fault_policy,
-    )
-    print(format_scenario_table(one, methods=methods))
+    print(format_scenario_table(scenario("one", **common), methods=methods))
 
     print("\n== Scenario Two (Table 3) ==")
-    two = scenario_two(
-        scale=args.scale, seed=args.seed, methods=methods,
-        repeats=args.repeats, runner=runner, n_points=args.points,
-        fault_policy=fault_policy,
-    )
-    print(format_scenario_table(two, methods=methods))
+    print(format_scenario_table(scenario("two", **common), methods=methods))
 
     print("\n== Scenario Three (mixed archives) ==")
     three = scenario_three(
@@ -275,10 +268,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     print(format_scenario_three(three))
 
     print("\n== Anytime convergence (Target2 power-delay) ==")
-    source_ref = DatasetRef("source2", n_points=args.points)
-    target_ref = DatasetRef(
-        "target2", n_points=args.points,
-        subsample=args.scale, subsample_seed=args.seed,
+    source_ref, target_ref = scenario_refs(
+        "two", args.points, args.scale, args.seed
     )
     curves = convergence_suite(
         source_ref.resolve(), target_ref.resolve(),
@@ -433,17 +424,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
+    """Construct the CLI argument parser.
+
+    Benchmark, objective-space and design names come from their tables;
+    scenario names are checked when ``scenario`` runs, so building the
+    parser never imports ``repro.experiments`` (and every tuner).
+    """
+    from .bench import BENCHMARKS, OBJECTIVE_SPACES
+    from .pdtool import design_family, registered_design_families
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PPATuner (DAC 2022) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    benchmarks = (
-        "source1", "target1", "source2", "target2",
-        "source3", "fabric1", "fabric2", "cpu1", "cpu2",
-    )
+    benchmarks = tuple(BENCHMARKS)
 
     p = sub.add_parser("generate", help="build offline benchmark tables")
     p.add_argument("benchmark", choices=("all",) + benchmarks)
@@ -455,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="run PPATuner on a benchmark")
     p.add_argument("target", choices=benchmarks)
     p.add_argument("--source", choices=benchmarks, default=None)
-    p.add_argument("--objectives", default="power-delay", choices=(
-        "area-delay", "power-delay", "area-power-delay",
-    ))
+    p.add_argument("--objectives", default="power-delay",
+                   choices=tuple(OBJECTIVE_SPACES))
     p.add_argument("--scale", type=int, default=None,
                    help="subsample the target pool")
     p.add_argument("--n-source", type=int, default=200)
@@ -535,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scenario",
         help="reproduce a paper table or a cross-design scenario",
-        description="one/two reproduce the paper tables; the named "
+        description="one/two reproduce the paper tables; the other "
                     "scenarios transfer across design families "
                     "(MAC->fabric, small->large CPU, and the "
                     "fabric->CPU negative-transfer control).  Cells "
@@ -543,10 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "cells are memoized under .cache/runs so an "
                     "interrupted run resumes where it stopped.",
     )
-    p.add_argument("which", choices=(
-        "one", "two",
-        "mac_to_fabric", "cpu_small_to_large", "fabric_to_cpu",
-    ))
+    p.add_argument("which", metavar="scenario",
+                   help="a scenario name; an unknown one lists them all")
     add_runner_args(p)
     p.add_argument("--prune-space", action="store_true",
                    help="prune dead knobs from the tuning space via "
@@ -600,10 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export",
                        help="write a generated design as Verilog")
-    p.add_argument("design", choices=(
-        "mac_small", "mac_large", "fir_small", "fir_large",
-        "alu_small", "alu_large", "fabric_small", "fabric_large",
-        "cpu_small", "cpu_large",
+    p.add_argument("design", choices=tuple(
+        design
+        for token in registered_design_families()
+        for design in design_family(token).design_names()
     ))
     p.add_argument("output")
     p.set_defaults(func=_cmd_export)

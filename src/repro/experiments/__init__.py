@@ -1,10 +1,5 @@
 """Experiment harness: scenario runners, figures, paper-style reports."""
 
-from .cross_design import (
-    CROSS_DESIGN_METHODS,
-    CROSS_DESIGN_SCENARIOS,
-    cross_design_scenario,
-)
 from .convergence import (
     ConvergenceCurve,
     convergence_curve,
@@ -31,10 +26,12 @@ from .scenario_three import (
     scenario_three,
 )
 from .scenarios import (
-    ALL_METHODS,
+    CROSS_DESIGN_METHODS,
     PAPER_BUDGET_FRACTIONS,
     PAPER_METHODS,
+    SCENARIOS,
     MethodOutcome,
+    Scenario,
     ScenarioResult,
     build_scenario_jobs,
     evaluate_outcome,
@@ -42,15 +39,14 @@ from .scenarios import (
     register_method,
     registered_methods,
     run_scenario,
-    scenario_one,
-    scenario_two,
+    scenario,
+    scenario_refs,
 )
 
 __all__ = [
-    "ALL_METHODS",
     "CROSS_DESIGN_METHODS",
-    "CROSS_DESIGN_SCENARIOS",
-    "cross_design_scenario",
+    "SCENARIOS",
+    "Scenario",
     "SCENARIO_THREE_VARIANTS",
     "ScenarioThreeOutcome",
     "build_scenario_jobs",
@@ -78,6 +74,6 @@ __all__ = [
     "register_method",
     "registered_methods",
     "run_scenario",
-    "scenario_one",
-    "scenario_two",
+    "scenario",
+    "scenario_refs",
 ]

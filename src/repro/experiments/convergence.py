@@ -22,7 +22,7 @@ import numpy as np
 from ..bench.dataset import BenchmarkDataset
 from ..core.result import TuningResult
 from ..pareto.dominance import non_dominated_mask
-from ..pareto.hypervolume import hypervolume
+from ..pareto.hypervolume import hypervolume, reference_point
 
 
 @dataclass
@@ -69,9 +69,7 @@ def convergence_curve(
     """
     Y_all = dataset.objectives(names)
     golden = dataset.golden_front(names)
-    worst = Y_all.max(axis=0)
-    best = Y_all.min(axis=0)
-    reference = worst + 0.1 * np.maximum(worst - best, 1e-12)
+    reference = reference_point(Y_all)
     h_golden = hypervolume(golden, reference)
     if h_golden <= 0:
         raise ValueError("degenerate golden front")

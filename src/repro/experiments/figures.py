@@ -12,7 +12,7 @@ instead of rendering images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class Figure2Data:
         n_pareto: Classified-Pareto-count trace.
         golden_front: Golden Pareto frontier points.
         found_front: PPATuner's (δ-accurate) frontier points.
-        delta: Absolute δ vector used.
     """
 
     iterations: list[int]
@@ -43,7 +42,6 @@ class Figure2Data:
     n_pareto: list[int]
     golden_front: np.ndarray
     found_front: np.ndarray
-    delta: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def figure2_uncertainty_shrinkage(

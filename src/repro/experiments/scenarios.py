@@ -1,10 +1,12 @@
-"""Scenario runners reproducing the paper's Tables 2 and 3.
+"""Scenario runners: the paper's Tables 2 and 3 and the cross-design set.
 
 Scenario One (same design): Source1 -> Target1, the designer re-tunes a
 different parameter subspace of the same MAC.  Scenario Two (similar
 designs): Source2 -> Target2, knowledge moves from the small MAC to the
-larger one.  Each scenario sweeps the paper's three objective spaces and
-five methods, reporting hyper-volume error, ADRS and tool runs.
+larger one.  Three more scenarios transfer across design families.
+Each is one entry of :data:`SCENARIOS`, and :func:`scenario` runs any
+of them: it sweeps the paper's three objective spaces and the entry's
+methods, reporting hyper-volume error, ADRS and tool runs.
 
 Method budgets default to the paper's run counts expressed as fractions
 of the pool (so reduced-scale runs keep the paper's relative budgets).
@@ -22,6 +24,7 @@ serial loop at the same base seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from ..core import PPATuner, PPATunerConfig
 from ..core.result import TuningResult
 from ..reliability.policy import FaultPolicy
 from ..pareto.dominance import pareto_front
-from ..pareto.hypervolume import hypervolume_error
+from ..pareto.hypervolume import hypervolume_error, reference_point
 from ..pareto.metrics import adrs
 
 #: Paper "Runs" per method, normalized by the pool size of each target
@@ -55,10 +58,58 @@ PAPER_BUDGET_FRACTIONS: dict[str, dict[str, float]] = {
 #: Methods appearing in the paper's tables, in column order.
 PAPER_METHODS = ("TCAD'19", "MLCAD'19", "DAC'19", "ASPDAC'20", "PPATuner")
 
-#: Every runnable method: the paper's five plus the random-search floor,
-#: the no-transfer PPATuner ablation, and the copula transfer baseline
-#: (extended comparisons).
-ALL_METHODS = PAPER_METHODS + ("Random", "PPATuner-NT", "CopulaTransfer")
+#: Default methods of the cross-design scenarios: the transfer method
+#: under test, its no-transfer ablation, and the random floor.
+CROSS_DESIGN_METHODS = ("PPATuner", "PPATuner-NT", "Random")
+
+
+class Scenario(NamedTuple):
+    """One named source -> target scenario.
+
+    Attributes:
+        label: Names the :class:`ScenarioResult`, every cell's
+            ``RunSpec.scenario`` and so its memo files.
+        source: Source benchmark name.
+        target: Target benchmark name; it is also the budget key into
+            :data:`PAPER_BUDGET_FRACTIONS` (fixed-budget methods fall
+            back to 8% of the pool where it has no entry).
+        methods: Default methods.
+    """
+
+    label: str
+    source: str
+    target: str
+    methods: tuple[str, ...]
+
+
+#: Every named scenario, keyed by the name ``repro scenario`` takes.
+#:
+#: ``one`` and ``two`` are the paper's Tables 2 and 3.  The other three
+#: transfer *across* design families, where source and target share
+#: knob columns but the netlists differ (DESIGN.md §14):
+#:
+#: - ``mac_to_fabric``: Source3 (small MAC over the fabric knob set) ->
+#:   Fabric1 (structured-ASIC fabric).  Related physics, different
+#:   architecture: the useful-transfer case.
+#: - ``cpu_small_to_large``: Cpu1 -> Cpu2, the same CPU core scaled up
+#:   with a shifted ``freq`` range (the paper's small->large protocol on
+#:   a new family).
+#: - ``fabric_to_cpu``: Fabric2 (fabric over the cpu knob set) -> Cpu2.
+#:   A negative-transfer control: columns match, response surfaces do
+#:   not, so transfer methods must discriminate relevance to win.
+SCENARIOS: dict[str, Scenario] = {
+    "one": Scenario("scenario_one", "source1", "target1", PAPER_METHODS),
+    "two": Scenario("scenario_two", "source2", "target2", PAPER_METHODS),
+    "mac_to_fabric": Scenario(
+        "mac_to_fabric", "source3", "fabric1", CROSS_DESIGN_METHODS
+    ),
+    "cpu_small_to_large": Scenario(
+        "cpu_small_to_large", "cpu1", "cpu2", CROSS_DESIGN_METHODS
+    ),
+    "fabric_to_cpu": Scenario(
+        "fabric_to_cpu", "fabric2", "cpu2", CROSS_DESIGN_METHODS
+    ),
+}
 
 
 @dataclass
@@ -89,7 +140,7 @@ class ScenarioResult:
     """All outcomes of one scenario (one paper table).
 
     Attributes:
-        name: ``"scenario_one"`` or ``"scenario_two"``.
+        name: The scenario's label (:attr:`Scenario.label`).
         source: Source benchmark name.
         target: Target benchmark name.
         outcomes: Flat list of method/objective outcomes.
@@ -175,8 +226,7 @@ def make_method(
     """Construct a tuner by its registered method name.
 
     Args:
-        name: One of :func:`registered_methods` (:data:`ALL_METHODS`
-            ships by default).
+        name: One of :func:`registered_methods`.
         budget: Tool-run budget for fixed-budget methods.
         pool_size: Target pool size (bounds PPATuner's iteration cap).
         seed: RNG seed.
@@ -261,19 +311,13 @@ def evaluate_outcome(
 ) -> MethodOutcome:
     """Score one tuning result against the golden front."""
     golden = dataset.golden_front(names)
-    # Shared reference point: padded worst corner of the full pool, so
-    # every method is scored against the same volume.
-    Y_all = dataset.objectives(names)
-    worst = Y_all.max(axis=0)
-    best = Y_all.min(axis=0)
-    reference = worst + 0.1 * np.maximum(worst - best, 1e-12)
     approx = pareto_front(result.pareto_points)
     return MethodOutcome(
         method=method,
         objective_space=objective_space,
-        hv_error=float(
-            hypervolume_error(approx, golden, reference)
-        ),
+        hv_error=float(hypervolume_error(
+            approx, golden, reference_point(dataset.objectives(names))
+        )),
         adrs=float(adrs(golden, approx)),
         runs=int(result.n_evaluations),
         result=result,
@@ -390,8 +434,8 @@ def run_scenario(
         source: Source benchmark (``D^S``).
         target: Target benchmark pool.
         name: Scenario label.
-        budget_key: ``"target1"`` or ``"target2"`` — selects the paper
-            budget fractions.
+        budget_key: Key into :data:`PAPER_BUDGET_FRACTIONS` (a named
+            scenario passes its target's name).
         methods: Methods to run.
         objective_spaces: Objective subsets; defaults to the paper's
             three.
@@ -443,41 +487,47 @@ def run_scenario(
     )
 
 
-def _paper_scenario(
-    which: str,
-    source_name: str,
-    target_name: str,
-    budget_key: str,
-    scale: int | None,
-    seed: int,
-    methods: tuple[str, ...],
-    workers: int | None,
-    repeats: int,
-    runner,
-    n_points: int | None,
-    fault_policy: FaultPolicy | None = None,
-    prune_space: "bool | dict | None" = None,
-) -> ScenarioResult:
-    """Shared driver for the two paper scenarios (cache-ref fan-out)."""
+def scenario_refs(
+    name: str,
+    n_points: int | None = None,
+    scale: int | None = None,
+    seed: int = 0,
+) -> "tuple[DatasetRef, DatasetRef]":
+    """Cache refs of a named scenario's source and target pools.
+
+    Args:
+        name: A key of :data:`SCENARIOS`.
+        n_points: Pool-size override for both benchmarks.
+        scale: Optional target-pool subsample size.
+        seed: Seed of the target subsample draw.
+
+    Raises:
+        ValueError: For an unknown scenario name, listing the known
+            ones.
+    """
     from ..runner import DatasetRef
 
-    source_ref = DatasetRef(source_name, n_points=n_points)
-    target_ref = DatasetRef(
-        target_name, n_points=n_points,
-        subsample=scale, subsample_seed=seed,
-    )
-    return run_scenario(
-        source_ref.resolve(), target_ref.resolve(), which, budget_key,
-        methods=methods, seed=seed, workers=workers, repeats=repeats,
-        runner=runner, source_ref=source_ref, target_ref=target_ref,
-        fault_policy=fault_policy, prune_space=prune_space,
+    try:
+        entry = SCENARIOS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r}; choose from "
+            f"{', '.join(SCENARIOS)}"
+        ) from None
+    return (
+        DatasetRef(entry.source, n_points=n_points),
+        DatasetRef(
+            entry.target, n_points=n_points,
+            subsample=scale, subsample_seed=seed,
+        ),
     )
 
 
-def scenario_one(
+def scenario(
+    name: str,
     scale: int | None = None,
     seed: int = 0,
-    methods: tuple[str, ...] = PAPER_METHODS,
+    methods: tuple[str, ...] | None = None,
     workers: int | None = 1,
     repeats: int = 1,
     runner: "ExperimentRunner | None" = None,
@@ -485,13 +535,15 @@ def scenario_one(
     fault_policy: FaultPolicy | None = None,
     prune_space: "bool | dict | None" = None,
 ) -> ScenarioResult:
-    """Paper Table 2: Source1 -> Target1 (same design).
+    """Run one named scenario end to end (cache-ref fan-out).
 
     Args:
+        name: A key of :data:`SCENARIOS` (``"one"`` is Table 2,
+            ``"two"`` Table 3).
         scale: Optional target-pool subsample size for fast runs (None =
-            the paper's 5000 points).
-        seed: Base seed.
-        methods: Methods to run.
+            the target's full pool).
+        seed: Base seed (cells derive order-independent streams).
+        methods: Methods to run; ``None`` takes the entry's defaults.
         workers: Process count for cell fan-out.
         repeats: Independent repeats per cell.
         runner: Explicit runner (memoization/progress); overrides
@@ -500,42 +552,18 @@ def scenario_one(
         fault_policy: Explicit per-evaluation resilience policy.
         prune_space: Opt-in knob-importance pruning (see
             :func:`run_scenario`).
+
+    Raises:
+        ValueError: For an unknown scenario name, listing the known
+            ones.
     """
-    return _paper_scenario(
-        "scenario_one", "source1", "target1", "target1",
-        scale, seed, methods, workers, repeats, runner, n_points,
-        fault_policy=fault_policy, prune_space=prune_space,
-    )
-
-
-def scenario_two(
-    scale: int | None = None,
-    seed: int = 0,
-    methods: tuple[str, ...] = PAPER_METHODS,
-    workers: int | None = 1,
-    repeats: int = 1,
-    runner: "ExperimentRunner | None" = None,
-    n_points: int | None = None,
-    fault_policy: FaultPolicy | None = None,
-    prune_space: "bool | dict | None" = None,
-) -> ScenarioResult:
-    """Paper Table 3: Source2 -> Target2 (similar designs).
-
-    Args:
-        scale: Optional target-pool subsample size (None = 727 points).
-        seed: Base seed.
-        methods: Methods to run.
-        workers: Process count for cell fan-out.
-        repeats: Independent repeats per cell.
-        runner: Explicit runner (memoization/progress); overrides
-            ``workers``.
-        n_points: Pool-size override for both benchmarks.
-        fault_policy: Explicit per-evaluation resilience policy.
-        prune_space: Opt-in knob-importance pruning (see
-            :func:`run_scenario`).
-    """
-    return _paper_scenario(
-        "scenario_two", "source2", "target2", "target2",
-        scale, seed, methods, workers, repeats, runner, n_points,
+    source_ref, target_ref = scenario_refs(name, n_points, scale, seed)
+    entry = SCENARIOS[name]
+    return run_scenario(
+        source_ref.resolve(), target_ref.resolve(), entry.label,
+        entry.target,
+        methods=entry.methods if methods is None else methods,
+        seed=seed, workers=workers, repeats=repeats, runner=runner,
+        source_ref=source_ref, target_ref=target_ref,
         fault_policy=fault_policy, prune_space=prune_space,
     )

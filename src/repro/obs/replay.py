@@ -13,7 +13,7 @@ required a re-run come straight from the file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,29 +42,30 @@ __all__ = [
 def records_equal(
     a: Sequence[IterationRecord], b: Sequence[IterationRecord]
 ) -> bool:
-    """Field-exact history comparison, NaN-aware.
+    """Field-exact history comparison over every
+    :class:`IterationRecord` field, NaN-aware.
 
     Plain ``==`` on :class:`IterationRecord` fails whenever
     ``max_diameter`` is NaN (the first iterations before any bounded
-    region exist); this helper treats NaN as equal to NaN.
+    region exist); this helper treats NaN as equal to NaN, and compares
+    sequence fields (``selected``) as lists.
     """
     if len(a) != len(b):
         return False
-    for ra, rb in zip(a, b):
-        same_diam = ra.max_diameter == rb.max_diameter or (
-            math.isnan(ra.max_diameter) and math.isnan(rb.max_diameter)
-        )
-        if not (
-            ra.iteration == rb.iteration
-            and ra.n_undecided == rb.n_undecided
-            and ra.n_pareto == rb.n_pareto
-            and ra.n_dropped == rb.n_dropped
-            and ra.n_evaluations == rb.n_evaluations
-            and same_diam
-            and list(ra.selected) == list(rb.selected)
-        ):
-            return False
-    return True
+    names = [f.name for f in fields(IterationRecord)]
+    return all(
+        _values_equal(getattr(ra, name), getattr(rb, name))
+        for ra, rb in zip(a, b)
+        for name in names
+    )
+
+
+def _values_equal(x: object, y: object) -> bool:
+    if isinstance(x, float) and isinstance(y, float):
+        return x == y or (math.isnan(x) and math.isnan(y))
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return list(x) == list(y)
+    return x == y
 
 
 @dataclass

@@ -7,7 +7,7 @@ from .dominance import (
     pareto_front,
     pareto_indices,
 )
-from .hypervolume import hypervolume, hypervolume_error
+from .hypervolume import hypervolume, hypervolume_error, reference_point
 from .metrics import adrs, coverage, spacing
 
 __all__ = [
@@ -20,5 +20,6 @@ __all__ = [
     "non_dominated_mask",
     "pareto_front",
     "pareto_indices",
+    "reference_point",
     "spacing",
 ]

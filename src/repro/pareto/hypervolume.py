@@ -92,6 +92,23 @@ def _exclusive(p: np.ndarray, rest: np.ndarray, ref: np.ndarray) -> float:
     return _inclusive(p, ref) - _wfg(limited, ref)
 
 
+def reference_point(Y: np.ndarray) -> np.ndarray:
+    """Scoring reference point of a pool: its worst corner, padded by
+    10% of each objective's range.
+
+    The scenario tables, the convergence curves and ``repro tune`` all
+    score a front against the reference point of the whole pool, so
+    every method run on one pool is measured against the same volume.
+
+    Args:
+        Y: ``(n, m)`` objective values of the pool.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    worst = Y.max(axis=0)
+    best = Y.min(axis=0)
+    return worst + 0.1 * np.maximum(worst - best, 1e-12)
+
+
 def hypervolume_error(
     approx_front: np.ndarray,
     golden_front: np.ndarray,
@@ -104,9 +121,9 @@ def hypervolume_error(
     Args:
         approx_front: Objective points of the approximated Pareto set.
         golden_front: Objective points of the golden Pareto set.
-        reference: Reference point; defaults to a 10%-padded worst corner
-            over both sets (a standard convention the paper leaves
-            unspecified).
+        reference: Reference point; defaults to
+            :func:`reference_point` over both sets (a standard
+            convention the paper leaves unspecified).
 
     Returns:
         The relative error (can be negative only if ``approx_front``
@@ -118,10 +135,7 @@ def hypervolume_error(
     approx = np.atleast_2d(np.asarray(approx_front, dtype=float))
     golden = np.atleast_2d(np.asarray(golden_front, dtype=float))
     if reference is None:
-        stacked = np.vstack([approx, golden])
-        worst = stacked.max(axis=0)
-        best = stacked.min(axis=0)
-        reference = worst + 0.1 * np.maximum(worst - best, 1e-12)
+        reference = reference_point(np.vstack([approx, golden]))
     h_golden = hypervolume(golden, reference)
     if h_golden <= 0:
         raise ValueError("golden front has zero hypervolume")

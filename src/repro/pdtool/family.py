@@ -1,12 +1,12 @@
-"""Design-family registry: one protocol from spec to netlist to space.
+"""Design-family registry: one protocol from spec to netlist.
 
 Before this module, ``repro.bench.generate`` hardcoded a per-design
 ``if/elif`` over the two MAC specs, and the FIR/ALU/fabric/CPU
 generators each had their own ad-hoc entry points.  The registry
 unifies them: a :class:`DesignFamily` knows its designs, builds their
-specs and netlists at either scale, names each design's default knob
-space, and supplies the fixed base parameters its benchmarks assume —
-so benchmark generation, the CLI, and the scenario matrix dispatch on
+specs and netlists at either scale, and supplies the fixed base
+parameters its benchmarks assume — so benchmark generation, the CLI,
+and the scenario matrix dispatch on
 the *family token* (the first ``_``-separated token of a design name,
 the same token :class:`~repro.pdtool.variation.VariationField` keys
 systematic variation on) instead of growing more branches.
@@ -22,7 +22,7 @@ of :mod:`repro.experiments.scenarios`::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from .cpu import (
     LARGE_CPU,
@@ -53,9 +53,6 @@ from .mac import (
 )
 from .netlist import Netlist
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from ..space.space import ParameterSpace
-
 __all__ = [
     "DesignFamily",
     "design_family",
@@ -70,10 +67,10 @@ class DesignFamily(Protocol):
     """What a registered design family must provide.
 
     A family unifies the whole construction chain for its designs:
-    spec (:meth:`spec`) -> netlist (:meth:`netlist`) -> default
-    parameter space (:meth:`parameter_space`) -> golden table (the
-    bench layer calls :meth:`netlist`/:meth:`base_params` when it
-    builds tables through ``BenchmarkStore``).
+    spec (:meth:`spec`) -> netlist (:meth:`netlist`) -> golden table
+    (the bench layer calls :meth:`netlist`/:meth:`base_params` when it
+    builds tables through ``BenchmarkStore``; the knob space comes from
+    the benchmark, not the design).
     """
 
     #: The family token designs of this family are prefixed with.
@@ -97,10 +94,6 @@ class DesignFamily(Protocol):
         """Generate the design's gate-level netlist."""
         ...
 
-    def parameter_space(self, design: str) -> "ParameterSpace":
-        """The design's default Table-1-style knob space."""
-        ...
-
     def base_params(self, design: str) -> dict[str, object]:
         """Fixed tool parameters for knobs the space does not tune."""
         ...
@@ -118,16 +111,13 @@ class _SpecTableFamily:
     """Shared implementation: families defined by a spec table.
 
     Subclasses set :attr:`family`, :attr:`_designs` (design name ->
-    ``(reduced_spec, paper_spec)``), :attr:`_generator`, and optionally
-    :attr:`_base_params` / :attr:`_space_names` (design -> factory name
-    in :mod:`repro.bench.spaces`, looked up lazily to keep ``pdtool``
-    import-independent of the bench layer).
+    ``(reduced_spec, paper_spec)``), :attr:`_generate`, and optionally
+    :attr:`_base_params`.
     """
 
     family: str = ""
     _designs: dict[str, tuple[object, object]] = {}
     _base_params: dict[str, dict[str, object]] = {}
-    _space_names: dict[str, str] = {}
 
     def design_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._designs))
@@ -152,16 +142,6 @@ class _SpecTableFamily:
     @staticmethod
     def _generate(spec: object) -> Netlist:
         raise NotImplementedError
-
-    def parameter_space(self, design: str) -> "ParameterSpace":
-        from ..bench import spaces as _spaces
-
-        self._lookup(design)
-        factory = getattr(
-            _spaces,
-            self._space_names.get(design, self._space_names[""]),
-        )
-        return factory()
 
     def base_params(self, design: str) -> dict[str, object]:
         self._lookup(design)
@@ -242,7 +222,6 @@ class MacFamily(_SpecTableFamily):
     # timing knobs saturate (the values the cached tables were built
     # with, kept exactly so they stay byte-identical).
     _base_params = {"mac_large": {"freq": 450.0}}
-    _space_names = {"": "source1_space", "mac_large": "target2_space"}
     _generate = staticmethod(generate_mac_netlist)
 
 
@@ -257,7 +236,6 @@ class FirFamily(_SpecTableFamily):
         "fir_large": (FirSpec(taps=8, width=8, name="fir_large"),
                       FirSpec(taps=16, width=16, name="fir_large")),
     }
-    _space_names = {"": "source1_space"}
     _generate = staticmethod(generate_fir_netlist)
 
 
@@ -272,7 +250,6 @@ class AluFamily(_SpecTableFamily):
         "alu_large": (AluSpec(width=32, name="alu_large"),
                       AluSpec(width=96, name="alu_large")),
     }
-    _space_names = {"": "cpu1_space"}
     _generate = staticmethod(generate_alu_netlist)
 
 
@@ -285,7 +262,6 @@ class FabricFamily(_SpecTableFamily):
         "fabric_small": (SMALL_FABRIC, PAPER_SMALL_FABRIC),
         "fabric_large": (LARGE_FABRIC, PAPER_LARGE_FABRIC),
     }
-    _space_names = {"": "fabric1_space"}
     _generate = staticmethod(generate_fabric_netlist)
 
 
@@ -298,5 +274,4 @@ class CpuFamily(_SpecTableFamily):
         "cpu_small": (SMALL_CPU, PAPER_SMALL_CPU),
         "cpu_large": (LARGE_CPU, PAPER_LARGE_CPU),
     }
-    _space_names = {"": "cpu1_space", "cpu_large": "cpu2_space"}
     _generate = staticmethod(generate_cpu_netlist)

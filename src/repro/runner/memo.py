@@ -21,7 +21,8 @@ cell), a digest of the ``repro`` sources that computed the entry
 the cell instead of serving the old outcome), the outcome with its
 result in :meth:`~repro.core.result.TuningResult.to_json` form, the
 telemetry and the extras.  Python floats round-trip through JSON
-bit-exactly, so a served record equals the computed one.
+bit-exactly, so a served record equals the computed one, except that
+its telemetry is marked ``memoized`` with a wall time of 0.0 s.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ class RunMemo:
                 "result": TuningResult.from_json(outcome["result"]),
             }),
             telemetry=RunTelemetry(**{
-                **doc["telemetry"], "memoized": True,
+                **doc["telemetry"], "wall_time": 0.0, "memoized": True,
             }),
             extras=doc["extras"],
         )

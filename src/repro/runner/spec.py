@@ -121,8 +121,8 @@ class DatasetRef:
     advisory lock, everyone else loads the winner's file.
 
     Attributes:
-        name: Benchmark name (``source1`` ... ``target2``).
-        n_points: Pool-size override (None = the paper's size).
+        name: A key of :data:`~repro.bench.spaces.BENCHMARKS`.
+        n_points: Pool-size override (None = the benchmark's own).
         subsample: Optional post-generation subsample size.
         subsample_seed: Seed for the subsample draw.
     """

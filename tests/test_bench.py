@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    BENCHMARK_DESIGN,
+    BENCHMARKS,
     OBJECTIVE_SPACES,
-    PAPER_POOL_SIZES,
-    POOL_SIZES,
     QOR_METRICS,
-    SPACES,
     generate_benchmark,
     source1_space,
     source2_space,
@@ -32,7 +29,10 @@ class TestTable1Spaces:
         assert target2_space().dim == 9
 
     def test_pool_sizes(self):
-        assert PAPER_POOL_SIZES == {
+        assert {
+            name: BENCHMARKS[name].n_points
+            for name in ("source1", "target1", "source2", "target2")
+        } == {
             "source1": 5000, "target1": 5000,
             "source2": 1440, "target2": 727,
         }
@@ -107,18 +107,10 @@ class TestTable1Spaces:
         assert source2_space().names == target2_space().names
 
     def test_designs(self):
-        assert BENCHMARK_DESIGN["target2"] == "mac_large"
+        assert BENCHMARKS["target2"].design == "mac_large"
         assert {
-            BENCHMARK_DESIGN[n] for n in ("source1", "target1", "source2")
+            BENCHMARKS[n].design for n in ("source1", "target1", "source2")
         } == {"mac_small"}
-
-    def test_registry_complete(self):
-        assert set(SPACES) == set(POOL_SIZES)
-        assert set(SPACES) == set(BENCHMARK_DESIGN)
-        assert set(PAPER_POOL_SIZES) <= set(POOL_SIZES)
-        assert all(
-            POOL_SIZES[n] == PAPER_POOL_SIZES[n] for n in PAPER_POOL_SIZES
-        )
 
 
 class TestBenchmarkDataset:

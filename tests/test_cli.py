@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,6 +101,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "bogus", "run.jsonl"])
 
+    def test_parser_does_not_import_experiments(self):
+        """Names come from the bench and design tables; the scenario
+        table (and every tuner behind it) loads only when a command
+        runs."""
+        code = (
+            "import sys; from repro.cli import build_parser; "
+            "build_parser(); print('repro.experiments' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestCommands:
     def test_export_writes_verilog(self, tmp_path, capsys):
@@ -116,6 +134,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "runs=" in out
         assert "hv_error=" in out
+
+    def test_tune_scores_like_the_scenario_tables(self, capsys):
+        """``repro tune`` prints the HV error a scenario cell would
+        report for the same run: both use the pool's reference
+        point."""
+        from repro import env
+        from repro.bench import generate_benchmark
+        from repro.core import PoolOracle, PPATuner, PPATunerConfig
+        from repro.experiments import evaluate_outcome
+
+        assert main([
+            "tune", "target2", "--scale", "80",
+            "--max-iterations", "6", "--seed", "1",
+        ]) == 0
+        printed = re.search(
+            r"hv_error=(\S+)", capsys.readouterr().out
+        ).group(1)
+        names = ("power", "delay")
+        target = generate_benchmark("target2").subsample(80, seed=1)
+        with env.blas_thread_limit(1):
+            result = PPATuner(
+                PPATunerConfig(max_iterations=6, seed=1)
+            ).tune(target.X, PoolOracle(target.objectives(names)))
+        outcome = evaluate_outcome(
+            "PPATuner", "power-delay", result, target, names
+        )
+        assert printed == f"{outcome.hv_error:.4f}"
+
+    def test_unknown_scenario_names_every_scenario(self):
+        from repro.experiments import SCENARIOS
+
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "bogus"])
+        assert exc.value.code != 0
+        assert "bogus" in str(exc.value)
+        for name in SCENARIOS:
+            assert name in str(exc.value)
 
     def test_generate_with_points(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PPATUNER_CACHE", str(tmp_path))

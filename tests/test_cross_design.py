@@ -1,48 +1,84 @@
-"""Tests for the cross-design transfer scenarios and pruning wiring."""
+"""Tests for the scenario table, the cross-design transfer scenarios
+and pruning wiring."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.bench import BENCHMARKS
 from repro.experiments import (
     CROSS_DESIGN_METHODS,
-    CROSS_DESIGN_SCENARIOS,
+    PAPER_METHODS,
+    SCENARIOS,
     build_scenario_jobs,
-    cross_design_scenario,
+    scenario,
 )
 from repro.runner import ExperimentRunner
 
 FAST = dict(n_points=120, scale=60, methods=("PPATuner", "Random"))
 
+#: Scenario name -> (label, source, target).  The label names every
+#: cell's ``RunSpec.scenario`` and memo file; the target is the budget
+#: key.
+EXPECTED = {
+    "one": ("scenario_one", "source1", "target1"),
+    "two": ("scenario_two", "source2", "target2"),
+    "mac_to_fabric": ("mac_to_fabric", "source3", "fabric1"),
+    "cpu_small_to_large": ("cpu_small_to_large", "cpu1", "cpu2"),
+    "fabric_to_cpu": ("fabric_to_cpu", "fabric2", "cpu2"),
+}
+
 
 class TestScenarioTable:
     def test_names_and_pairs(self):
-        assert set(CROSS_DESIGN_SCENARIOS) == {
-            "mac_to_fabric", "cpu_small_to_large", "fabric_to_cpu",
-        }
-        from repro.bench import SPACES
-
-        for src, tgt in CROSS_DESIGN_SCENARIOS.values():
-            assert src in SPACES and tgt in SPACES
+        assert list(SCENARIOS) == list(EXPECTED)
+        for name, entry in SCENARIOS.items():
+            assert (entry.label, entry.source, entry.target) == (
+                EXPECTED[name]
+            )
             # The transfer GP requires column-aligned knob spaces.
-            assert SPACES[src]().names == SPACES[tgt]().names
+            assert (BENCHMARKS[entry.source].space().names
+                    == BENCHMARKS[entry.target].space().names)
+
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_cells_carry_label_and_budget_key(self, name):
+        jobs = []
+
+        class Capture(ExperimentRunner):
+            def run(self, batch):
+                jobs.extend(batch)
+                return []
+
+        label, source, target = EXPECTED[name]
+        res = scenario(name, n_points=20, scale=10,
+                       runner=Capture(workers=1, memo=None))
+        assert (res.name, res.source, res.pool_size) == (label, source, 10)
+        assert {j.spec.scenario for j in jobs} == {label}
+        assert {j.spec.budget_key for j in jobs} == {target}
+        # methods=None runs the entry's defaults.
+        assert {j.spec.method for j in jobs} == set(SCENARIOS[name].methods)
 
     def test_default_methods(self):
         assert CROSS_DESIGN_METHODS == ("PPATuner", "PPATuner-NT",
                                         "Random")
+        for name, entry in SCENARIOS.items():
+            assert entry.methods == (
+                PAPER_METHODS if name in ("one", "two")
+                else CROSS_DESIGN_METHODS
+            )
 
     def test_unknown_scenario_lists_known(self):
         with pytest.raises(ValueError) as exc:
-            cross_design_scenario("mac_to_toaster")
+            scenario("mac_to_toaster")
         msg = str(exc.value)
-        for known in CROSS_DESIGN_SCENARIOS:
+        for known in SCENARIOS:
             assert known in msg
 
 
 class TestEndToEnd:
     def test_runs_and_beats_random(self):
-        res = cross_design_scenario("mac_to_fabric", seed=5, **FAST)
+        res = scenario("mac_to_fabric", seed=5, **FAST)
         assert res.source == "source3"
         assert res.target.startswith("fabric1")
         assert res.pool_size == 60
@@ -52,9 +88,8 @@ class TestEndToEnd:
 
     def test_parallel_bit_identical_to_serial(self):
         kw = dict(seed=9, **FAST)
-        serial = cross_design_scenario("fabric_to_cpu", workers=1, **kw)
-        parallel = cross_design_scenario("fabric_to_cpu", workers=2,
-                                         **kw)
+        serial = scenario("fabric_to_cpu", workers=1, **kw)
+        parallel = scenario("fabric_to_cpu", workers=2, **kw)
         for a, b in zip(serial.outcomes, parallel.outcomes):
             assert (a.method, a.objective_space) == (
                 b.method, b.objective_space,
@@ -74,7 +109,7 @@ class TestEndToEnd:
                 records.extend(out)
                 return out
 
-        cross_design_scenario(
+        scenario(
             "mac_to_fabric", seed=5, prune_space=True,
             runner=Spy(workers=1, memo=None), **FAST,
         )
@@ -92,8 +127,8 @@ class TestEndToEnd:
 
     def test_pruning_deterministic_across_runs(self):
         kw = dict(seed=5, prune_space={"threshold": 0.08}, **FAST)
-        a = cross_design_scenario("mac_to_fabric", **kw)
-        b = cross_design_scenario("mac_to_fabric", **kw)
+        a = scenario("mac_to_fabric", **kw)
+        b = scenario("mac_to_fabric", **kw)
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert oa.hv_error == ob.hv_error
             assert np.array_equal(
@@ -139,12 +174,12 @@ class TestMemoHashes:
 
         memo = RunMemo(root=tmp_path)
         kw = dict(seed=4, **FAST)
-        first = cross_design_scenario(
+        first = scenario(
             "cpu_small_to_large",
             runner=ExperimentRunner(workers=1, memo=memo), **kw,
         )
         runner = ExperimentRunner(workers=1, memo=memo)
-        second = cross_design_scenario(
+        second = scenario(
             "cpu_small_to_large", runner=runner, **kw,
         )
         for a, b in zip(first.outcomes, second.outcomes):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import BENCHMARKS
 from repro.pdtool.family import (
     _FAMILY_REGISTRY,
     DesignFamily,
@@ -71,9 +72,6 @@ class TestRegistry:
             def netlist(self, design, full=None):
                 raise NotImplementedError
 
-            def parameter_space(self, design):
-                raise NotImplementedError
-
             def base_params(self, design):
                 return {}
 
@@ -99,13 +97,16 @@ class TestFamilySurface:
         for design in names:
             assert family_token(design) == token
             assert fam.spec(design, full=False) is not None
-            space = fam.parameter_space(design)
-            assert space.dim >= 2
-            base = fam.base_params(design)
-            assert isinstance(base, dict)
-            # Space knobs and base params never overlap: base pins only
-            # what the space does not tune.
-            assert not set(base) & set(space.names)
+            assert isinstance(fam.base_params(design), dict)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_benchmark_space_and_base_params_disjoint(self, name):
+        """Generation merges a design's base params under the
+        benchmark's knobs: base pins only what the space does not
+        tune."""
+        bench = BENCHMARKS[name]
+        base = design_family(bench.design).base_params(bench.design)
+        assert not set(base) & set(bench.space().names)
 
     @pytest.mark.parametrize("token", ("fabric", "cpu"))
     def test_new_family_netlists_validate(self, token):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.spaces import SPACES
+from repro.bench import BENCHMARKS
 from repro.pdtool.flow import PDFlow
 from repro.pdtool.mac import LARGE_MAC, SMALL_MAC, generate_mac_netlist
 from repro.pdtool.params import ToolParameters
@@ -28,9 +28,9 @@ def large_flow():
 
 
 class TestAcrossSpaces:
-    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    @pytest.mark.parametrize("space_name", sorted(BENCHMARKS))
     def test_every_sample_runs_clean(self, space_name, small_flow):
-        space = SPACES[space_name]()
+        space = BENCHMARKS[space_name].space()
         for config in latin_hypercube(space, 12, seed=5):
             report = small_flow.run(ToolParameters.from_dict(dict(config)))
             for value in (report.area, report.power, report.delay):
@@ -40,7 +40,7 @@ class TestAcrossSpaces:
 
     @pytest.mark.parametrize("space_name", ["target1", "target2"])
     def test_qor_varies_across_space(self, space_name, small_flow):
-        space = SPACES[space_name]()
+        space = BENCHMARKS[space_name].space()
         reports = [
             small_flow.run(ToolParameters.from_dict(dict(c)))
             for c in latin_hypercube(space, 15, seed=9)

@@ -158,13 +158,12 @@ class TestPruningInvariance:
     def test_scenario_quality_within_tolerance(self):
         """A pruned-space tuning run stays close to the full-space
         run's front quality on a real cross-design scenario."""
-        from repro.experiments import cross_design_scenario
+        from repro.experiments import scenario
 
         kw = dict(n_points=120, scale=80, seed=11,
                   methods=("PPATuner",))
-        full = cross_design_scenario("mac_to_fabric", **kw)
-        pruned = cross_design_scenario("mac_to_fabric",
-                                       prune_space=True, **kw)
+        full = scenario("mac_to_fabric", **kw)
+        pruned = scenario("mac_to_fabric", prune_space=True, **kw)
         hv_full = np.mean([o.hv_error for o in full.outcomes])
         hv_pruned = np.mean([o.hv_error for o in pruned.outcomes])
         assert hv_pruned <= hv_full + 0.1

@@ -171,7 +171,8 @@ class TestGoldenTables:
         """The transfer GP needs column-aligned source/target features."""
         pairs = (("source3", "fabric1"), ("cpu1", "cpu2"),
                  ("fabric2", "cpu2"))
-        from repro.bench import SPACES
+        from repro.bench import BENCHMARKS
 
         for src, tgt in pairs:
-            assert SPACES[src]().names == SPACES[tgt]().names
+            assert (BENCHMARKS[src].space().names
+                    == BENCHMARKS[tgt].space().names)

@@ -7,6 +7,7 @@ run, and the human-readable reports.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
+from repro.core.result import IterationRecord
 from repro.obs import (
     NULL_RECORDER,
     CalibrationDone,
@@ -261,6 +263,31 @@ def _traced_run(synthetic_pool, path, seed=3, iters=8):
     result = tuner.tune(X, PoolOracle(Y), sources=[(Xs, Ys)])
     rec.close()
     return result, rec
+
+
+#: An iteration record with a NaN diameter, and a different value for
+#: each of its fields.
+_RECORD = IterationRecord(3, 5, 2, 1, 9, float("nan"), [4, 7])
+_CHANGED = {
+    "iteration": 4, "n_undecided": 6, "n_pareto": 3, "n_dropped": 2,
+    "n_evaluations": 10, "max_diameter": 0.5, "selected": [4, 8],
+}
+
+
+class TestRecordsEqual:
+    def test_nan_diameter_on_both_sides_is_equal(self):
+        assert records_equal([_RECORD], [dataclasses.replace(_RECORD)])
+
+    def test_length_mismatch_is_unequal(self):
+        assert not records_equal([_RECORD], [_RECORD, _RECORD])
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(IterationRecord)]
+    )
+    def test_any_changed_field_is_unequal(self, name):
+        changed = dataclasses.replace(_RECORD, **{name: _CHANGED[name]})
+        assert not records_equal([_RECORD], [changed])
+        assert not records_equal([changed], [_RECORD])
 
 
 class TestReplay:

@@ -809,7 +809,7 @@ import numpy as np
 
 import repro.runner.cells as cells
 from repro.bench.dataset import BenchmarkDataset
-from repro.bench.spaces import SPACES
+from repro.bench.spaces import target2_space
 from repro.experiments.scenarios import build_scenario_jobs
 from repro.runner import ExperimentRunner, RunMemo
 from repro.space.sampling import latin_hypercube
@@ -827,7 +827,7 @@ def chaotic(spec, source, target, ppa_config, recorder=cells.NULL_RECORDER):
 
 cells._EXECUTORS["scenario"] = chaotic
 
-space = SPACES["target2"]()
+space = target2_space()
 configs = latin_hypercube(space, 40, seed=5)
 X = space.encode_many(configs)
 

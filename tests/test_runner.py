@@ -205,8 +205,9 @@ class TestMemo:
         assert loaded is not None
         assert loaded.spec == record.spec
         assert loaded.extras == record.extras
+        # A memo hit costs no compute: its wall time reads 0.0.
         assert loaded.telemetry == dataclasses.replace(
-            record.telemetry, memoized=True
+            record.telemetry, wall_time=0.0, memoized=True
         )
         for f in dataclasses.fields(MethodOutcome):
             if f.name == "result":
@@ -351,6 +352,19 @@ class TestTelemetry:
         lines = text.splitlines()
         assert lines[0].startswith("cell")
         assert lines[-1].startswith("total")
+
+    def test_memoized_run_totals_zero_wall_time(
+        self, tmp_path, tiny_benchmark
+    ):
+        jobs = tiny_jobs(tiny_benchmark)
+        ExperimentRunner(workers=1, memo=RunMemo(tmp_path)).run(jobs)
+        runner = ExperimentRunner(workers=1, memo=RunMemo(tmp_path))
+        runner.run(jobs)
+        assert [r.telemetry.wall_time for r in runner.history] == (
+            [0.0] * len(jobs)
+        )
+        total = format_telemetry_table(runner.history).splitlines()[-1]
+        assert f" 0.0s ({len(jobs)} memoized," in total
 
     def test_progress_lines_emitted(self, tiny_benchmark):
         seen = []
