@@ -14,8 +14,11 @@ Minimization semantics.  With uncertainty boxes ``[lo(x), hi(x)]``:
 Both rules only ever compare against the *Pareto front* of the relevant
 corner values (a dominator must itself be non-dominated among the
 corners), so a pass costs one front sweep per rule plus a
-``(front, candidates)`` comparison: linear in the pool for a fixed
-front size, quadratic only when most of the pool is on the front.
+``(front, candidates)`` comparison.  A sweep is a lexsort plus about
+``live * front`` pairwise comparisons, and 32² more for its first
+block, which no earlier survivor thins.  A pass reads the geometry of
+the live rows only, so its cost is linear in the live set for a fixed
+front size, quadratic only when most of the live set is on the front.
 """
 
 from __future__ import annotations
@@ -194,22 +197,19 @@ def _decide(
     pareto_delta = np.asarray(pareto_delta, dtype=float).ravel()
     if pareto_delta.shape != (regions.m,):
         raise ValueError("pareto_delta must match the objective count")
-    live = undecided | pareto
-    live_ids = np.nonzero(live)[0]
-    und_ids = np.nonzero(undecided)[0]
-    if len(und_ids) == 0:
+    if not undecided.any():
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    live_ids = np.nonzero(undecided | pareto)[0]
 
     # Only candidates with bounded boxes participate in decisions; the
     # rest wait for their first prediction.
-    bounded = regions.is_bounded()
-    live_ids = live_ids[bounded[live_ids]]
-    und_ids = und_ids[bounded[und_ids]]
+    bounded = regions.is_bounded(live_ids)
+    und_ids = live_ids[bounded & undecided[live_ids]]
+    live_ids = live_ids[bounded]
     if len(live_ids) == 0 or len(und_ids) == 0:
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
 
     pess = regions.hi[live_ids]  # max(U(x')) per live point
-    opt = regions.lo[live_ids]  # min(U(x')) per live point
 
     # Eq. (11): drop x if some live x' has hi(x') <= lo(x) + delta.
     dropped_mask = _dominated_with_second_pass(

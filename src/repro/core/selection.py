@@ -51,17 +51,16 @@ def select_next(
     if len(ids) == 0 or batch_size < 1:
         chosen = np.empty(0, dtype=int)
     else:
-        diam = regions.diameters()[ids]
+        diam = regions.diameters(ids)
         # Unbounded (never-predicted) regions have infinite diameter and
         # are naturally prioritized.
         order = np.argsort(-diam, kind="stable")
         chosen = ids[order[:batch_size]]
     if recorder:
-        all_diam = regions.diameters()
         recorder.emit(SelectionMade(
             iteration=iteration,
             selected=[int(i) for i in chosen],
-            diameters=[float(all_diam[int(i)]) for i in chosen],
+            diameters=[float(d) for d in regions.diameters(chosen)],
         ))
     return chosen
 
@@ -115,7 +114,7 @@ def select_batch(
     else:
         lo = regions.lo[ids]
         hi = regions.hi[ids]
-        true_diam = regions.diameters()[ids]
+        true_diam = regions.diameters(ids)
         with np.errstate(invalid="ignore"):
             # -inf + inf = nan for unbounded rectangles; they are
             # filtered by finite_center and never take a penalty.
@@ -154,16 +153,13 @@ def select_batch(
                     score[others] = score[others] * factor
         chosen = ids[np.asarray(picks, dtype=int)]
     if recorder:
-        all_diam = regions.diameters()
+        selected = [int(i) for i in chosen]
+        diameters = [float(d) for d in regions.diameters(chosen)]
         recorder.emit(SelectionMade(
-            iteration=iteration,
-            selected=[int(i) for i in chosen],
-            diameters=[float(all_diam[int(i)]) for i in chosen],
+            iteration=iteration, selected=selected, diameters=diameters,
         ))
         recorder.emit(BatchSelected(
-            iteration=iteration,
-            selected=[int(i) for i in chosen],
-            diameters=[float(all_diam[int(i)]) for i in chosen],
+            iteration=iteration, selected=selected, diameters=diameters,
             scores=scores_out,
         ))
     return chosen

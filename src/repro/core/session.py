@@ -741,10 +741,10 @@ class TuningSession:
         # selection rule (Eq. (13)), which samples Pareto-classified
         # points too — while a classified point's region is still
         # materially larger than δ and unverified by the tool.
+        unsampled = np.nonzero(self.pareto & ~self.sampled)[0]
         unverified = (
-            self.pareto & ~self.sampled
-            & (self.regions.diameters() > self._delta_norm)
-            & self.regions.is_bounded()
+            (self.regions.diameters(unsampled) > self._delta_norm)
+            & self.regions.is_bounded(unsampled)
         )
         if not undecided.any() and not unverified.any():
             self.stop_reason = "all_decided"
@@ -858,11 +858,12 @@ class TuningSession:
         """
         cfg = self.config
         live = ~self.dropped & ~self.sampled & ~self.quarantined
-        anchors = np.nonzero(live & self.regions.is_bounded())[0]
+        anchors = np.nonzero(live)[0]
+        anchors = anchors[self.regions.is_bounded(anchors)]
         if len(anchors) == 0:
             return
         k = int(cfg.pool_refine_points)
-        diam = self.regions.diameters()[anchors]
+        diam = self.regions.diameters(anchors)
         order = np.argsort(-diam, kind="stable")
         anchors = anchors[order[: min(len(anchors), k)]]
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -915,11 +916,11 @@ class TuningSession:
     def _close_iteration(self) -> None:
         """Record and emit this iteration's bookkeeping."""
         rec = self.recorder
-        live = ~self.dropped
-        bounded = self.regions.is_bounded() & live
+        live = np.nonzero(~self.dropped)[0]
+        bounded = live[self.regions.is_bounded(live)]
         max_diam = (
-            float(self.regions.diameters()[bounded].max())
-            if bounded.any() else float("nan")
+            float(self.regions.diameters(bounded).max())
+            if len(bounded) else float("nan")
         )
         record = IterationRecord(
             iteration=self._t,
@@ -1390,19 +1391,16 @@ def _finalize_mask(
     reported set is re-filtered for mutual non-dominance on the golden
     values afterwards.
     """
-    live = ~dropped
-    # Metric-wise: use the observation where one exists (a partial
-    # report observes only some metrics), else the region midpoint.
-    observed = sampled[:, None] & np.isfinite(y_obs)
-    with np.errstate(invalid="ignore"):
-        # Unbounded rectangles yield inf-inf midpoints; those rows
-        # are filtered by is_bounded() below, never compared.
-        rep = np.where(observed, y_obs, 0.5 * (regions.lo + regions.hi))
     final = pareto.copy()
-    live_ids = np.nonzero(live)[0]
-    live_ids = live_ids[regions.is_bounded()[live_ids]]
+    live_ids = np.nonzero(~dropped)[0]
+    live_ids = live_ids[regions.is_bounded(live_ids)]
     if len(live_ids):
-        nd_rows = pareto_rows(rep[live_ids])
+        # Metric-wise: use the observation where one exists (a partial
+        # report observes only some metrics), else the region midpoint.
+        y = y_obs[live_ids]
+        observed = sampled[live_ids, None] & np.isfinite(y)
+        mid = 0.5 * (regions.lo[live_ids] + regions.hi[live_ids])
+        nd_rows = pareto_rows(np.where(observed, y, mid))
         final[live_ids[nd_rows]] = True
     # Golden values of every tool run are in hand; the observed
     # non-dominated points always belong in the reported set (a

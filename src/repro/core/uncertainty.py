@@ -121,17 +121,27 @@ class UncertaintyRegions:
         self.lo[index, observed] = value[observed]
         self.hi[index, observed] = value[observed]
 
-    def diameters(self) -> np.ndarray:
+    def _rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        if ids is None:
+            return self.lo, self.hi
+        return self.lo[ids], self.hi[ids]
+
+    def diameters(self, ids: np.ndarray | None = None) -> np.ndarray:
         """Euclidean diagonal length of each box (Eq. (13) diameter).
 
-        Unbounded boxes have infinite diameter.
+        Unbounded boxes have infinite diameter.  ``ids`` (indices or a
+        boolean mask) restricts the result to those rows; each value is
+        row-local, so ``diameters(ids) == diameters()[ids]`` bit for bit.
         """
-        span = self.hi - self.lo
+        lo, hi = self._rows(ids)
+        span = hi - lo
         return np.sqrt(np.sum(span * span, axis=1))
 
-    def is_bounded(self) -> np.ndarray:
-        """Mask of candidates whose boxes are finite in every objective."""
-        return np.all(np.isfinite(self.lo) & np.isfinite(self.hi), axis=1)
+    def is_bounded(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """Mask of candidates whose boxes are finite in every objective
+        (restricted to ``ids`` as in :meth:`diameters`)."""
+        lo, hi = self._rows(ids)
+        return np.all(np.isfinite(lo) & np.isfinite(hi), axis=1)
 
 
 def prediction_rectangle(

@@ -65,9 +65,14 @@ def dominance_matrix(
     return le
 
 
-#: Row-block size of the non-dominated sweep: bounds each step's
+#: Row-block cap of the non-dominated sweep: bounds each step's
 #: ``(survivors, block)`` and ``(block, block)`` comparison matrices.
 _ND_BLOCK = 512
+
+#: First block of the sweep.  It has no earlier survivors to thin it,
+#: so its within-block step is a full square; the later blocks, which
+#: the survivors thin, double from here up to the cap.
+_ND_FIRST_BLOCK = 32
 
 
 def non_dominated_mask(
@@ -87,14 +92,19 @@ def non_dominated_mask(
     dominates: if a row of the block dominates one of those, no survivor
     can dominate it either (else that survivor would dominate both), so
     every within-block dominator of a remaining row is itself a
-    remaining row.  On pools whose front is small, step (a) eliminates
-    almost every row and (b) runs on a handful.  The mask is exactly
+    remaining row.  None of this depends on where the blocks end.  The
+    first block has no survivors, so (b) compares all of it: blocks
+    therefore start at ``_ND_FIRST_BLOCK`` = 32 rows and double up to
+    ``block``.  On pools whose front is small, (a) then eliminates
+    almost every row and (b) runs on a handful, so a sweep costs about
+    ``n * front`` comparisons plus the lexsort.  The mask is exactly
     the definition's (property-tested against a per-point reference
     sweep and a definition-direct double loop).
 
     Args:
         points: ``(n, m)`` objective matrix.
-        block: Row-chunk size of the sweep.
+        block: Cap on the sweep's row blocks; below 32 every block has
+            this size.
 
     Returns:
         Length-``n`` boolean mask.
@@ -107,8 +117,9 @@ def non_dominated_mask(
     sorted_pts = pts[order]
     keep = np.empty(n, dtype=bool)  # in sorted order
     survivors = sorted_pts[:0]
-    for s in range(0, n, block):
-        B = sorted_pts[s:s + block]
+    s, size = 0, min(block, _ND_FIRST_BLOCK)
+    while s < n:
+        B = sorted_pts[s:s + size]
         # (a) survivors of the earlier blocks.
         dom = np.zeros(len(B), dtype=bool)
         for cs in range(0, len(survivors), block):
@@ -122,9 +133,10 @@ def non_dominated_mask(
         if len(rest) > 1:
             R = B[rest]
             dom[rest] = dominance_matrix(R, R).any(axis=0)
-        keep[s:s + block] = ~dom
+        keep[s:s + size] = ~dom
         if not dom.all():
             survivors = np.concatenate([survivors, B[~dom]])
+        s, size = s + size, min(2 * size, block)
     mask = np.empty(n, dtype=bool)
     mask[order] = keep
     return mask

@@ -9,8 +9,10 @@ pool prediction caches are locked to reference implementations here:
   :mod:`tests.reference_oracles`, across random pools, degenerate
   (zero-width) rectangles, exact ties, and NaN-imputed rows;
 - the sweeps hold at scale — inputs spanning several blocks, all-front
-  sets, ties, NaN rows — and the survivor-restricted within-block step
-  catches a dominator that only its own block holds;
+  sets, ties, NaN rows — and on pools whose sizes straddle the ends of
+  the growing blocks (±inf and −0.0 rows too); the survivor-restricted
+  within-block step catches a dominator that only its own block holds,
+  and a sweep over a small front compares about ``n * front`` pairs;
 - pool caches built, extended and border-updated in small blocks equal
   the single-shot path bit for bit, and never move seeded trajectories;
 - the cross-covariance cache grown in place by border updates equals
@@ -34,6 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.gp.multisource as multisource
+import repro.pareto.dominance as dominance
 from repro.core import PoolOracle, PPATuner, PPATunerConfig
 from repro.core.calibration import CalibrationEngine
 from repro.core.decision import _DOM_BLOCK, _dominated_by_any, apply_decision_rules
@@ -88,14 +91,20 @@ def objective_pools(draw):
 def _scale_points(rng, n, m, kind):
     """``(n, m)`` objectives of one ``kind``: ``"front"`` (anti-correlated,
     every row non-dominated), ``"ties"`` (a few levels per objective, so
-    exact ties and duplicate rows abound) or ``"nan"`` (whole-NaN and
-    partial-NaN rows among ties)."""
+    exact ties and duplicate rows abound), ``"nan"`` (whole-NaN and
+    partial-NaN rows among ties), ``"inf"`` (±inf entries among ties) or
+    ``"zero"`` (−0.0 beside 0.0, which compare equal)."""
     if kind == "front":
         return rng.dirichlet(np.ones(m), size=n)
+    if kind == "zero":
+        return rng.choice([-0.0, 0.0, 1.0], size=(n, m))
     pts = rng.integers(0, 4, size=(n, m)).astype(float)
     if kind == "nan":
         pts[rng.random(n) < 0.05] = np.nan
         pts[rng.random((n, m)) < 0.05] = np.nan
+    if kind == "inf":
+        hit = rng.random((n, m)) < 0.05
+        pts[hit] = rng.choice([-np.inf, np.inf], size=int(hit.sum()))
     return pts
 
 
@@ -106,6 +115,22 @@ def scale_pools(draw):
     n = draw(st.integers(600, 1500))
     m = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["front", "ties", "nan"]))
+    return _scale_points(rng, n, m, kind)
+
+
+#: Where the default sweep's first five blocks (32, 64, 128, 256 and
+#: 512 rows) end.
+_GROWTH_ENDS = (32, 96, 224, 480, 992)
+
+
+@st.composite
+def boundary_pools(draw):
+    """Objective matrices whose row count is within two of a block end
+    of the growing schedule."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.sampled_from(_GROWTH_ENDS)) + draw(st.integers(-2, 2))
+    m = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["front", "ties", "nan", "inf", "zero"]))
     return _scale_points(rng, n, m, kind)
 
 
@@ -192,7 +217,7 @@ class TestNonDominatedMask:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_reference_at_scale(self, pts):
-        """Inputs spanning two or three default blocks: all-front sets
+        """Inputs spanning several default blocks: all-front sets
         (every within-block step runs in full), ties and NaN rows."""
         assert len(pts) > _ND_BLOCK
         fast = non_dominated_mask(pts)
@@ -203,35 +228,81 @@ class TestNonDominatedMask:
             fast, non_dominated_mask_blocked_reference(pts)
         )
 
-    @pytest.mark.parametrize("block", [4, _ND_BLOCK])
-    def test_dominator_only_in_own_block(self, block):
+    @given(boundary_pools())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_reference_at_growth_boundaries(self, pts):
+        """Sizes that end a growing block exactly, or spill one or two
+        rows into the next; all-front, tied, NaN, ±inf and −0.0 rows."""
+        fast = non_dominated_mask(pts)
+        np.testing.assert_array_equal(
+            fast, non_dominated_mask_reference(pts)
+        )
+        np.testing.assert_array_equal(
+            fast, non_dominated_mask_blocked_reference(pts)
+        )
+
+    @pytest.mark.parametrize("lead", [4, *_GROWTH_ENDS, _ND_BLOCK])
+    def test_dominator_only_in_own_block(self, lead):
         """A row whose one dominator is an earlier row of its own block
         that no earlier survivor dominates: the within-block step must
-        still run on the rows the survivor check left."""
-        t = np.arange(block, dtype=float)
-        first = np.column_stack([t, 2.0 * block - t])  # a front
+        still run on the rows the survivor check left.  The pair opens
+        a block of fixed 4-row sweeps and, for ``lead`` in
+        ``_GROWTH_ENDS``, a block of the default growing sweep."""
+        t = np.arange(lead, dtype=float)
+        first = np.column_stack([t, 2.0 * lead - t])  # a front
         second = np.array([
-            [block + 0.0, 2.0],  # survives: y below every earlier row
-            [block + 1.0, 2.0],  # dominated by the row above, only
-            [block + 2.0, 1.0],
-            [block + 3.0, 0.5],
+            [lead + 0.0, 2.0],  # survives: y below every earlier row
+            [lead + 1.0, 2.0],  # dominated by the row above, only
+            [lead + 2.0, 1.0],
+            [lead + 3.0, 0.5],
         ])
         pts = np.vstack([first, second])
-        victim = block + 1
+        victim = lead + 1
         dominators = [
             i for i in range(len(pts))
             if np.all(pts[i] <= pts[victim]) and np.any(pts[i] < pts[victim])
         ]
-        assert dominators == [block]
+        assert dominators == [lead]
         expected = np.ones(len(pts), dtype=bool)
         expected[victim] = False
         perm = np.random.default_rng(0).permutation(len(pts))
-        np.testing.assert_array_equal(
-            non_dominated_mask(pts[perm], block=block), expected[perm]
-        )
+        for block in (4, _ND_BLOCK):
+            np.testing.assert_array_equal(
+                non_dominated_mask(pts[perm], block=block), expected[perm]
+            )
         np.testing.assert_array_equal(
             non_dominated_mask_reference(pts[perm]), expected[perm]
         )
+
+    def test_small_front_costs_few_pairs(self, monkeypatch):
+        """One sweep of 727 rows, m=2, with a 5-point front (the shape of
+        ``mac_transfer``'s decision passes) compares few pairs.
+
+        The first 32-row block has no earlier survivors: 32² = 1,024
+        pairs.  Every survivor is a final front row (a dominator sorts
+        before its victim, so a row that outlives its block is never
+        dominated later), so each of the other 695 rows meets at most 5
+        survivors: 3,475 pairs.  The within-block step then sees only
+        rows whose dominator shares their block.  This pool takes 4,800
+        pairs; a fixed 512-row first block alone would take 512² =
+        262,144.
+        """
+        rng = np.random.default_rng(0)
+        front = np.column_stack([np.arange(5.0), 4.0 - np.arange(5.0)])
+        rest = front[rng.integers(0, 5, size=722)] + rng.uniform(
+            0.01, 3.0, size=(722, 2)
+        )
+        pts = rng.permutation(np.vstack([front, rest]))
+        pairs = []
+
+        def counting(A, B, strict=True):
+            pairs.append(len(A) * len(B))
+            return dominance_matrix(A, B, strict)
+
+        monkeypatch.setattr(dominance, "dominance_matrix", counting)
+        assert non_dominated_mask(pts).sum() == 5
+        assert sum(pairs) <= 8_192
 
 
 def _broadcast_dominance(A, B, strict=True):
